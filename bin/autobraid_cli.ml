@@ -23,34 +23,31 @@ open Cmdliner
    register the built-ins before any command parses. *)
 let () = Qec_engine.Engine.ensure_backends ()
 
-(* Malformed inputs must exit 1 with file:line:col, never an OCaml
-   backtrace. Every subcommand body runs under this guard. *)
-let guarded spec f =
-  let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt in
-  try f () with
-  | Qec_qasm.Lexer.Error { line; col; msg } -> die "%s:%d:%d: %s" spec line col msg
-  | Qec_qasm.Parser.Error { line; col; msg } -> die "%s:%d:%d: %s" spec line col msg
-  | Qec_qasm.Frontend.Unsupported { pos = Some { line; col }; msg } ->
-    die "%s:%d:%d: %s" spec line col msg
-  | Qec_qasm.Frontend.Unsupported { pos = None; msg } -> die "%s: %s" spec msg
-  | Qec_revlib.Real_parser.Error { line; msg } -> die "%s:%d: %s" spec line msg
-  | Qec_circuit.Circuit.Invalid msg -> die "%s: invalid circuit: %s" spec msg
-  | Sys_error msg -> die "%s" msg
+let engine_error_exit (e : Qec_engine.Engine.error) =
+  if e.Qec_engine.Engine.kind = "circuit-not-found" then 2 else 1
 
-let load_circuit spec =
-  if Sys.file_exists spec then
-    if Filename.check_suffix spec ".real" then
-      Qec_revlib.Real_parser.of_file spec
-    else Qec_qasm.Frontend.of_file spec
-  else
-    match Qec_benchmarks.Registry.build spec with
-    | c -> c
-    | exception Not_found ->
-      Printf.eprintf
-        "unknown circuit %S (not a file, not a benchmark; try `autobraid \
-         list`)\n"
-        spec;
-      exit 2
+(* compile-style diagnostics: the bare message on stderr (parse errors are
+   file:line:col-prefixed), exit 2 for unknown circuits, 1 otherwise. *)
+let die_engine_text (e : Qec_engine.Engine.error) =
+  prerr_endline e.Qec_engine.Engine.message;
+  exit (engine_error_exit e)
+
+(* The engine's loader: a .qasm / .real path or a benchmark name. Malformed
+   inputs exit with a diagnostic, never an OCaml backtrace. *)
+let load_circuit circuit =
+  match
+    Qec_engine.Engine.load_circuit { Qec_engine.Spec.default with circuit }
+  with
+  | Ok c -> c
+  | Error e -> die_engine_text e
+
+(* What a command body can still raise once its circuit has loaded — an
+   unwritable output file, say — also exits 1 with a bare message. *)
+let guarded f =
+  try f () with
+  | Sys_error msg ->
+    prerr_endline msg;
+    exit 1
 
 (* ---------------- common args ---------------- *)
 
@@ -313,15 +310,6 @@ let print_result timing (r : Autobraid.Scheduler.result) =
 (* `compile` and `schedule` are thin wrappers over the same Spec ->
    Engine.run_spec path: their byte-identity on the braid backend is
    structural, not promised by keeping two argument lists in sync. *)
-
-let engine_error_exit (e : Qec_engine.Engine.error) =
-  if e.Qec_engine.Engine.kind = "circuit-not-found" then 2 else 1
-
-(* compile-style diagnostics: the bare message on stderr (same text the
-   old guarded path printed), exit 2 for unknown circuits, 1 otherwise. *)
-let die_engine_text (e : Qec_engine.Engine.error) =
-  prerr_endline e.Qec_engine.Engine.message;
-  exit (engine_error_exit e)
 
 (* schedule-style diagnostics: the same structured JSONL error record a
    batch would emit for this job, on stderr. *)
@@ -810,7 +798,7 @@ let profile_cmd =
 
 let info_cmd =
   let run spec =
-    guarded spec @@ fun () ->
+    guarded @@ fun () ->
     let c0 = load_circuit spec in
     let c = Qec_circuit.Decompose.to_scheduler_gates c0 in
     let dag = Qec_circuit.Dag.of_circuit c in
@@ -878,7 +866,7 @@ let resources_cmd =
 
 let emit_cmd =
   let run spec out =
-    guarded spec @@ fun () ->
+    guarded @@ fun () ->
     let c =
       Qec_circuit.Decompose.lower_mcx (load_circuit spec)
     in
@@ -900,7 +888,7 @@ let emit_cmd =
 
 let sweep_cmd =
   let run spec d metrics telemetry_out trace_out =
-    guarded spec @@ fun () ->
+    guarded @@ fun () ->
     with_telemetry ~metrics ~telemetry_out ~trace_out @@ fun () ->
     let timing = Qec_surface.Timing.make ~d () in
     let c = load_circuit spec in
@@ -927,7 +915,7 @@ let sweep_cmd =
 
 let export_cmd =
   let run spec d fmt backend out =
-    guarded spec @@ fun () ->
+    guarded @@ fun () ->
     let timing = Qec_surface.Timing.make ~d () in
     let c = load_circuit spec in
     let payload =
@@ -1096,7 +1084,7 @@ let backends_cmd =
 
 let trace_cmd =
   let run spec d max_rounds svg_prefix =
-    guarded spec @@ fun () ->
+    guarded @@ fun () ->
     let timing = Qec_surface.Timing.make ~d () in
     let c = load_circuit spec in
     let result, trace = Autobraid.Scheduler.run_traced timing c in
@@ -1143,7 +1131,7 @@ let trace_cmd =
 
 let lint_cmd =
   let run spec fmt deny schedule d p seed =
-    guarded spec @@ fun () ->
+    guarded @@ fun () ->
     let deny_warning = deny = Some `Warning in
     (* QASM files get the full span-aware pipeline; .real files and
        benchmark names only exist as circuits, so only QL1xx applies. *)
@@ -1245,20 +1233,17 @@ let verify_cmd =
         in
         match Qec_engine.Spec.manifest_of_string text with
         | Ok specs ->
-          (* Baseline / best_p jobs never record a trace, so there is
-             nothing independent to certify — skip them with a note
-             rather than fail a manifest that batch itself accepts. *)
-          let certifiable, untraced =
-            List.partition
-              (fun (s : Qec_engine.Spec.t) ->
-                s.scheduler <> Qec_engine.Spec.Baseline && not s.best_p)
-              specs
+          (* best_p sweeps never record a trace, so there is nothing
+             independent to certify — skip them with a note rather than
+             fail a manifest that batch itself accepts. *)
+          let untraced, certifiable =
+            List.partition (fun (s : Qec_engine.Spec.t) -> s.best_p) specs
           in
           List.iter
             (fun (s : Qec_engine.Spec.t) ->
-              Printf.eprintf "skipping %s: %s runs record no trace to certify\n"
-                s.circuit
-                (if s.best_p then "best_p" else "baseline"))
+              Printf.eprintf
+                "skipping %s: best_p runs record no trace to certify\n"
+                s.circuit)
             untraced;
           if certifiable = [] then begin
             Printf.eprintf "%s: no certifiable job in manifest\n" target;

@@ -7,7 +7,8 @@ let circuit ?(with_swaps = false) n =
   for i = 0 to n - 1 do
     C.Builder.add b (G.H i);
     for j = i + 1 to n - 1 do
-      let angle = Float.pi /. float_of_int (1 lsl (j - i)) in
+      (* pi / 2^(j-i), exact for every distance: [1 lsl k] wraps at k >= 62. *)
+      let angle = Float.ldexp Float.pi (i - j) in
       C.Builder.add b (G.Cphase (j, i, angle))
     done
   done;

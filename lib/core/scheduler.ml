@@ -99,11 +99,13 @@ let run_impl ?route ~record ~options timing circuit =
   let grid = Qec_lattice.Placement.grid placement in
   if Grid.side grid <> side then
     invalid_arg "Scheduler.run: placement override grid size mismatch";
-  let coupling = Coupling.of_circuit circuit in
+  (* Only the layout optimizer reads the coupling graph; build it the
+     first time the optimizer fires ([Sp] runs never pay for it). *)
   let strategy =
-    match options.swap_strategy with
-    | Some s -> s
-    | None -> auto_strategy coupling
+    lazy
+      (match options.swap_strategy with
+      | Some s -> s
+      | None -> auto_strategy (Coupling.of_circuit circuit))
   in
   let dag = Dag.of_circuit circuit in
   (* Downstream height of each gate (longest dependent chain below it):
@@ -215,8 +217,8 @@ let run_impl ?route ~record ~options timing circuit =
           (* Plan over the whole concurrent front: the bottleneck pattern
              lives in the interference structure of all pending gates, not
              only the ones that happened to lose the routing race. *)
-          Layout_opt.plan strategy router placement ~pending:cx_tasks
-            ~phase:!swap_phase
+          Layout_opt.plan (Lazy.force strategy) router placement
+            ~pending:cx_tasks ~phase:!swap_phase
         else []
       in
       if swaps <> [] then begin
@@ -284,28 +286,20 @@ let run_impl ?route ~record ~options timing circuit =
     compile_time_s;
   } )
 
-let run ?(options = default_options) timing circuit =
-  snd (run_impl ~record:false ~options timing circuit)
-
-let run_traced ?(options = default_options) timing circuit =
-  let trace, result = run_impl ~record:true ~options timing circuit in
-  (result, trace)
+let run ?route ?(options = default_options) timing circuit =
+  snd (run_impl ?route ~record:false ~options timing circuit)
 
 let run_traced_with ?route ?(options = default_options) timing circuit =
   let trace, result = run_impl ?route ~record:true ~options timing circuit in
   (result, trace)
 
+let run_traced ?options timing circuit = run_traced_with ?options timing circuit
+
 let default_grid_points = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
 
 let run_best_p ?(options = default_options) ?(grid_points = default_grid_points)
-    ?(parallel = false) ?jobs timing circuit =
-  (* [?jobs] is the worker-pool API; [?parallel] survives one release as a
-     deprecated alias meaning "all available workers". *)
-  let jobs =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> if parallel then Qec_util.Parallel.default_jobs () else 1
-  in
+    ?(jobs = 1) timing circuit =
+  let jobs = max 1 jobs in
   (* Initial placement (including the annealing fine-tune) is independent
      of the threshold, so compute it once for the whole sweep. *)
   let options =

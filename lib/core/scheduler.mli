@@ -73,10 +73,32 @@ val time_us : Qec_surface.Timing.t -> result -> float
 
 val critical_path_us : Qec_surface.Timing.t -> result -> float
 
+type round_route =
+  round:int ->
+  router:Qec_lattice.Router.t ->
+  occ:Qec_lattice.Occupancy.t ->
+  placement:Qec_lattice.Placement.t ->
+  Task.t list ->
+  Stack_finder.outcome
+(** A custom per-round routing policy for {!run} and {!run_traced_with}.
+    Called once per round that has at least one ready two-qubit gate, with
+    the occupancy already cleared; it owns the whole routing decision
+    (ordering, candidate comparison, rip-up, rescue) and must return with
+    [occ] holding exactly the reservations of the outcome — the driver's
+    SWAP-layer rollback releases those paths when it overrides the
+    round. *)
+
 val run :
-  ?options:options -> Qec_surface.Timing.t -> Qec_circuit.Circuit.t -> result
+  ?route:round_route ->
+  ?options:options ->
+  Qec_surface.Timing.t ->
+  Qec_circuit.Circuit.t ->
+  result
 (** Schedule the whole circuit. The lattice is the smallest square grid
-    fitting the qubit count (§4.1). Deterministic for fixed options. *)
+    fitting the qubit count (§4.1). Deterministic for fixed options. With
+    [route], that policy replaces the stack finder in every round that
+    has a ready two-qubit gate (see {!run_traced_with}); nothing is
+    recorded. *)
 
 val run_traced :
   ?options:options ->
@@ -86,21 +108,6 @@ val run_traced :
 (** Like {!run}, additionally recording the full per-round schedule
     ({!Trace}) for validation, rendering, and export. Scheduling decisions
     are identical to {!run}'s. *)
-
-type round_route =
-  round:int ->
-  router:Qec_lattice.Router.t ->
-  occ:Qec_lattice.Occupancy.t ->
-  placement:Qec_lattice.Placement.t ->
-  Task.t list ->
-  Stack_finder.outcome
-(** A custom per-round routing policy for {!run_traced_with}. Called once
-    per round that has at least one ready two-qubit gate, with the
-    occupancy already cleared; it owns the whole routing decision
-    (ordering, candidate comparison, rip-up, rescue) and must return with
-    [occ] holding exactly the reservations of the outcome — the driver's
-    SWAP-layer rollback releases those paths when it overrides the
-    round. *)
 
 val run_traced_with :
   ?route:round_route ->
@@ -112,12 +119,13 @@ val run_traced_with :
     bookkeeping, trace emission, SWAP-layer logic and cycle accounting
     stay shared, only the path search is replaced. With [route] absent
     this {e is} [run_traced] (same code path). The seam the lookahead
-    backend ([Qec_lookahead]) schedules through. *)
+    backend ([Qec_lookahead]), the greedy baseline ([Gp_baseline]) and
+    the planar-teleport model ([Qec_planar.Teleport]) schedule
+    through. *)
 
 val run_best_p :
   ?options:options ->
   ?grid_points:float list ->
-  ?parallel:bool ->
   ?jobs:int ->
   Qec_surface.Timing.t ->
   Qec_circuit.Circuit.t ->
@@ -127,8 +135,4 @@ val run_best_p :
     [jobs > 1] the thresholds run on a {!Qec_util.Parallel} worker pool of
     that size — identical results in identical order, shorter wall time,
     but [compile_time_s] then counts CPU across domains. [jobs] defaults
-    to 1 (sequential).
-
-    [parallel] is {b deprecated} (one-release alias, see docs/engine.md):
-    [~parallel:true] behaves like [~jobs:(Parallel.default_jobs ())] and
-    is ignored when [jobs] is given. *)
+    to 1 (sequential). *)

@@ -75,4 +75,6 @@ val route_in_order :
   (Task.t * Qec_lattice.Path.t) list * Task.t list
 (** Route tasks in exactly the given order (no stack, no retry), reserving
     successful paths; per-task [bounds_of] confines the search with
-    whole-lattice fallback. Exposed for the greedy baseline and tests. *)
+    whole-lattice fallback. Also the scheduler's compaction rescue, and
+    the greedy baseline's A* router ([Gp_baseline.route Astar], which the
+    planar-teleport model's greedy order reuses). *)

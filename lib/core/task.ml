@@ -13,4 +13,11 @@ let cells placement t =
 
 let distance placement t = Qec_lattice.Placement.distance placement t.q1 t.q2
 
+let shortest_first placement tasks =
+  List.sort
+    (fun a b ->
+      let da = distance placement a and db = distance placement b in
+      if da <> db then compare da db else compare a.id b.id)
+    tasks
+
 let pp ppf t = Format.fprintf ppf "cx#%d(q%d,q%d)" t.id t.q1 t.q2

@@ -16,4 +16,8 @@ val cells : Qec_lattice.Placement.t -> t -> int * int
 val distance : Qec_lattice.Placement.t -> t -> int
 (** Manhattan distance between the operand tiles. *)
 
+val shortest_first : Qec_lattice.Placement.t -> t list -> t list
+(** The greedy (MICRO'17) routing order: shortest operand distance first,
+    gate id breaking ties. *)
+
 val pp : Format.formatter -> t -> unit

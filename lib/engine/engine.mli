@@ -43,8 +43,9 @@ type payload = Engine_core.payload = {
   result : Autobraid.Scheduler.result;
   stats : (string * float) list;  (** backend extras, e.g. surgery volume *)
   trace : Autobraid.Trace.t option;
-      (** when [Spec.outputs.trace] and the path records one (the best-p
-          sweep and the baseline do not) *)
+      (** the run's trace, when the path records one: registered
+          backends always do, the baseline only when [Spec.outputs] asks
+          for a trace or a certificate, the best-p sweep never *)
   curve : (float * Autobraid.Scheduler.result) list option;
       (** the full threshold sweep, when [Spec.best_p] *)
   peephole : (Qec_circuit.Optimize.stats * int * int) option;

@@ -52,9 +52,10 @@ type job = {
 
 (* ---------------- circuit loading ---------------- *)
 
-(* Mirrors the CLI's loader, but every failure becomes a structured error
-   record (message formats match what `guarded` always printed, so single-
-   job wrappers keep their diagnostics byte-for-byte). *)
+(* The one circuit loader: batch, serve and every CLI command resolve
+   circuits here. Every failure becomes a structured error record whose
+   message is the diagnostic the CLI prints ([file:line:col: msg] for
+   parse errors). *)
 let load_circuit spec =
   let file = spec.Spec.circuit in
   let err kind fmt = Printf.ksprintf (fun message -> Error { kind; message }) fmt in
@@ -125,6 +126,14 @@ let exec cache (spec : Spec.t) =
     else circuit
   in
   let timing = Timing.make ~d:spec.d () in
+  (* Self-certification happens here, on the caller's own domain, so
+     batch workers and serve workers certify in parallel with no extra
+     plumbing. *)
+  let certify ~backend ~result trace =
+    if spec.outputs.Spec.certificate then
+      Some (Qec_verify.Certifier.certify ~backend ~result timing trace)
+    else None
+  in
   match spec.scheduler with
   | Spec.Baseline ->
     let* opts =
@@ -133,22 +142,28 @@ let exec cache (spec : Spec.t) =
           { kind = "invalid-spec"; message = "backend_options: " ^ message })
         (CB.Options.decode Gp_baseline.options_spec spec.backend_options)
     in
-    let result =
-      Gp_baseline.run
-        ~options:
-          (Gp_baseline.of_backend_options opts
-             { Gp_baseline.default_options with seed = spec.seed })
-        timing circuit
+    let options =
+      Gp_baseline.of_backend_options opts
+        { Gp_baseline.default_options with seed = spec.seed }
+    in
+    let backend = "gp-baseline" in
+    (* Record only when an output needs the trace: a greedy paper-scale
+       trace costs more memory than the schedule itself. *)
+    let result, trace, certificate =
+      if spec.outputs.Spec.certificate || spec.outputs.Spec.trace then
+        let result, trace = Gp_baseline.run_traced ~options timing circuit in
+        (result, Some trace, certify ~backend ~result trace)
+      else (Gp_baseline.run ~options timing circuit, None, None)
     in
     Ok
       ( {
-          backend = "gp-baseline";
+          backend;
           result;
           stats = [];
-          trace = None;
+          trace;
           curve = None;
           peephole = !peephole;
-          certificate = None;
+          certificate;
         },
         !cache_status )
   | Spec.Full | Spec.Sp -> (
@@ -223,16 +238,6 @@ let exec cache (spec : Spec.t) =
                (legacy_options spec @ spec.backend_options))
         in
         let outcome = (entry.CB.ctor config opts).CB.run timing circuit in
-        (* Self-certification happens here, on the caller's own domain,
-           so batch workers and serve workers certify in parallel with no
-           extra plumbing. *)
-        let certificate =
-          if spec.outputs.Spec.certificate then
-            Some
-              (Qec_verify.Certifier.certify ~backend:outcome.CB.backend
-                 ~result:outcome.CB.result timing outcome.CB.trace)
-          else None
-        in
         Ok
           ( {
               backend = outcome.CB.backend;
@@ -241,7 +246,9 @@ let exec cache (spec : Spec.t) =
               trace = Some outcome.CB.trace;
               curve = None;
               peephole = !peephole;
-              certificate;
+              certificate =
+                certify ~backend:outcome.CB.backend ~result:outcome.CB.result
+                  outcome.CB.trace;
             },
             !cache_status ))
 

@@ -124,11 +124,10 @@ let validate t =
       Result.map_error (fun e -> "backend_options: " ^ e)
         (validate_opts decoded)
   in
-  (* Certification replays a trace; the baseline scheduler and the best_p
-     sweep produce none. *)
+  (* Certification replays a trace; the best_p sweep produces none. *)
   check
-    ((not t.outputs.certificate) || (t.scheduler <> Baseline && not t.best_p))
-    "certificate output requires a traced run (not baseline, not best_p)"
+    ((not t.outputs.certificate) || not t.best_p)
+    "certificate output requires a traced run (not best_p)"
 
 let outputs_to_json o =
   Json.List

@@ -1,11 +1,6 @@
-module Circuit = Qec_circuit.Circuit
 module Dag = Qec_circuit.Dag
 module Decompose = Qec_circuit.Decompose
-module Grid = Qec_lattice.Grid
-module Occupancy = Qec_lattice.Occupancy
-module Router = Qec_lattice.Router
 module Timing = Qec_surface.Timing
-module Task = Autobraid.Task
 module Scheduler = Autobraid.Scheduler
 
 type ordering = Greedy_shortest | Stack
@@ -41,91 +36,33 @@ let distance_for_budget ?(overhead_factor = 1.5) ~num_logical ~budget () =
   in
   grow 3 None
 
-(* Teleported-CX latency: the channel is held for one d-cycle block. *)
-let teleport_cycles timing = Timing.single_qubit_cycles timing
-
+(* Every round costs one d-cycle block: a teleported CX holds its channel
+   for d cycles instead of a braid's 2d, and a purely local round is d
+   anyway. So the model is the scheduler's round loop with static
+   placement, re-costed afterwards. *)
 let run ?(options = default_options) timing circuit : Scheduler.result =
-  let t0 = Sys.time () in
-  let circuit = Decompose.to_scheduler_gates circuit in
-  let n = Circuit.num_qubits circuit in
-  let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:n) in
-  let grid = Grid.create side in
-  let placement =
-    Autobraid.Initial_layout.place ~seed:options.seed ~method_:options.initial
-      circuit grid
+  let route =
+    match options.ordering with
+    | Stack -> None
+    | Greedy_shortest -> Some (Gp_baseline.route Gp_baseline.Astar)
   in
-  let dag = Dag.of_circuit circuit in
-  let frontier = Dag.Frontier.create dag in
-  let router = Router.create grid in
-  let occ = Occupancy.create grid in
-  let cycles = ref 0 and rounds = ref 0 and braid_rounds = ref 0 in
-  let util_sum = ref 0. and util_peak = ref 0. in
-  while not (Dag.Frontier.is_done frontier) do
-    let ready = Dag.Frontier.ready frontier in
-    let singles, cx_tasks =
-      List.fold_left
-        (fun (singles, cxs) id ->
-          match Task.of_gate id (Circuit.gate circuit id) with
-          | Some t -> (singles, t :: cxs)
-          | None -> (id :: singles, cxs))
-        ([], []) ready
-    in
-    let singles = List.rev singles and cx_tasks = List.rev cx_tasks in
-    if cx_tasks = [] then begin
-      List.iter (Dag.Frontier.complete frontier) singles;
-      cycles := !cycles + Timing.single_qubit_cycles timing;
-      incr rounds
-    end
-    else begin
-      Occupancy.clear occ;
-      let routed =
-        match options.ordering with
-        | Stack ->
-          (Autobraid.Stack_finder.find router occ placement cx_tasks)
-            .Autobraid.Stack_finder.routed
-        | Greedy_shortest ->
-          let order =
-            List.sort
-              (fun a b ->
-                let da = Task.distance placement a
-                and db = Task.distance placement b in
-                if da <> db then compare da db
-                else compare a.Task.id b.Task.id)
-              cx_tasks
-          in
-          fst (Autobraid.Stack_finder.route_in_order router occ placement order)
-      in
-      List.iter
-        (fun ((t : Task.t), _) -> Dag.Frontier.complete frontier t.id)
-        routed;
-      List.iter (Dag.Frontier.complete frontier) singles;
-      let u = Occupancy.utilization occ in
-      util_sum := !util_sum +. u;
-      if u > !util_peak then util_peak := u;
-      cycles := !cycles + teleport_cycles timing;
-      incr rounds;
-      incr braid_rounds
-    end
-  done;
+  let r =
+    Scheduler.run ?route
+      ~options:
+        {
+          Scheduler.default_options with
+          variant = Scheduler.Sp;
+          confine_llg = false;
+          initial = options.initial;
+          seed = options.seed;
+        }
+      timing circuit
+  in
+  let d = Timing.single_qubit_cycles timing in
   (* Critical path under teleport costs: every gate costs d cycles. *)
-  let critical_path_cycles =
-    Dag.critical_path ~cost:(fun _ -> Timing.single_qubit_cycles timing) dag
-  in
+  let dag = Dag.of_circuit (Decompose.to_scheduler_gates circuit) in
   {
-    Scheduler.name = Circuit.name circuit;
-    num_qubits = n;
-    num_gates = Circuit.length circuit;
-    num_two_qubit = Circuit.two_qubit_count circuit;
-    lattice_side = side;
-    total_cycles = !cycles;
-    rounds = !rounds;
-    braid_rounds = !braid_rounds;
-    swap_layers = 0;
-    swaps_inserted = 0;
-    critical_path_cycles;
-    avg_utilization =
-      (if !braid_rounds = 0 then 0.
-       else !util_sum /. float_of_int !braid_rounds);
-    peak_utilization = !util_peak;
-    compile_time_s = Sys.time () -. t0;
+    r with
+    total_cycles = r.rounds * d;
+    critical_path_cycles = Dag.critical_path ~cost:(fun _ -> d) dag;
   }

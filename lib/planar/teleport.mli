@@ -1,9 +1,10 @@
-(** Planar-code (teleportation) communication model — the comparison mode
-    of Javadi-Abhari et al. (MICRO'17) that motivates the AutoBraid paper's
-    closing discussion (§5): braiding congestion made the double-defect
-    code look worse than the planar code; AutoBraid argues that a proper
-    braiding scheduler flips the conclusion because the double-defect code
-    "uses fewer physical qubits than the planar code".
+(** Planar-code (teleportation) communication model, a route policy over
+    {!Autobraid.Scheduler} — the comparison mode of Javadi-Abhari et al.
+    (MICRO'17) that motivates the AutoBraid paper's closing discussion
+    (§5): braiding congestion made the double-defect code look worse than
+    the planar code; AutoBraid argues that a proper braiding scheduler
+    flips the conclusion because the double-defect code "uses fewer
+    physical qubits than the planar code".
 
     Model (a documented simplification, see DESIGN.md):
 
@@ -12,8 +13,10 @@
       block ([d] cycles) instead of a braid's [2d] — entanglement
       distribution parallelizes along the path;
     - channels of one round must still be vertex-disjoint, so the same
-      routing machinery applies (the scheduler below reuses the stack-based
-      path finder, or a greedy shortest-first order);
+      routing machinery applies: the model is a route policy over
+      {!Autobraid.Scheduler} — the stack-based path finder, or the greedy
+      baseline's shortest-first order ({!Gp_baseline.route}) — with the
+      rounds re-costed at [d] cycles each;
     - the layout never changes (teleportation {e is} transport);
     - a planar logical qubit plus its share of channel ancillas costs
       [overhead_factor] × the double-defect tile (default 1.5×).

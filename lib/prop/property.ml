@@ -236,75 +236,81 @@ let diff_backends =
              let braid = (CB.braid ()).CB.run timing c in
              let surgery = (Qec_surgery.Backend.make ()).CB.run timing c in
              let lookahead = (Qec_lookahead.Backend.make ()).CB.run timing c in
-             let baseline = Gp_baseline.run timing c in
-             let check_clean (o : CB.outcome) =
-               match first_violation o.CB.trace with
-               | Some msg -> Some (Printf.sprintf "%s: %s" o.CB.backend msg)
+             let rg, baseline = Gp_baseline.run_traced timing c in
+             let check_clean (backend, trace) =
+               match first_violation trace with
+               | Some msg -> Some (Printf.sprintf "%s: %s" backend msg)
                | None -> None
              in
              match
-               List.find_map check_clean [ braid; surgery; lookahead ]
+               List.find_map check_clean
+                 (List.map
+                    (fun (o : CB.outcome) -> (o.CB.backend, o.CB.trace))
+                    [ braid; surgery; lookahead ]
+                 @ [ ("gp-baseline", baseline) ])
              with
              | Some msg -> Fail msg
              | None ->
                let ids_b = CB.scheduled_gate_ids braid.CB.trace in
-               let ids_s = CB.scheduled_gate_ids surgery.CB.trace in
-               let ids_l = CB.scheduled_gate_ids lookahead.CB.trace in
                let rb = braid.CB.result
                and rs = surgery.CB.result
-               and rl = lookahead.CB.result
-               and rg = baseline in
-               if ids_b <> ids_s then
+               and rl = lookahead.CB.result in
+               match
+                 List.find_opt
+                   (fun (_, ids) -> ids <> ids_b)
+                   [
+                     ("surgery", CB.scheduled_gate_ids surgery.CB.trace);
+                     ("lookahead", CB.scheduled_gate_ids lookahead.CB.trace);
+                     ("baseline", CB.scheduled_gate_ids baseline);
+                   ]
+               with
+               | Some (name, ids) ->
                  failf
-                   "braid and surgery scheduled different gate sets (%d vs \
-                    %d gates)"
-                   (List.length ids_b) (List.length ids_s)
-               else if ids_b <> ids_l then
-                 failf
-                   "braid and lookahead scheduled different gate sets (%d \
-                    vs %d gates)"
-                   (List.length ids_b) (List.length ids_l)
-               else if List.length ids_b <> rb.S.num_gates then
-                 failf "braid scheduled %d of %d lowered gates"
-                   (List.length ids_b) rb.S.num_gates
-               else if
-                 rb.S.num_gates <> rs.S.num_gates
-                 || rb.S.num_gates <> rl.S.num_gates
-                 || rb.S.num_gates <> rg.S.num_gates
-               then
-                 failf "lowered gate counts diverge: braid %d surgery %d \
-                        lookahead %d baseline %d"
-                   rb.S.num_gates rs.S.num_gates rl.S.num_gates rg.S.num_gates
-               else if
-                 rb.S.num_two_qubit <> rs.S.num_two_qubit
-                 || rb.S.num_two_qubit <> rl.S.num_two_qubit
-                 || rb.S.num_two_qubit <> rg.S.num_two_qubit
-               then
-                 failf "two-qubit counts diverge: braid %d surgery %d \
-                        lookahead %d baseline %d"
-                   rb.S.num_two_qubit rs.S.num_two_qubit rl.S.num_two_qubit
-                   rg.S.num_two_qubit
-               else begin
-                 let below_cp name (r : S.result) =
-                   if r.S.total_cycles < r.S.critical_path_cycles then
-                     Some
-                       (Printf.sprintf
-                          "%s beat its critical path: %d < %d cycles" name
-                          r.S.total_cycles r.S.critical_path_cycles)
-                   else None
-                 in
-                 match
-                   List.filter_map Fun.id
-                     [
-                       below_cp "braid" rb;
-                       below_cp "surgery" rs;
-                       below_cp "lookahead" rl;
-                       below_cp "baseline" rg;
-                     ]
-                 with
-                 | msg :: _ -> Fail msg
-                 | [] -> Pass
-               end));
+                   "braid and %s scheduled different gate sets (%d vs %d \
+                    gates)"
+                   name (List.length ids_b) (List.length ids)
+               | None ->
+                 if List.length ids_b <> rb.S.num_gates then
+                   failf "braid scheduled %d of %d lowered gates"
+                     (List.length ids_b) rb.S.num_gates
+                 else if
+                   rb.S.num_gates <> rs.S.num_gates
+                   || rb.S.num_gates <> rl.S.num_gates
+                   || rb.S.num_gates <> rg.S.num_gates
+                 then
+                   failf "lowered gate counts diverge: braid %d surgery %d \
+                          lookahead %d baseline %d"
+                     rb.S.num_gates rs.S.num_gates rl.S.num_gates rg.S.num_gates
+                 else if
+                   rb.S.num_two_qubit <> rs.S.num_two_qubit
+                   || rb.S.num_two_qubit <> rl.S.num_two_qubit
+                   || rb.S.num_two_qubit <> rg.S.num_two_qubit
+                 then
+                   failf "two-qubit counts diverge: braid %d surgery %d \
+                          lookahead %d baseline %d"
+                     rb.S.num_two_qubit rs.S.num_two_qubit rl.S.num_two_qubit
+                     rg.S.num_two_qubit
+                 else begin
+                   let below_cp name (r : S.result) =
+                     if r.S.total_cycles < r.S.critical_path_cycles then
+                       Some
+                         (Printf.sprintf
+                            "%s beat its critical path: %d < %d cycles" name
+                            r.S.total_cycles r.S.critical_path_cycles)
+                     else None
+                   in
+                   match
+                     List.filter_map Fun.id
+                       [
+                         below_cp "braid" rb;
+                         below_cp "surgery" rs;
+                         below_cp "lookahead" rl;
+                         below_cp "baseline" rg;
+                       ]
+                   with
+                   | msg :: _ -> Fail msg
+                   | [] -> Pass
+                 end));
   }
 
 (* ---------------- lookahead guarantee ---------------- *)
@@ -534,12 +540,7 @@ let engine_batch_identity =
                    base with
                    Spec.id = Some "baseline";
                    scheduler = Spec.Baseline;
-                   outputs =
-                     {
-                       Spec.trace = false;
-                       reliability = false;
-                       certificate = false;
-                     };
+                   outputs = { base.Spec.outputs with certificate = true };
                  };
                ]
              in

@@ -66,11 +66,7 @@ let route_round ?(retry = true) ?(ripup = true) router occ placement tasks =
             | Some p -> ((t, p) :: ok, ko)
             | None -> (ok, t :: ko))
           ([], [])
-          (List.sort
-             (fun a b ->
-               compare (Task.distance placement a, a.Task.id)
-                 (Task.distance placement b, b.Task.id))
-             failed)
+          (Task.shortest_first placement failed)
       in
       let rescued = List.rev rescued and still_failed = List.rev still_failed in
       let victim_rerouted = try_route victim_task in

@@ -77,6 +77,36 @@ let test_identity_ablation_no_better () =
     (float_of_int with_init.S.total_cycles
     <= 1.15 *. float_of_int without.S.total_cycles)
 
+(* Known answers pinned from the stand-alone greedy loop this policy
+   replaced: the round driver must reproduce them exactly. *)
+let test_known_answer_cycles () =
+  List.iter
+    (fun (name, expect) ->
+      check_int name expect
+        (GP.run timing (B.Registry.build name)).S.total_cycles)
+    [ ("qft100", 68_706); ("urf2_277", 609_609) ]
+
+(* The Table-2 denominator is certified like any other schedule: every
+   benchmark family, under both routers, replays clean through the
+   independent certifier, and recording changes no decision. *)
+let test_certified_families () =
+  List.iter
+    (fun (f : B.Registry.entry) ->
+      let c = f.B.Registry.sized 12 in
+      List.iter
+        (fun router ->
+          let options = { GP.default_options with router } in
+          let r, trace = GP.run_traced ~options timing c in
+          let cert = Qec_verify.Certifier.certify ~result:r timing trace in
+          check_bool
+            (f.B.Registry.name ^ ": " ^ Qec_verify.Certifier.to_summary cert)
+            true
+            (Qec_verify.Certifier.ok cert);
+          check_int (f.B.Registry.name ^ ": untraced cycles")
+            (GP.run ~options timing c).S.total_cycles r.S.total_cycles)
+        [ GP.Dimension_ordered; GP.Astar ])
+    B.Registry.families
+
 let () =
   Alcotest.run "baseline"
     [
@@ -87,6 +117,8 @@ let () =
           Alcotest.test_case "serial = CP" `Quick test_baseline_serial_hits_cp;
           Alcotest.test_case "cycle ledger" `Quick test_baseline_cycle_ledger;
           Alcotest.test_case "deterministic" `Quick test_baseline_deterministic;
+          Alcotest.test_case "known-answer cycles" `Slow test_known_answer_cycles;
+          Alcotest.test_case "certified families" `Quick test_certified_families;
         ] );
       ( "comparison",
         [

@@ -53,6 +53,9 @@ let test_compile_builtin () =
 let test_compile_baseline_and_sp () =
   let code, _ = run "compile qft9 -s baseline" in
   check_int "baseline ok" 0 code;
+  let code, out = run "compile qft16 -s baseline --certify" in
+  check_int "baseline certifies" 0 code;
+  check_bool "certificate printed" true (contains out "certified");
   let code, _ = run "compile qft9 -s sp --initial metis" in
   check_int "sp ok" 0 code
 
@@ -77,6 +80,30 @@ let test_emit_roundtrip () =
       let c = Qec_qasm.Frontend.of_file tmp in
       check_int "5 qubits" 5 (Qec_circuit.Circuit.num_qubits c);
       check_int "qft5 gate count" 15 (Qec_circuit.Circuit.length c))
+
+(* Every QFT angle survives emission: a QFT wider than 63 qubits once
+   printed pi/2^63 as "inf", which the parser rejects. *)
+let test_emit_qft100_compiles_same () =
+  let tmp = Filename.temp_file "autobraid_qft100" ".qasm" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove tmp)
+    (fun () ->
+      let code, _ = run (Printf.sprintf "emit qft100 -o %s" tmp) in
+      check_int "emit exit 0" 0 code;
+      let cycles args =
+        let code, out = run args in
+        check_int (args ^ " exit 0") 0 code;
+        let row =
+          List.find
+            (fun l -> contains l "total cycles")
+            (String.split_on_char '\n' out)
+        in
+        (* "| total cycles | N |": the table's width follows the name *)
+        String.trim (List.nth (String.split_on_char '|' row) 2)
+      in
+      Alcotest.(check string)
+        "same cycles" (cycles "compile qft100")
+        (cycles (Printf.sprintf "compile %s" (Filename.quote tmp))))
 
 let test_compile_from_file () =
   let tmp = Filename.temp_file "autobraid_in" ".qasm" in
@@ -352,6 +379,34 @@ let test_batch_bad_manifest () =
       check_int "unknown key exit 2" 2 code;
       check_bool "names the key" true (contains out "frobnicate"))
 
+(* The greedy baseline certifies like any other job; only best_p sweeps,
+   which record no trace, are skipped by verify. *)
+let test_baseline_jobs_certify () =
+  with_manifest
+    {|[{"id": "g", "circuit": "bv12", "scheduler": "baseline",
+        "outputs": ["certificate"]},
+       {"id": "p", "circuit": "qft9", "best_p": true}]|}
+    (fun manifest ->
+      let code, out =
+        run (Printf.sprintf "verify %s" (Filename.quote manifest))
+      in
+      check_int "verify exit 0" 0 code;
+      check_bool "baseline certified" true (contains out "bv12: certified");
+      check_bool "baseline not skipped" false (contains out "skipping bv12");
+      check_bool "best_p skipped" true (contains out "skipping qft9"));
+  with_manifest {|[{"circuit": "bv12", "scheduler": "baseline"}]|}
+    (fun manifest ->
+      let out = Filename.temp_file "autobraid_batch" ".jsonl" in
+      let code, _ =
+        run
+          (Printf.sprintf "batch %s --certify -o %s" (Filename.quote manifest)
+             (Filename.quote out))
+      in
+      let text = read_file out in
+      Sys.remove out;
+      check_int "batch --certify exit 0" 0 code;
+      check_bool "certificate block" true (contains text "autobraid-cert/v1"))
+
 let test_schedule_unknown_backend () =
   let code, out = run "schedule qft9 --backend warp" in
   check_bool "rejected" true (code <> 0);
@@ -382,6 +437,8 @@ let () =
           Alcotest.test_case "list" `Quick test_list;
           Alcotest.test_case "compile builtin" `Quick test_compile_builtin;
           Alcotest.test_case "compile schedulers" `Quick test_compile_baseline_and_sp;
+          Alcotest.test_case "emit qft100 round trip" `Slow
+            test_emit_qft100_compiles_same;
           Alcotest.test_case "compile -O" `Quick test_compile_optimize;
           Alcotest.test_case "info" `Quick test_info;
           Alcotest.test_case "emit round trip" `Quick test_emit_roundtrip;
@@ -407,6 +464,8 @@ let () =
           Alcotest.test_case "warm cache identical" `Quick
             test_batch_cache_warm_identical;
           Alcotest.test_case "bad manifest" `Quick test_batch_bad_manifest;
+          Alcotest.test_case "baseline jobs certify" `Quick
+            test_baseline_jobs_certify;
         ] );
       ( "lint",
         [

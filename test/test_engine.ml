@@ -291,6 +291,14 @@ let test_spec_validate () =
          scheduler = Spec.Baseline;
          backend_options = [ ("router", CB.Options.String "astar") ];
        });
+  check_bool "best_p certificate rejected" false
+    (ok
+       {
+         Spec.default with
+         circuit = "x";
+         best_p = true;
+         outputs = { Spec.default.outputs with certificate = true };
+       });
   check_bool "baseline rejects braid keys" false
     (ok
        {
@@ -719,6 +727,32 @@ let test_run_spec_matches_direct_scheduler () =
     check_int "same rounds" direct.Autobraid.Scheduler.rounds
       p.Engine.result.Autobraid.Scheduler.rounds
 
+let test_run_spec_baseline_certified () =
+  let s =
+    {
+      (spec ~scheduler:Spec.Baseline "qft16") with
+      outputs = { Spec.default.outputs with certificate = true };
+    }
+  in
+  check_bool "validates" true (Spec.validate s = Ok ());
+  match Engine.run_spec s with
+  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
+  | Ok p -> (
+    check_string "backend" "gp-baseline" p.Engine.backend;
+    check_bool "trace recorded" true (p.Engine.trace <> None);
+    let untraced =
+      Gp_baseline.run (Qec_surface.Timing.make ~d:s.Spec.d ())
+        (B.Registry.build "qft16")
+    in
+    check_int "same cycles as untraced"
+      untraced.Autobraid.Scheduler.total_cycles
+      p.Engine.result.Autobraid.Scheduler.total_cycles;
+    match p.Engine.certificate with
+    | Some cert ->
+      check_bool (Qec_verify.Certifier.to_summary cert) true
+        (Qec_verify.Certifier.ok cert)
+    | None -> Alcotest.fail "no certificate")
+
 let test_run_spec_errors () =
   let kind s =
     match Engine.run_spec s with
@@ -869,6 +903,8 @@ let () =
           Alcotest.test_case "run_spec ok" `Quick test_run_spec_ok;
           Alcotest.test_case "matches scheduler" `Quick
             test_run_spec_matches_direct_scheduler;
+          Alcotest.test_case "baseline certified" `Quick
+            test_run_spec_baseline_certified;
           Alcotest.test_case "error kinds" `Quick test_run_spec_errors;
           Alcotest.test_case "batch order + errors" `Quick
             test_run_batch_order_and_errors;

@@ -77,6 +77,18 @@ let test_deterministic () =
   let b = P.run timing (B.Qaoa.circuit 16) in
   check_int "same" a.S.total_cycles b.S.total_cycles
 
+(* Known answers at d = 5, pinned from the stand-alone teleport loop this
+   model replaced. *)
+let test_known_answer_cycles () =
+  let timing = T.make ~d:5 () in
+  let greedy = { P.default_options with ordering = P.Greedy_shortest } in
+  let cycles ?options name =
+    (P.run ?options timing (B.Registry.build name)).S.total_cycles
+  in
+  check_int "qft50 stack" 1_120 (cycles "qft50");
+  check_int "qft50 greedy" 1_145 (cycles ~options:greedy "qft50");
+  check_int "urf2_277 stack" 56_350 (cycles "urf2_277")
+
 let () =
   Alcotest.run "planar"
     [
@@ -89,5 +101,6 @@ let () =
           Alcotest.test_case "physical overhead" `Quick test_physical_overhead;
           Alcotest.test_case "budget distance" `Quick test_distance_for_budget;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
+          Alcotest.test_case "known-answer cycles" `Quick test_known_answer_cycles;
         ] );
     ]
