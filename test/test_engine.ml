@@ -903,8 +903,6 @@ let () =
           Alcotest.test_case "run_spec ok" `Quick test_run_spec_ok;
           Alcotest.test_case "matches scheduler" `Quick
             test_run_spec_matches_direct_scheduler;
-          Alcotest.test_case "baseline certified" `Quick
-            test_run_spec_baseline_certified;
           Alcotest.test_case "error kinds" `Quick test_run_spec_errors;
           Alcotest.test_case "batch order + errors" `Quick
             test_run_batch_order_and_errors;
@@ -913,5 +911,7 @@ let () =
           Alcotest.test_case "cache determinism" `Quick
             test_run_batch_cache_determinism;
           Alcotest.test_case "record shape" `Quick test_job_json_shape;
+          Alcotest.test_case "baseline certified" `Quick
+            test_run_spec_baseline_certified;
         ] );
     ]
