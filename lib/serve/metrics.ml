@@ -11,9 +11,10 @@
 module Json = Qec_report.Json
 
 (* Latency samples are capped: a long-lived daemon must not grow without
-   bound. The first [max_samples] observations are kept exactly;
-   count/sum/min/max stay exact forever, and percentiles degrade to the
-   retained prefix — fine for ops dashboards. *)
+   bound. The most recent [max_samples] observations are kept in a ring,
+   so percentiles follow the daemon's current behaviour instead of
+   freezing on its first requests; count/sum/min/max stay exact
+   forever. *)
 let max_samples = 16384
 
 type series = {
@@ -70,7 +71,7 @@ let sample t name v =
       Hashtbl.add t.series name s;
       s
   in
-  if s.count < max_samples then s.samples.(s.count) <- v;
+  s.samples.(s.count mod max_samples) <- v;
   s.count <- s.count + 1;
   s.sum <- s.sum +. v;
   if v < s.min_v then s.min_v <- v;

@@ -16,8 +16,8 @@ val gauge : t -> string -> float -> unit
 
 val sample : t -> string -> float -> unit
 (** Record one observation of a latency-style series. Count/sum/min/max
-    are exact forever; percentiles are computed over the first 16384
-    retained samples. *)
+    are exact forever; percentiles are computed over the most recent
+    16384 samples. *)
 
 val counter : t -> string -> int
 (** Current value, 0 if never incremented. *)

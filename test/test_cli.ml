@@ -429,6 +429,141 @@ let test_error_handling () =
   let code, _ = run "compile qft9 -p 1.5" in
   check_bool "invalid threshold fails" true (code <> 0)
 
+(* ------------------------------------------------------------------ *)
+(* Agreement with the scheduler and the registry                        *)
+
+let fixture name =
+  List.find Sys.file_exists [ "../fixtures/" ^ name; "fixtures/" ^ name ]
+
+let circuit_of target =
+  if Sys.file_exists target then Qec_qasm.Frontend.of_file target
+  else Qec_benchmarks.Registry.build target
+
+let agreement_targets () = [ "qft16"; fixture "longrange8.qasm" ]
+
+(* `sweep` and `export -f csv` print exactly the default threshold curve
+   of Scheduler.run_best_p. *)
+let test_sweep_csv_match_best_p () =
+  List.iter
+    (fun target ->
+      let timing = Qec_surface.Timing.make ~d:Qec_surface.Timing.default_d () in
+      let _, curve = Autobraid.Scheduler.run_best_p timing (circuit_of target) in
+      let base =
+        float_of_int (snd (List.hd curve)).Autobraid.Scheduler.total_cycles
+      in
+      let expected =
+        "# p  cycles  time_us  normalized\n"
+        ^ String.concat ""
+            (List.map
+               (fun (p, (r : Autobraid.Scheduler.result)) ->
+                 Printf.sprintf "%.1f  %d  %.0f  %.3f\n" p r.total_cycles
+                   (Autobraid.Scheduler.time_us timing r)
+                   (float_of_int r.total_cycles /. base))
+               curve)
+      in
+      let code, out = run ("sweep " ^ Filename.quote target) in
+      check_int "sweep exit 0" 0 code;
+      Alcotest.(check string) ("sweep " ^ target) expected out;
+      let code, out = run ("export -f csv " ^ Filename.quote target) in
+      check_int "csv exit 0" 0 code;
+      Alcotest.(check string)
+        ("csv " ^ target)
+        (Qec_report.Export.p_curve_to_csv curve)
+        out)
+    (agreement_targets ())
+
+(* `trace` reports the rounds and cycles of Scheduler.run_traced. *)
+let test_trace_matches_run_traced () =
+  List.iter
+    (fun target ->
+      let timing = Qec_surface.Timing.make ~d:Qec_surface.Timing.default_d () in
+      let r, _ = Autobraid.Scheduler.run_traced timing (circuit_of target) in
+      let code, out = run ("trace --rounds 1 " ^ Filename.quote target) in
+      check_int "trace exit 0" 0 code;
+      check_bool "valid" true (contains out "trace: VALID");
+      check_bool ("rounds and cycles of " ^ target) true
+        (contains out
+           (Printf.sprintf "%d rounds, %d cycles, %d swaps" r.rounds
+              r.total_cycles r.swaps_inserted)))
+    (agreement_targets ())
+
+(* `export --backend surgery` carries the registry run's result and
+   backend stats (compile time aside, which is wall-clock noise). *)
+let test_export_backend_matches_registry () =
+  let module CB = Autobraid.Comm_backend in
+  let module Json = Qec_report.Json in
+  Qec_engine.Engine.ensure_backends ();
+  let normalize j =
+    (* one print/parse pass so both sides spell numbers the same way *)
+    let j = Result.get_ok (Json.of_string (Json.to_string j)) in
+    match j with
+    | Json.Obj fields ->
+      Json.Obj (List.filter (fun (k, _) -> k <> "compile_time_s") fields)
+    | j -> j
+  in
+  let member k j =
+    match Json.member k j with
+    | Some v -> normalize v
+    | None -> Alcotest.failf "export has no %S member" k
+  in
+  List.iter
+    (fun target ->
+      let timing = Qec_surface.Timing.make ~d:Qec_surface.Timing.default_d () in
+      let e = Option.get (CB.of_name "surgery") in
+      let outcome =
+        (e.CB.ctor CB.default_config (CB.Options.defaults e.CB.options)).CB.run
+          timing (circuit_of target)
+      in
+      let expected =
+        Qec_report.Export.backend_outcome_to_json timing outcome
+      in
+      let code, out =
+        run ("export -f json --backend surgery " ^ Filename.quote target)
+      in
+      check_int "export exit 0" 0 code;
+      let got =
+        match Json.of_string out with
+        | Ok j -> j
+        | Error msg -> Alcotest.failf "export is not JSON: %s" msg
+      in
+      List.iter
+        (fun k ->
+          check_bool
+            (Printf.sprintf "%s %s" target k)
+            true
+            (member k expected = member k got))
+        [ "backend"; "result"; "backend_stats" ])
+    (agreement_targets ())
+
+(* Every manifest-reading command rejects an unusable manifest the same
+   way: the path-prefixed decode error on stderr, exit 2. *)
+let test_manifest_errors () =
+  let code, out = run "batch /nonexistent/manifest.json" in
+  check_int "batch missing file exit 2" 2 code;
+  check_bool "batch names the file" true
+    (contains out "/nonexistent/manifest.json: No such file");
+  (* a .json path that does not exist is a circuit name to verify *)
+  let code, out = run "verify /nonexistent/manifest.json" in
+  check_int "verify missing file exit 2" 2 code;
+  check_bool "verify unknown circuit" true (contains out "unknown circuit");
+  with_manifest {|{"jobs": 3}|} (fun manifest ->
+      List.iter
+        (fun cmd ->
+          let code, out =
+            run (Printf.sprintf "%s %s" cmd (Filename.quote manifest))
+          in
+          check_int (cmd ^ " exit 2") 2 code;
+          check_bool (cmd ^ " message") true
+            (contains out (manifest ^ {|: manifest "jobs" must be a list|})))
+        [ "batch"; "profile"; "verify" ])
+
+(* `profile` on an unknown circuit is an unusable target: exit 2 with the
+   engine's message, before any repeat runs. *)
+let test_profile_unknown_circuit () =
+  let code, out = run "profile no-such-circuit" in
+  check_int "exit 2" 2 code;
+  check_bool "engine message" true (contains out "unknown circuit")
+
 let () =
   Alcotest.run "cli"
     [
@@ -475,5 +610,17 @@ let () =
           Alcotest.test_case "jsonl output" `Quick test_lint_jsonl;
           Alcotest.test_case "benchmark circuit" `Quick test_lint_benchmark;
           Alcotest.test_case "malformed input" `Quick test_malformed_input_handling;
+        ] );
+      ( "agreement",
+        [
+          Alcotest.test_case "sweep and csv match run_best_p" `Quick
+            test_sweep_csv_match_best_p;
+          Alcotest.test_case "trace matches run_traced" `Quick
+            test_trace_matches_run_traced;
+          Alcotest.test_case "export backend matches registry" `Quick
+            test_export_backend_matches_registry;
+          Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
+          Alcotest.test_case "profile unknown circuit" `Quick
+            test_profile_unknown_circuit;
         ] );
     ]

@@ -439,6 +439,60 @@ let test_legacy_shim_equivalence () =
   in
   check_int "explicit option overrides legacy field" full overridden
 
+(* Spec.resolve_options is the one place that picks a spec's option
+   schema and merges the legacy fields underneath: the legacy
+   scheduler/threshold_p spelling becomes braid's options, explicit
+   backend_options override it, and a baseline spec decodes against the
+   baseline's schema, where braid keys are unknown. *)
+let test_resolve_options () =
+  let resolve s =
+    match Spec.resolve_options s with
+    | Ok opts -> opts
+    | Error e -> Alcotest.failf "resolve_options failed: %s" e
+  in
+  let check_float = Alcotest.(check (float 0.)) in
+  let base = { Spec.default with circuit = "x" } in
+  let legacy = resolve { base with scheduler = Spec.Sp; threshold_p = 0.5 } in
+  check_string "legacy scheduler -> variant" "sp"
+    (CB.Options.get_string legacy "variant");
+  check_float "legacy threshold_p" 0.5 (CB.Options.get_float legacy "threshold_p");
+  let explicit =
+    resolve
+      {
+        base with
+        scheduler = Spec.Sp;
+        threshold_p = 0.5;
+        backend_options =
+          [
+            ("variant", CB.Options.String "full");
+            ("threshold_p", CB.Options.Float 0.2);
+          ];
+      }
+  in
+  check_string "explicit variant wins" "full"
+    (CB.Options.get_string explicit "variant");
+  check_float "explicit threshold_p wins" 0.2
+    (CB.Options.get_float explicit "threshold_p");
+  let baseline = { base with scheduler = Spec.Baseline } in
+  check_string "baseline schema defaults" "dimension"
+    (CB.Options.get_string (resolve baseline) "router");
+  check_bool "baseline schema is the baseline's" true
+    (List.map (fun (o : CB.Options.spec) -> o.key) (Spec.options_schema baseline)
+    = [ "router" ]);
+  (match
+     Spec.resolve_options
+       {
+         baseline with
+         backend_options = [ ("variant", CB.Options.String "sp") ];
+       }
+   with
+  | Ok _ -> Alcotest.fail "baseline accepted a braid-only key"
+  | Error e -> check_bool "names the key" true (contains e "variant"));
+  check_bool "surgery gets no legacy keys" true
+    (Result.is_ok (Spec.resolve_options { base with backend = "surgery" }));
+  check_bool "unknown backend rejected" true
+    (Result.is_error (Spec.resolve_options { base with backend = "nope" }))
+
 (* Pre-redesign manifests decode unchanged: no job in the committed
    fixture acquires backend_options, and re-encoding emits no
    backend_options key. *)
@@ -883,6 +937,7 @@ let () =
           Alcotest.test_case "legacy shim" `Quick test_legacy_shim_equivalence;
           Alcotest.test_case "fixture manifest compat" `Quick
             test_fixture_manifest_compat;
+          Alcotest.test_case "resolve_options" `Quick test_resolve_options;
         ] );
       ( "placement_cache",
         [

@@ -136,6 +136,20 @@ let test_metrics () =
     check_bool "hist max" true (Json.member "max" h = Some (Json.Float 0.4))
   | _ -> Alcotest.fail "expected exactly one histogram"
 
+(* Percentiles follow the most recent samples: after a full window of
+   1.0s is displaced by a full window of 3.0s, the median is 3.0. *)
+let test_metrics_percentiles_follow_recent () =
+  let m = Metrics.create () in
+  for _ = 1 to 16384 do Metrics.sample m "s" 1.0 done;
+  for _ = 1 to 16384 do Metrics.sample m "s" 3.0 done;
+  match Json.member "histograms" (Metrics.to_json m) with
+  | Some (Json.List [ h ]) ->
+    check_bool "count stays exact" true
+      (Json.member "count" h = Some (Json.Int 32768));
+    check_bool "p50 tracks recent samples" true
+      (Json.member "p50" h = Some (Json.Float 3.0))
+  | _ -> Alcotest.fail "expected exactly one histogram"
+
 (* ------------------------------------------------------------------ *)
 (* In-process daemon harness                                            *)
 
@@ -421,7 +435,12 @@ let () =
           Alcotest.test_case "response round-trip" `Quick
             test_response_roundtrip;
         ] );
-      ("metrics", [ Alcotest.test_case "aggregates" `Quick test_metrics ]);
+      ( "metrics",
+        [
+          Alcotest.test_case "aggregates" `Quick test_metrics;
+          Alcotest.test_case "percentiles follow recent samples" `Quick
+            test_metrics_percentiles_follow_recent;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "ping" `Quick test_ping;
