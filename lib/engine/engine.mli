@@ -31,8 +31,8 @@
 type error = Engine_core.error = {
   kind : string;
       (** stable machine-readable tag: ["circuit-not-found"], ["parse"],
-          ["unsupported"], ["invalid-circuit"], ["io"], ["invalid-spec"],
-          ["unknown-backend"], or ["internal"] *)
+          ["unsupported"], ["invalid-circuit"], ["io"], ["invalid-spec"]
+          (an unregistered backend included), or ["internal"] *)
   message : string;  (** human-readable; parse errors are [file:line:col]-prefixed *)
 }
 
