@@ -119,6 +119,8 @@ profile-smoke: build
 		|| { echo "profile-smoke: missing schema tag"; exit 1; }; \
 	grep -q '"phases"' "$$out" \
 		|| { echo "profile-smoke: missing phases"; exit 1; }; \
+	grep -q '"embed"' "$$out" \
+		|| { echo "profile-smoke: missing embed phase"; exit 1; }; \
 	grep -q '"traceEvents"' "$$trace" \
 		|| { echo "profile-smoke: missing traceEvents"; exit 1; }; \
 	if command -v jq >/dev/null 2>&1; then \

@@ -1,7 +1,10 @@
 module Pair_map = Map.Make (struct
   type t = int * int
 
-  let compare = compare
+  (* Lexicographic, the order polymorphic compare gives int pairs. *)
+  let compare (a1, b1) (a2, b2) =
+    let c = Int.compare a1 a2 in
+    if c <> 0 then c else Int.compare b1 b2
 end)
 
 type t = {

@@ -15,8 +15,7 @@ let layout ?(seed = 17) ?rng ?(snake = true) coupling grid =
     let rng =
       match rng with Some r -> r | None -> Qec_util.Rng.create seed
     in
-    let weight a b = Coupling.weight coupling a b in
-    let neighbors q = List.map fst (Coupling.neighbors coupling q) in
+    let graph = Bisect.prepare coupling in
     let cells = Array.make n (-1) in
     let rec place rect qubits =
       match qubits with
@@ -38,7 +37,7 @@ let layout ?(seed = 17) ?rng ?(snake = true) coupling grid =
         let k = List.length qubits in
         (* Fill proportionally to capacity so both halves always fit. *)
         let size_a = min cap_a (max (k - cap_b) (k * cap_a / (cap_a + cap_b))) in
-        let qa, qb = Bisect.bisect ~rng ~weight ~neighbors ~size_a qubits in
+        let qa, qb = Bisect.bisect ~rng ~size_a graph qubits in
         place ra qa;
         place rb qb
     in

@@ -362,7 +362,7 @@ let test_scheduler_determinism () =
         (Printf.sprintf "phase %s present" name)
         true
         (List.mem name phase_names))
-    [ "scheduler.run"; "initial_layout"; "layout_optimization";
+    [ "scheduler.run"; "initial_layout"; "embed"; "layout_optimization";
       "routing_rounds" ];
   check_int "braid rounds counter" bare.Autobraid.Scheduler.braid_rounds
     (Collector.counter c "scheduler.braid_rounds");
