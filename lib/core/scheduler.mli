@@ -133,6 +133,7 @@ val run_best_p :
 (** The paper's p-sweep: run at each threshold (default 0.0 to 0.9 by 0.1)
     and return the best result plus the whole curve (for Fig. 18). With
     [jobs > 1] the thresholds run on a {!Qec_util.Parallel} worker pool of
-    that size — identical results in identical order, shorter wall time,
-    but [compile_time_s] then counts CPU across domains. [jobs] defaults
-    to 1 (sequential). *)
+    that size — identical results in identical order, shorter wall time.
+    Each run's [compile_time_s] is that run's own wall time, so it does
+    not count work done on other domains. [jobs] defaults to 1
+    (sequential). *)

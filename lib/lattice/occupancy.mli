@@ -2,7 +2,15 @@
 
     Tracks which channel vertices are claimed by braiding paths during the
     current scheduling round, and accumulates the utilization statistics
-    reported in Fig. 17. *)
+    reported in Fig. 17.
+
+    Each occupancy carries an {e epoch}: a number drawn from one
+    process-wide counter on {!create}, {!clear} and {!release_path}. Between
+    two epoch changes vertices are only ever claimed, never freed, so the
+    free subgraph only loses vertices; anything derived from the free
+    subgraph under one epoch (the router's dead-region labels) stays sound
+    until the epoch changes. Epochs are never reused, by this occupancy or
+    any other, so two occupancies sharing a router never mix labels. *)
 
 type t
 
@@ -10,6 +18,10 @@ val create : Grid.t -> t
 (** All vertices free. *)
 
 val grid : t -> Grid.t
+
+val epoch : t -> int
+(** The current epoch; changes on every {!release_path} and {!clear}, and
+    is unique across all occupancies of the process. *)
 
 val is_free : t -> int -> bool
 
@@ -20,10 +32,10 @@ val reserve_path : t -> Path.t -> unit
 val release_path : t -> Path.t -> unit
 (** Release every vertex of the path (used when a tentative schedule is
     rolled back before a swap round). Vertices must be currently
-    claimed. *)
+    claimed. Starts a new epoch. *)
 
 val clear : t -> unit
-(** Free everything — called between rounds. *)
+(** Free everything — called between rounds. Starts a new epoch. *)
 
 val occupied_count : t -> int
 

@@ -1,7 +1,7 @@
-module Int_set = Set.Make (Int)
+type t = { verts : int list; len : int }
 
-type t = { verts : int list; vset : Int_set.t }
-
+(* Paths are short (a few dozen vertices), so membership and overlap scan
+   the list; no per-path set is kept. *)
 let of_vertices grid verts =
   if verts = [] then invalid_arg "Path.of_vertices: empty";
   let rec check_adjacent = function
@@ -13,24 +13,28 @@ let of_vertices grid verts =
     | [ _ ] | [] -> ()
   in
   check_adjacent verts;
-  let vset = Int_set.of_list verts in
-  if Int_set.cardinal vset <> List.length verts then
-    invalid_arg "Path.of_vertices: repeated vertex";
-  { verts; vset }
+  let sorted = Array.of_list verts in
+  let len = Array.length sorted in
+  (* Adjacent steps never repeat a vertex, so paths of two or fewer
+     vertices need no sort. *)
+  if len > 2 then begin
+    Array.sort Int.compare sorted;
+    for i = 1 to len - 1 do
+      if sorted.(i) = sorted.(i - 1) then
+        invalid_arg "Path.of_vertices: repeated vertex"
+    done
+  end;
+  { verts; len }
 
 let vertices t = t.verts
-let length t = List.length t.verts
+let length t = t.len
 let source t = List.hd t.verts
-let target t = List.nth t.verts (length t - 1)
-let mem t v = Int_set.mem v t.vset
+let target t = List.nth t.verts (t.len - 1)
+let mem t v = List.mem v t.verts
 
 let disjoint a b =
-  (* Iterate over the smaller set. *)
-  let small, big =
-    if Int_set.cardinal a.vset <= Int_set.cardinal b.vset then (a, b)
-    else (b, a)
-  in
-  not (Int_set.exists (fun v -> Int_set.mem v big.vset) small.vset)
+  let small, big = if a.len <= b.len then (a, b) else (b, a) in
+  not (List.exists (fun v -> List.mem v big.verts) small.verts)
 
 let is_corner grid cell v = Array.exists (( = ) v) (Grid.cell_corners grid cell)
 

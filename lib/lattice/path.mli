@@ -2,13 +2,19 @@
 
     A path is a non-empty sequence of distinct, consecutively-adjacent
     vertex ids. Simultaneous paths must be vertex-disjoint — a vertex is
-    "exclusive to one CX operation at one time" (§2). *)
+    "exclusive to one CX operation at one time" (§2).
+
+    A path keeps only its vertex list and length: paths are a few dozen
+    vertices long, so {!mem} and {!disjoint} scan the lists, and no
+    per-path set is built (a schedule's trace holds every path of every
+    round). *)
 
 type t
 
 val of_vertices : Grid.t -> int list -> t
 (** Validate and build. Raises [Invalid_argument] if empty, if consecutive
-    vertices are not grid-adjacent, or if a vertex repeats. *)
+    vertices are not grid-adjacent, or if a vertex repeats (found by
+    sorting a scratch copy of the vertices). *)
 
 val vertices : t -> int list
 (** In travel order (source corner first). *)
@@ -21,9 +27,10 @@ val source : t -> int
 val target : t -> int
 
 val mem : t -> int -> bool
+(** Linear in the path length. *)
 
 val disjoint : t -> t -> bool
-(** No shared vertex. *)
+(** No shared vertex. Scans the shorter path against the longer one. *)
 
 val connects_cells : Grid.t -> t -> int -> int -> bool
 (** Whether the endpoints are corners of the two given cells (in either

@@ -167,6 +167,65 @@ let prop_partition =
       in
       List.sort compare ids = List.init k (fun i -> i))
 
+(* Differential: the flat fixpoint must equal the finest partition with
+   pairwise non-intersecting joint boxes, computed here the slow way
+   (merge any intersecting pair of groups until none is left), with
+   members, boxes and group order unchanged. Tasks sit on distinct cells
+   drawn from a shuffled 12x12 grid, up to 30 gates, so merges chain
+   through grown joint boxes over several sweeps. *)
+let distinct_tasks_gen =
+  QCheck.Gen.(
+    let* k = int_range 0 30 in
+    let* cells = shuffle_l (List.init 144 Fun.id) in
+    return
+      (List.filteri (fun i _ -> i < 2 * k) cells
+      |> List.map (fun c -> (c mod 12, c / 12))))
+
+let reference_groups p ts =
+  let box ms =
+    List.map (Task.bbox p) ms |> function
+    | b :: rest -> List.fold_left Qec_lattice.Bbox.join b rest
+    | [] -> assert false
+  in
+  let rec fix groups =
+    let rec find_pair = function
+      | [] -> None
+      | g :: rest -> (
+        match
+          List.find_opt
+            (fun h -> Qec_lattice.Bbox.intersects (box g) (box h))
+            rest
+        with
+        | Some h -> Some (g, h)
+        | None -> find_pair rest)
+    in
+    match find_pair groups with
+    | None -> groups
+    | Some (g, h) ->
+      fix ((g @ h) :: List.filter (fun x -> x != g && x != h) groups)
+  in
+  fix (List.map (fun t -> [ t ]) ts)
+  |> List.map (fun ms ->
+         let ms = List.sort (fun (a : Task.t) b -> compare a.id b.id) ms in
+         (List.map (fun (t : Task.t) -> t.id) ms, box ms))
+  |> List.sort compare
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"LLG flat fixpoint = finest stable partition"
+    ~count:300 (QCheck.make distinct_tasks_gen) (fun coords ->
+      let k = List.length coords / 2 in
+      let p = placement_at 12 coords in
+      let ts = tasks k in
+      let groups = Llg.decompose p ts in
+      let got =
+        List.map
+          (fun g -> (List.map (fun (t : Task.t) -> t.id) g.Llg.members, g.Llg.bbox))
+          groups
+      in
+      got = reference_groups p ts
+      && Llg.count_oversize p ts
+         = List.length (List.filter (fun g -> Llg.size g > 3) groups))
+
 let () =
   Alcotest.run "llg"
     [
@@ -183,6 +242,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           QCheck_alcotest.to_alcotest prop_groups_non_intersecting;
           QCheck_alcotest.to_alcotest prop_partition;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "nesting",
         [

@@ -2,7 +2,6 @@
 
 module Rng = Qec_util.Rng
 module Heap = Qec_util.Heap
-module Union_find = Qec_util.Union_find
 module Bitset = Qec_util.Bitset
 module Stats = Qec_util.Stats
 module Tableprint = Qec_util.Tableprint
@@ -144,38 +143,6 @@ let prop_heap_sorts =
       in
       let out = drain [] in
       out = List.sort compare prios)
-
-(* ------------------------------------------------------------------ *)
-(* Union_find                                                           *)
-
-let test_uf_basic () =
-  let uf = Union_find.create 5 in
-  check_int "initial sets" 5 (Union_find.count uf);
-  Union_find.union uf 0 1;
-  Union_find.union uf 2 3;
-  check_int "after two unions" 3 (Union_find.count uf);
-  check_bool "0~1" true (Union_find.same uf 0 1);
-  check_bool "0~2" false (Union_find.same uf 0 2);
-  Union_find.union uf 1 2;
-  check_bool "0~3 transitively" true (Union_find.same uf 0 3);
-  check_bool "4 alone" false (Union_find.same uf 0 4)
-
-let test_uf_groups () =
-  let uf = Union_find.create 6 in
-  Union_find.union uf 0 2;
-  Union_find.union uf 2 4;
-  Union_find.union uf 1 5;
-  let groups = Union_find.groups uf in
-  let sorted = Array.to_list groups |> List.map (List.sort compare) in
-  Alcotest.(check (list (list int)))
-    "groups" [ [ 0; 2; 4 ]; [ 1; 5 ]; [ 3 ] ]
-    (List.sort compare sorted)
-
-let test_uf_idempotent_union () =
-  let uf = Union_find.create 3 in
-  Union_find.union uf 0 1;
-  Union_find.union uf 0 1;
-  check_int "count" 2 (Union_find.count uf)
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                               *)
@@ -452,12 +419,6 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "clear" `Quick test_heap_clear;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
-        ] );
-      ( "union_find",
-        [
-          Alcotest.test_case "basic" `Quick test_uf_basic;
-          Alcotest.test_case "groups" `Quick test_uf_groups;
-          Alcotest.test_case "idempotent" `Quick test_uf_idempotent_union;
         ] );
       ( "bitset",
         [
