@@ -7,7 +7,27 @@
 
     The router object owns scratch buffers sized to the grid, so repeated
     queries allocate almost nothing; expansions are deterministic (FIFO
-    tie-breaking on equal f-scores). *)
+    tie-breaking on equal f-scores). The buffers are per router, never
+    global, so routers on different domains do not interfere; one router
+    must not be used from two domains at once.
+
+    {b Dead-region certificates.} When an unbounded {!route} fails, the
+    vertices it closed are exactly the free components of its usable
+    source corners, and none holds a usable goal corner. The router gives
+    them a fresh region label. A later {!route}, bounded or not, returns
+    [None] without expanding anything when every (usable source corner,
+    usable goal corner) pair carries different labels and at least one of
+    the pair is labelled (an unlabelled vertex counts as its own label).
+    This is exact, because within one {!Occupancy.epoch} vertices are only
+    claimed: if two vertices are connected now, they were connected when
+    either was last labelled, so that search gave both the same label.
+
+    {b Epoch rule.} Labels belong to a session tied to one occupancy
+    epoch. A failed search under any other epoch (after a {!Occupancy.clear}
+    or {!Occupancy.release_path}, or on another occupancy sharing this
+    router) starts a new session and drops every earlier label, and
+    queries use labels only from the session of their own epoch. Results
+    never depend on labels: {!route} always equals {!route_reference}. *)
 
 type t
 
@@ -23,7 +43,8 @@ val route :
   dst_cell:int ->
   Path.t option
 (** Shortest free path, or [None] when the cells are disconnected under
-    the current occupancy. With [bounds], the search is confined to the
+    the current occupancy (possibly proved without a search by a
+    dead-region certificate). With [bounds], the search is confined to the
     vertex footprint of the box (used to keep LLG-local paths inside their
     bounding box). If the two cells are adjacent and share a free corner,
     the result may be a single-vertex path. Raises [Invalid_argument] if
@@ -38,7 +59,8 @@ val route_reference :
   Path.t option
 (** The pre-rewrite closure-and-list A*, kept verbatim as the differential
     oracle for {!route} (see test_router.ml): identical arguments,
-    identical results, byte-identical expansion order. Scheduled for
+    identical results, byte-identical expansion order. It neither uses
+    nor records dead-region labels, so it always searches. Scheduled for
     deletion once the arena implementation has survived a release. *)
 
 val route_and_reserve :
@@ -55,7 +77,8 @@ val route_dimension_ordered :
 (** Dimension-ordered (single-bend, "L-shaped") routing: for each pair of
     free corners, try the x-then-y and y-then-x staircase with one bend;
     the first fully-free candidate wins (candidates ordered by length,
-    then deterministically). No detours — this is how the MICRO'17
+    then in corner-pair order, x-first before y-first; built only for
+    the winner). No detours — this is how the MICRO'17
     braidflash baseline routes, and why it stalls under congestion while
     an A* searcher finds a way around. Raises like {!route}. *)
 

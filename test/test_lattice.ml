@@ -156,6 +156,57 @@ let test_path_invalid () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+let test_path_invalid_long () =
+  (* A walk around cell (1,1) that returns to its start: every step is
+     adjacent, the repeat is four steps apart. *)
+  check_bool "loop" true
+    (match
+       Path.of_vertices grid5
+         [ vid 1 1; vid 2 1; vid 2 2; vid 1 2; vid 1 1; vid 0 1 ]
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check_bool "gap late in a long path" true
+    (match
+       Path.of_vertices grid5 [ vid 0 0; vid 1 0; vid 2 0; vid 3 0; vid 3 2 ]
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
+
+(* Random walks on the 6 x 6 vertex grid: [of_vertices] accepts a walk
+   exactly when no vertex repeats, and then [mem]/[length]/[disjoint]
+   agree with the plain list. *)
+let prop_path_random_walks =
+  QCheck.Test.make ~name:"of_vertices accepts exactly the repeat-free walks"
+    ~count:500
+    QCheck.(
+      triple (int_bound 35) (list_of_size (Gen.int_range 0 14) (int_bound 3))
+        (int_bound 35))
+    (fun (start, steps, probe) ->
+      let step v d =
+        let x = v mod 6 and y = v / 6 in
+        match d with
+        | 0 when y > 0 -> v - 6
+        | 1 when x > 0 -> v - 1
+        | 2 when x < 5 -> v + 1
+        | 3 when y < 5 -> v + 6
+        | _ -> v + (if x < 5 then 1 else -1)
+      in
+      let walk =
+        List.rev
+          (List.fold_left (fun acc d -> step (List.hd acc) d :: acc) [ start ]
+             steps)
+      in
+      let distinct = List.length (List.sort_uniq compare walk) = List.length walk in
+      match Path.of_vertices grid5 walk with
+      | exception Invalid_argument _ -> not distinct
+      | p ->
+        let single = Path.of_vertices grid5 [ probe ] in
+        distinct
+        && Path.length p = List.length walk
+        && Path.mem p probe = List.mem probe walk
+        && Path.disjoint p single = not (List.mem probe walk))
+
 let test_path_disjoint () =
   let p1 = Path.of_vertices grid5 [ vid 0 0; vid 1 0 ] in
   let p2 = Path.of_vertices grid5 [ vid 0 1; vid 1 1 ] in
@@ -304,6 +355,8 @@ let () =
           Alcotest.test_case "valid" `Quick test_path_valid;
           Alcotest.test_case "single vertex" `Quick test_path_single_vertex;
           Alcotest.test_case "invalid" `Quick test_path_invalid;
+          Alcotest.test_case "invalid long" `Quick test_path_invalid_long;
+          QCheck_alcotest.to_alcotest prop_path_random_walks;
           Alcotest.test_case "disjoint" `Quick test_path_disjoint;
           Alcotest.test_case "connects cells" `Quick test_path_connects_cells;
           Alcotest.test_case "within bbox" `Quick test_path_within_bbox;
