@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the one-stop pre-commit gate.
 
-.PHONY: all build test bench bench-smoke bench-check bench-scale scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke fmt lint check clean
+.PHONY: all build test perfbench-test bench bench-smoke bench-check bench-scale scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke fmt lint check clean
 
 CLI := _build/default/bin/autobraid_cli.exe
 
@@ -11,6 +11,11 @@ build:
 
 test:
 	dune runtest
+
+# The benchmark's statistics (medians, quartiles, pair wins) have their own
+# unit tests; no bytecode is written into the benchmark's directory.
+perfbench-test:
+	PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover -s perfbench -p 'test_*.py'
 
 bench:
 	dune exec bench/main.exe
@@ -222,7 +227,7 @@ serve-smoke: build
 	rm -rf "$$dir"; \
 	echo "serve-smoke: OK"
 
-check: fmt build test lint bench-smoke bench-check scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke
+check: fmt build test perfbench-test lint bench-smoke bench-check scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke
 	@echo "check: OK"
 
 clean:

@@ -135,12 +135,13 @@ let find ?(retry = true) ?(confine_llg = false) ?priority_of router occ
   | [] -> { routed = []; failed = []; ratio = 1.0 }
   | _ ->
     let total = List.length tasks in
-    let order = planned_order ?priority_of placement tasks in
-    (* Theorem 1/2 confinement: gates in guaranteed LLGs (size <= 3 or
-       strictly nested) first search inside their group's bounding box,
-       keeping the shared fabric free for everyone else. *)
-    let bounds_of =
-      if not confine_llg then None
+    let order, bounds_of =
+      Tel.timed "stack_finder.plan" @@ fun () ->
+      let order = planned_order ?priority_of placement tasks in
+      (* Theorem 1/2 confinement: gates in guaranteed LLGs (size <= 3 or
+         strictly nested) first search inside their group's bounding box,
+         keeping the shared fabric free for everyone else. *)
+      if not confine_llg then (order, None)
       else begin
         let table = Hashtbl.create 16 in
         List.iter
@@ -150,29 +151,34 @@ let find ?(retry = true) ?(confine_llg = false) ?priority_of router occ
                 (fun (t : Task.t) -> Hashtbl.replace table t.id g.Llg.bbox)
                 g.Llg.members)
           (Llg.decompose placement tasks);
-        Some (fun (t : Task.t) -> Hashtbl.find_opt table t.id)
+        (order, Some (fun (t : Task.t) -> Hashtbl.find_opt table t.id))
       end
     in
-    let routed, failed = route_in_order ?bounds_of router occ placement order in
     let routed, failed =
-      if retry && failed <> [] then begin
-        (* Failed-first retry: release our paths and try again with the
-           blocked gates routed before everything else. *)
-        Tel.count "stack_finder.retry_rounds";
-        List.iter (fun (_, p) -> Occupancy.release_path occ p) routed;
-        let retry_order = failed @ List.map fst routed in
-        let routed', failed' = route_in_order router occ placement retry_order in
-        if List.length routed' > List.length routed then begin
-          Tel.count "stack_finder.retry_wins";
-          (routed', failed')
-        end
-        else begin
-          (* Roll back to the first attempt. *)
-          List.iter (fun (_, p) -> Occupancy.release_path occ p) routed';
-          List.iter (fun (_, p) -> Occupancy.reserve_path occ p) routed;
-          (routed, failed)
-        end
-      end
+      Tel.timed "stack_finder.first_pass" @@ fun () ->
+      route_in_order ?bounds_of router occ placement order
+    in
+    let routed, failed =
+      if retry && failed <> [] then
+        Tel.timed "stack_finder.retry" (fun () ->
+            (* Failed-first retry: release our paths and try again with the
+               blocked gates routed before everything else. *)
+            Tel.count "stack_finder.retry_rounds";
+            List.iter (fun (_, p) -> Occupancy.release_path occ p) routed;
+            let retry_order = failed @ List.map fst routed in
+            let routed', failed' =
+              route_in_order router occ placement retry_order
+            in
+            if List.length routed' > List.length routed then begin
+              Tel.count "stack_finder.retry_wins";
+              (routed', failed')
+            end
+            else begin
+              (* Roll back to the first attempt. *)
+              List.iter (fun (_, p) -> Occupancy.release_path occ p) routed';
+              List.iter (fun (_, p) -> Occupancy.reserve_path occ p) routed;
+              (routed, failed)
+            end)
       else (routed, failed)
     in
     Tel.count ~by:(List.length routed) "stack_finder.gates_routed";

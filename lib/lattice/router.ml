@@ -2,7 +2,9 @@ module Tel = Qec_telemetry.Telemetry
 
 type t = {
   grid : Grid.t;
-  vside : int; (* Grid.side + 1, for inline vertex coordinate math *)
+  vside : int; (* Grid.side + 1, the vertex-id stride between rows *)
+  vx : int array; (* vertex -> column *)
+  vy : int array; (* vertex -> row *)
   gen : int array; (* generation stamp per vertex *)
   gscore : int array;
   came_from : int array;
@@ -10,6 +12,7 @@ type t = {
   mutable generation : int;
   open_list : int Qec_util.Heap.t; (* reference implementation's open list *)
   pq : Qec_util.Heap.Int_pq.t; (* arena implementation's open list *)
+  goal_mark : int array; (* [generation] on the current search's goals *)
   goal_ids : int array; (* up to 4 usable target corners *)
   goal_x : int array;
   goal_y : int array;
@@ -27,17 +30,24 @@ type t = {
 }
 
 let create grid =
-  let n = Grid.num_vertices grid in
+  let n = Grid.num_vertices grid and vside = Grid.side grid + 1 in
   {
     grid;
-    vside = Grid.side grid + 1;
+    vside;
+    vx = Array.init n (fun v -> v mod vside);
+    vy = Array.init n (fun v -> v / vside);
     gen = Array.make n 0;
     gscore = Array.make n 0;
     came_from = Array.make n (-1);
     closed = Array.make n false;
     generation = 0;
     open_list = Qec_util.Heap.create ();
-    pq = Qec_util.Heap.Int_pq.create ~capacity:64 ();
+    (* Sizing argued at [route]: f < n + 2 vside, at most 4n + 4 pushes. *)
+    pq =
+      Qec_util.Heap.Int_pq.create
+        ~max_priority:(n + (2 * vside))
+        ~capacity:((4 * n) + 4);
+    goal_mark = Array.make n (-1);
     goal_ids = Array.make 4 (-1);
     goal_x = Array.make 4 0;
     goal_y = Array.make 4 0;
@@ -186,10 +196,26 @@ let certified_dead t ~epoch =
 (* Arena A*: same search as [route_reference] — multi-source multi-target,
    FIFO tie-breaks, identical expansion order — but the inner loop touches
    only preallocated flat arrays: corners live in fixed 4-slot arrays,
-   neighbors are enumerated by index arithmetic (no list), the open list
-   is the packed-key Int_pq (no node allocation), and heuristic /
-   bounds checks use inline coordinate math (no tuples). The only
-   allocation on a successful route is the returned path.
+   goals are marked with the search's generation (a one-load goal test),
+   neighbours are enumerated by index arithmetic (no list), and the open
+   list is a FIFO bucket queue (no node allocation, O(1) push and pop).
+   The only allocation on a successful route is the returned path.
+
+   Open list. [Heap.Int_pq] pops in exactly the reference heap's
+   (priority, push order) order for any push sequence, so swapping one
+   for the other changes no pop. It is sized once from the grid: every
+   priority is f = g + h with g < n (a tentative path is a simple path
+   through closed vertices) and h <= 2 (vside - 1), so f < n + 2 vside;
+   and a vertex is pushed only when one of its at most 4 neighbours
+   closes and improves its g, plus at most 4 sources, so a search pushes
+   at most 4n + 4 times.
+
+   Coordinates. [vx]/[vy] map a vertex to its column and row, so the
+   loop never divides: it reads the popped vertex's coordinates once and
+   derives each neighbour's. The bounds are inclusive vertex ranges
+   clamped to the grid, so [y > by0], [x > bx0], [x < bx1] and [y < by1]
+   reject exactly the neighbours that fall off the grid or out of the
+   box — the ones the reference's [usable] rejects besides occupied ones.
 
    Fail fast: an unbounded search that fails has closed exactly the
    free components of its usable sources, none of which holds a usable
@@ -202,18 +228,23 @@ let route ?bounds t occ ~src_cell ~dst_cell =
   if Occupancy.grid occ != t.grid then
     invalid_arg "Router.route: occupancy grid mismatch";
   t.generation <- t.generation + 1;
-  Qec_util.Heap.Int_pq.clear t.pq;
-  let vside = t.vside in
-  (* Bounds as inclusive vertex-coordinate ranges (whole grid if none). *)
+  let pq = t.pq in
+  Qec_util.Heap.Int_pq.clear pq;
+  let vside = t.vside and vx = t.vx and vy = t.vy in
+  (* Bounds as inclusive vertex-coordinate ranges within the grid. *)
   let bx0, bx1, by0, by1 =
     match bounds with
     | None -> (0, vside - 1, 0, vside - 1)
-    | Some (b : Bbox.t) -> (b.x0, b.x1 + 1, b.y0, b.y1 + 1)
+    | Some (b : Bbox.t) ->
+      ( Int.max b.x0 0,
+        Int.min (b.x1 + 1) (vside - 1),
+        Int.max b.y0 0,
+        Int.min (b.y1 + 1) (vside - 1) )
   in
   let usable v =
     Occupancy.is_free occ v
     &&
-    let x = v mod vside and y = v / vside in
+    let x = vx.(v) and y = vy.(v) in
     bx0 <= x && x <= bx1 && by0 <= y && y <= by1
   in
   let expansions = ref 0 in
@@ -221,9 +252,10 @@ let route ?bounds t occ ~src_cell ~dst_cell =
   Array.iter
     (fun v ->
       if usable v then begin
+        t.goal_mark.(v) <- t.generation;
         t.goal_ids.(t.n_goals) <- v;
-        t.goal_x.(t.n_goals) <- v mod vside;
-        t.goal_y.(t.n_goals) <- v / vside;
+        t.goal_x.(t.n_goals) <- vx.(v);
+        t.goal_y.(t.n_goals) <- vy.(v);
         t.n_goals <- t.n_goals + 1
       end)
     (Grid.cell_corners t.grid dst_cell);
@@ -240,8 +272,7 @@ let route ?bounds t occ ~src_cell ~dst_cell =
   let result =
     if t.n_goals = 0 || dead then None
     else begin
-      let heuristic v =
-        let x = v mod vside and y = v / vside in
+      let heuristic x y =
         let best = ref max_int in
         for i = 0 to t.n_goals - 1 do
           let d = abs (x - t.goal_x.(i)) + abs (y - t.goal_y.(i)) in
@@ -249,59 +280,59 @@ let route ?bounds t occ ~src_cell ~dst_cell =
         done;
         !best
       in
-      let is_goal v =
-        let rec go i =
-          i < t.n_goals && (t.goal_ids.(i) = v || go (i + 1))
-        in
-        go 0
-      in
       for i = 0 to t.n_srcs - 1 do
         let v = t.src_ids.(i) in
         fresh t v;
         if t.gscore.(v) > 0 then begin
           t.gscore.(v) <- 0;
-          Qec_util.Heap.Int_pq.push t.pq ~priority:(heuristic v) v
+          Qec_util.Heap.Int_pq.push pq ~priority:(heuristic vx.(v) vy.(v)) v
         end
       done;
+      let generation = t.generation and gen = t.gen and gscore = t.gscore
+      and came_from = t.came_from and closed = t.closed in
+      (* Relax neighbour [nb] at ([x], [y]) from the closing vertex [v]; a
+         vertex not yet seen by this search is [fresh] and improves. *)
+      let relax v g' nb x y =
+        if Occupancy.is_free occ nb then
+          if gen.(nb) <> generation then begin
+            gen.(nb) <- generation;
+            closed.(nb) <- false;
+            gscore.(nb) <- g';
+            came_from.(nb) <- v;
+            Qec_util.Heap.Int_pq.push pq ~priority:(g' + heuristic x y) nb
+          end
+          else if (not closed.(nb)) && g' < gscore.(nb) then begin
+            gscore.(nb) <- g';
+            came_from.(nb) <- v;
+            Qec_util.Heap.Int_pq.push pq ~priority:(g' + heuristic x y) nb
+          end
+      in
       t.n_closed <- 0;
       let reached = ref (-1) in
       let continue = ref true in
       while !continue do
-        let v = Qec_util.Heap.Int_pq.pop_min t.pq in
+        let v = Qec_util.Heap.Int_pq.pop_min pq in
+        (* A queued vertex was stamped by this search before its push, so
+           its scratch entries are current. *)
         if v < 0 then continue := false
-        else begin
-          fresh t v;
-          if not t.closed.(v) then begin
-            if is_goal v then begin
-              reached := v;
-              continue := false
-            end
-            else begin
-              t.closed.(v) <- true;
-              t.closed_stack.(t.n_closed) <- v;
-              t.n_closed <- t.n_closed + 1;
-              incr expansions;
-              let g' = t.gscore.(v) + 1 in
-              let x = v mod vside and y = v / vside in
-              (* Ascending vertex-id order, exactly the reference's
-                 neighbor list: y-1, x-1, x+1, y+1. *)
-              let expand nb =
-                if usable nb then begin
-                  fresh t nb;
-                  if (not t.closed.(nb)) && g' < t.gscore.(nb) then begin
-                    t.gscore.(nb) <- g';
-                    t.came_from.(nb) <- v;
-                    Qec_util.Heap.Int_pq.push t.pq
-                      ~priority:(g' + heuristic nb)
-                      nb
-                  end
-                end
-              in
-              if y > 0 then expand (v - vside);
-              if x > 0 then expand (v - 1);
-              if x + 1 < vside then expand (v + 1);
-              if y + 1 < vside then expand (v + vside)
-            end
+        else if not closed.(v) then begin
+          if t.goal_mark.(v) = generation then begin
+            reached := v;
+            continue := false
+          end
+          else begin
+            closed.(v) <- true;
+            t.closed_stack.(t.n_closed) <- v;
+            t.n_closed <- t.n_closed + 1;
+            incr expansions;
+            let g' = gscore.(v) + 1 in
+            let x = vx.(v) and y = vy.(v) in
+            (* Ascending vertex-id order, exactly the reference's
+               neighbour list: y-1, x-1, x+1, y+1. *)
+            if y > by0 then relax v g' (v - vside) x (y - 1);
+            if x > bx0 then relax v g' (v - 1) (x - 1) y;
+            if x < bx1 then relax v g' (v + 1) (x + 1) y;
+            if y < by1 then relax v g' (v + vside) x (y + 1)
           end
         end
       done;
@@ -372,10 +403,11 @@ let route_dimension_ordered t occ ~src_cell ~dst_cell =
     invalid_arg "Router.route_dimension_ordered: same cell";
   if Occupancy.grid occ != t.grid then
     invalid_arg "Router.route_dimension_ordered: occupancy grid mismatch";
-  let vside = t.vside and l = t.vside - 1 in
-  let corner cell k =
-    (cell / l * vside) + (cell mod l) + (k land 1) + ((k lsr 1) * vside)
-  in
+  let vside = t.vside and vx = t.vx and vy = t.vy and l = t.vside - 1 in
+  (* The top-left corners; the only divisions of the call. *)
+  let src0 = (src_cell / l * vside) + (src_cell mod l)
+  and dst0 = (dst_cell / l * vside) + (dst_cell mod l) in
+  let corner base k = base + (k land 1) + ((k lsr 1) * vside) in
   let n = ref 0 in
   let add key cand =
     let p = ref !n in
@@ -389,12 +421,11 @@ let route_dimension_ordered t occ ~src_cell ~dst_cell =
     incr n
   in
   for i = 0 to 3 do
-    let a = corner src_cell i in
+    let a = corner src0 i in
     for j = 0 to 3 do
-      let b = corner dst_cell j in
+      let b = corner dst0 j in
       let pair = (i * 4) + j in
-      let dx = (b mod vside) - (a mod vside)
-      and dy = (b / vside) - (a / vside) in
+      let dx = vx.(b) - vx.(a) and dy = vy.(b) - vy.(a) in
       let len = abs dx + abs dy + 1 in
       add len (pair * 2);
       if dx <> 0 && dy <> 0 then add len ((pair * 2) + 1)
@@ -403,10 +434,9 @@ let route_dimension_ordered t occ ~src_cell ~dst_cell =
   (* Geometry of candidate [c]: its endpoints, bend vertex, and the steps
      of its first and second legs. *)
   let geometry c =
-    let pair = c / 2 in
-    let a = corner src_cell (pair / 4) and b = corner dst_cell (pair mod 4) in
-    let ax = a mod vside and ay = a / vside in
-    let bx = b mod vside and by = b / vside in
+    let pair = c lsr 1 in
+    let a = corner src0 (pair lsr 2) and b = corner dst0 (pair land 3) in
+    let ax = vx.(a) and ay = vy.(a) and bx = vx.(b) and by = vy.(b) in
     let sx = if bx >= ax then 1 else -1
     and sy = if by >= ay then vside else -vside in
     if c land 1 = 0 then (a, (ay * vside) + bx, b, sx, sy)

@@ -11,6 +11,19 @@
     global, so routers on different domains do not interfere; one router
     must not be used from two domains at once.
 
+    {b Open list.} The production {!route} keeps its open list in a FIFO
+    bucket queue ([Qec_util.Heap.Int_pq]): one first-in-first-out list
+    per f-score, so a push or pop costs O(1) instead of a binary heap's
+    O(log n) sift, and pops come out in exactly the heap's order
+    (smallest f, then push order). The queue is sized when the router is
+    created: every f = g + h is below [n + 2 (side + 1)] on a grid of [n]
+    vertices (g < n, h <= 2 side), and a search pushes at most [4n + 4]
+    times (once per incoming edge, plus up to 4 source corners). Vertex
+    coordinates come from per-router tables, so the search never
+    divides. Neither changes a result: {!route} pops, expands and returns
+    exactly what {!route_reference} does, which still runs on the
+    polymorphic binary heap.
+
     {b Dead-region certificates.} When an unbounded {!route} fails, the
     vertices it closed are exactly the free components of its usable
     source corners, and none holds a usable goal corner. The router gives

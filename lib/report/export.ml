@@ -152,6 +152,10 @@ let telemetry_to_json collector =
         ("p95", Json.Float h.p95);
       ]
   in
+  let timer_obj (name, calls, total_s) =
+    ( name,
+      Json.Obj [ ("calls", Json.Int calls); ("total_s", Json.Float total_s) ] )
+  in
   let phase_obj (p : Col.phase) =
     Json.Obj
       [
@@ -172,6 +176,7 @@ let telemetry_to_json collector =
           (List.map (fun (n, v) -> (n, Json.Float v)) (Col.gauges collector))
       );
       ("histograms", Json.List (List.map hist_obj (Col.histograms collector)));
+      ("timers", Json.Obj (List.map timer_obj (Col.timers collector)));
       ("spans", Json.List (List.map span_obj (Col.spans collector)));
       ("phases", Json.List (List.map phase_obj (Col.phases collector)));
     ]

@@ -29,8 +29,9 @@ val backend_outcome_to_json :
     trace, and reliability exposure at the timing's distance. *)
 
 val telemetry_to_json : Qec_telemetry.Collector.t -> Json.t
-(** Everything a collector gathered: counters and gauges as objects,
-    histograms / spans / aggregated phases as lists, all snake_case. *)
+(** Everything a collector gathered: counters, gauges and timers
+    ([{"calls", "total_s"}] per name) as objects, histograms / spans /
+    aggregated phases as lists, all snake_case. *)
 
 val coupling_to_dot : Qec_circuit.Coupling.t -> string
 (** Undirected weighted graph; edge labels carry interaction counts. *)

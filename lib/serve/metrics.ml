@@ -90,9 +90,9 @@ let sorted_assoc tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Same member shape as Export.telemetry_to_json minus spans/phases
-   (span data belongs to the drain-time Perfetto export, not a live
-   counter snapshot). *)
+(* Same member shape as Export.telemetry_to_json minus spans, phases
+   and timers (span data belongs to the drain-time Perfetto export, not
+   a live counter snapshot). *)
 let to_json t =
   locked t @@ fun () ->
   let hist_obj (name, (s : series)) =

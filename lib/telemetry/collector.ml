@@ -42,6 +42,13 @@ let histogram_opt c name =
     (fun (h : Telemetry.histogram) -> h.hist_name = name)
     (histograms c)
 
+let timers c =
+  List.filter_map
+    (function
+      | Telemetry.Timer { name; calls; total_s } -> Some (name, calls, total_s)
+      | _ -> None)
+    (records c)
+
 let spans c =
   List.filter_map (function Telemetry.Span s -> Some s | _ -> None) (records c)
 
@@ -118,7 +125,7 @@ let print_summary c =
     let t = TP.create ~headers:[ ("gauge", TP.Left); ("value", TP.Right) ] in
     List.iter (fun (name, v) -> TP.add_row t [ name; Printf.sprintf "%g" v ]) gs;
     TP.print t);
-  match histograms c with
+  (match histograms c with
   | [] -> ()
   | hs ->
     print_endline "samples:";
@@ -146,4 +153,19 @@ let print_summary c =
             Printf.sprintf "%.3f" h.max_v;
           ])
       hs;
+    TP.print t);
+  match timers c with
+  | [] -> ()
+  | ts ->
+    print_endline "timers:";
+    let t =
+      TP.create
+        ~headers:
+          [ ("timer", TP.Left); ("calls", TP.Right); ("total (s)", TP.Right) ]
+    in
+    List.iter
+      (fun (name, calls, total_s) ->
+        TP.add_row t
+          [ name; string_of_int calls; Printf.sprintf "%.4f" total_s ])
+      ts;
     TP.print t

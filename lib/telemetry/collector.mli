@@ -29,6 +29,10 @@ val gauges : t -> (string * float) list
 val gauge_opt : t -> string -> float option
 val histograms : t -> Telemetry.histogram list
 val histogram_opt : t -> string -> Telemetry.histogram option
+val timers : t -> (string * int * float) list
+(** Aggregate timers as [(name, calls, total seconds)], in arrival
+    order (sorted by name within one flush). *)
+
 val spans : t -> Telemetry.span list
 
 val lanes : t -> (int * int) list
@@ -44,4 +48,5 @@ val print_phases : t -> unit
 (** [phase_table] to stdout (prints nothing when no spans were recorded). *)
 
 val print_summary : t -> unit
-(** Phase table plus counters, gauges and sample-histogram tables. *)
+(** Phase table plus counters, gauges, sample-histogram and timer
+    tables. *)

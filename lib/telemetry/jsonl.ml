@@ -36,6 +36,9 @@ let line (r : Telemetry.record) =
       {|{"type":"histogram","name":"%s","count":%d,"sum":%s,"min":%s,"max":%s,"mean":%s,"p50":%s,"p95":%s}|}
       (escape h.hist_name) h.count (num h.sum) (num h.min_v) (num h.max_v)
       (num h.mean) (num h.p50) (num h.p95)
+  | Telemetry.Timer { name; calls; total_s } ->
+    Printf.sprintf {|{"type":"timer","name":"%s","calls":%d,"total_s":%s}|}
+      (escape name) calls (num total_s)
 
 let sink write =
   { Telemetry.emit = (fun r -> write (line r ^ "\n")); close = ignore }

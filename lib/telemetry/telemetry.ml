@@ -24,6 +24,7 @@ type record =
   | Counter of { name : string; value : int }
   | Gauge of { name : string; value : float }
   | Histogram of histogram
+  | Timer of { name : string; calls : int; total_s : float }
 
 type sink = { emit : record -> unit; close : unit -> unit }
 
@@ -40,6 +41,8 @@ let tee = function
 
 type frame = { frame_name : string; start : float; mutable child_total : float }
 
+type timer = { mutable calls : int; mutable seconds : float }
+
 (* The cross-domain half of an installed sink. The installing (root)
    domain owns the sink; worker domains attach with [worker_scope], record
    into domain-local buffers, and merge them here — under [lock] — when
@@ -55,6 +58,7 @@ type session = {
   wcounters : (string, int) Hashtbl.t;
   wgauges : (string, int * float) Hashtbl.t;  (* worker id, value *)
   wsamples : (string, float list) Hashtbl.t;
+  wtimers : (string, timer) Hashtbl.t;
 }
 
 (* Per-domain probe state. [root] distinguishes the installing domain
@@ -69,6 +73,7 @@ type state = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float) Hashtbl.t;
   samples : (string, float list ref) Hashtbl.t;
+  timers : (string, timer) Hashtbl.t;
   mutable stack : frame list;
   mutable buffered : record list;  (* worker spans, newest first *)
 }
@@ -90,6 +95,7 @@ let make_state ~session ~worker ~root =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 16;
     samples = Hashtbl.create 16;
+    timers = Hashtbl.create 8;
     stack = [];
     buffered = [];
   }
@@ -105,6 +111,7 @@ let install ?(clock = Unix.gettimeofday) sink =
       wcounters = Hashtbl.create 16;
       wgauges = Hashtbl.create 8;
       wsamples = Hashtbl.create 8;
+      wtimers = Hashtbl.create 8;
     }
   in
   Atomic.set current_session (Some session);
@@ -130,6 +137,30 @@ let sample name v =
     match Hashtbl.find_opt st.samples name with
     | Some r -> r := v :: !r
     | None -> Hashtbl.add st.samples name (ref [ v ]))
+
+let add_timer timers name ~calls ~seconds =
+  match Hashtbl.find_opt timers name with
+  | Some t ->
+    t.calls <- t.calls + calls;
+    t.seconds <- t.seconds +. seconds
+  | None -> Hashtbl.add timers name { calls; seconds }
+
+let timed name f =
+  match active () with
+  | None -> f ()
+  | Some st -> (
+    let t0 = st.session.clock () in
+    let stop () =
+      add_timer st.timers name ~calls:1 ~seconds:(st.session.clock () -. t0)
+    in
+    match f () with
+    | x ->
+      stop ();
+      x
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      stop ();
+      Printexc.raise_with_backtrace e bt)
 
 let span_open name =
   match active () with
@@ -216,7 +247,10 @@ let merge_into_session st =
     (fun name r ->
       let cur = Option.value ~default:[] (Hashtbl.find_opt s.wsamples name) in
       Hashtbl.replace s.wsamples name (cur @ List.rev !r))
-    st.samples
+    st.samples;
+  Hashtbl.iter
+    (fun name t -> add_timer s.wtimers name ~calls:t.calls ~seconds:t.seconds)
+    st.timers
 
 let worker_scope ~worker f =
   match active () with
@@ -243,7 +277,7 @@ let worker_scope ~worker f =
    emits one record per name. *)
 let drain_workers st =
   let s = st.session in
-  let wspans, wcounters, wgauges, wsamples =
+  let wspans, wcounters, wgauges, wsamples, wtimers =
     Mutex.protect s.lock @@ fun () ->
     let spans = List.stable_sort (fun (a, _) (b, _) -> compare a b)
         (List.rev s.wspans)
@@ -251,11 +285,13 @@ let drain_workers st =
     let counters = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wcounters [] in
     let gauges = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wgauges [] in
     let samples = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wsamples [] in
+    let timers = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wtimers [] in
     s.wspans <- [];
     Hashtbl.reset s.wcounters;
     Hashtbl.reset s.wgauges;
     Hashtbl.reset s.wsamples;
-    (spans, counters, gauges, samples)
+    Hashtbl.reset s.wtimers;
+    (spans, counters, gauges, samples, timers)
   in
   List.iter (fun (_, rs) -> List.iter s.sink.emit rs) wspans;
   List.iter
@@ -274,7 +310,11 @@ let drain_workers st =
       match Hashtbl.find_opt st.samples name with
       | Some r -> r := List.rev_append xs !r
       | None -> Hashtbl.add st.samples name (ref (List.rev xs)))
-    wsamples
+    wsamples;
+  List.iter
+    (fun (name, t) ->
+      add_timer st.timers name ~calls:t.calls ~seconds:t.seconds)
+    wtimers
 
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
@@ -311,7 +351,14 @@ let flush () =
                p95 = Qec_util.Stats.percentile 95. xs;
              }))
       (sorted_keys st.samples);
-    Hashtbl.reset st.samples
+    Hashtbl.reset st.samples;
+    List.iter
+      (fun name ->
+        let t = Hashtbl.find st.timers name in
+        st.session.sink.emit
+          (Timer { name; calls = t.calls; total_s = t.seconds }))
+      (sorted_keys st.timers);
+    Hashtbl.reset st.timers
   | Some _ | None -> ()
 
 let uninstall () =

@@ -11,9 +11,9 @@
     [Qec_util.Parallel] attach via {!worker_scope} (registered as the
     Parallel probe at link time): their spans and aggregates buffer
     per-domain, tagged [(domain, worker)], and merge into the root's
-    collector when the scope ends at join. Counters, gauges and sample
-    histograms are emitted (sorted by name, so output is deterministic) on
-    {!flush} / {!uninstall}. *)
+    collector when the scope ends at join. Counters, gauges, sample
+    histograms and aggregate timers are emitted (sorted by name, so output
+    is deterministic) on {!flush} / {!uninstall}. *)
 
 type span = {
   span_name : string;
@@ -41,6 +41,8 @@ type record =
   | Counter of { name : string; value : int }
   | Gauge of { name : string; value : float }
   | Histogram of histogram
+  | Timer of { name : string; calls : int; total_s : float }
+      (** An aggregate timer: calls and summed wall seconds. *)
 
 type sink = { emit : record -> unit; close : unit -> unit }
 
@@ -96,6 +98,15 @@ val sample : string -> float -> unit
     append to the root's series; histogram statistics are order-
     insensitive, so merged results don't depend on scheduling. *)
 
+val timed : string -> (unit -> 'a) -> 'a
+(** [timed name f] runs [f ()] and adds its wall time and one call to the
+    named aggregate timer, also when [f] raises. Unlike a span it writes
+    no per-call record: the timer keeps only total seconds and a call
+    count, which sum across domains at merge and are emitted on {!flush}
+    as one [Timer] record per name (sorted by name). Meant for inner
+    layers called thousands of times per compile. When disabled this is
+    just [f ()] after one {!enabled} check. *)
+
 val span_open : string -> unit
 (** Open a nested timing span. Pair with {!span_close}. *)
 
@@ -112,5 +123,6 @@ val with_span : string -> (unit -> 'a) -> 'a
 val flush : unit -> unit
 (** Drain merged worker buffers (spans emitted grouped by worker id,
     chronological within each worker), then emit accumulated counters,
-    gauges and histograms (each sorted by name) and reset them. Root spans
-    already streamed on close. Only meaningful on the installing domain. *)
+    gauges, histograms and timers (each sorted by name) and reset them.
+    Root spans already streamed on close. Only meaningful on the
+    installing domain. *)

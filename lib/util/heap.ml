@@ -10,8 +10,7 @@ type 'a t = {
   mutable stamp : int;
 }
 
-let create ?(capacity = 16) () =
-  { data = [||]; size = 0; stamp = capacity * 0 }
+let create () = { data = [||]; size = 0; stamp = 0 }
 
 let length t = t.size
 
@@ -77,96 +76,81 @@ let clear t =
   t.size <- 0;
   t.stamp <- 0
 
-(* Min-heap specialized to int values with the (priority, insertion seq)
-   pair packed into one key word: no node allocation per push, so the A*
-   router's open list stays allocation-free across millions of pushes.
-   Ordering is identical to the polymorphic heap above — priority first,
-   FIFO on ties — because the packed key compares lexicographically. *)
+(* FIFO bucket queue. Slots are handed out in push order and never
+   reused before [clear]; each priority's bucket is a singly linked list
+   of slots, appended at [tail] and popped at [head], so it is FIFO.
+   [cur] is at or below the smallest non-empty priority: a push below it
+   lowers it, and a pop only steps it over empty buckets. Taking the
+   smallest non-empty bucket's head is therefore the polymorphic heap's
+   (priority, push order) minimum. While [size > 0] some bucket at or
+   above [cur] is non-empty, which bounds the scan. A bucket is empty when
+   its generation stamp is stale (set before the last [clear]) or its
+   list is drained ([head < 0]). *)
 module Int_pq = struct
   type t = {
-    mutable keys : int array; (* (prio lsl seq_bits) lor seq *)
-    mutable vals : int array;
+    head : int array; (* per priority: first slot, -1 once drained *)
+    tail : int array; (* per priority: last slot *)
+    bucket_gen : int array; (* per priority: generation of head/tail *)
+    next : int array; (* per slot: next slot in its bucket, -1 at the end *)
+    vals : int array; (* per slot *)
+    mutable gen : int;
+    mutable used : int; (* slots handed out since the last clear *)
     mutable size : int;
-    mutable stamp : int;
+    mutable cur : int;
   }
 
-  let seq_bits = 31
-  let max_priority = (1 lsl (62 - seq_bits)) - 1
-  let max_stamp = (1 lsl seq_bits) - 1
-
-  let create ?(capacity = 16) () =
-    let capacity = max 1 capacity in
+  let create ~max_priority ~capacity =
+    let buckets = max_priority + 1 in
     {
-      keys = Array.make capacity 0;
+      head = Array.make buckets (-1);
+      tail = Array.make buckets (-1);
+      bucket_gen = Array.make buckets 0;
+      next = Array.make capacity (-1);
       vals = Array.make capacity 0;
+      gen = 0;
+      used = 0;
       size = 0;
-      stamp = 0;
+      cur = buckets;
     }
 
   let length t = t.size
   let is_empty t = t.size = 0
 
-  let grow t =
-    if t.size = Array.length t.keys then begin
-      let ncap = 2 * Array.length t.keys in
-      let nk = Array.make ncap 0 and nv = Array.make ncap 0 in
-      Array.blit t.keys 0 nk 0 t.size;
-      Array.blit t.vals 0 nv 0 t.size;
-      t.keys <- nk;
-      t.vals <- nv
-    end
-
-  let swap t i j =
-    let k = t.keys.(i) and v = t.vals.(i) in
-    t.keys.(i) <- t.keys.(j);
-    t.vals.(i) <- t.vals.(j);
-    t.keys.(j) <- k;
-    t.vals.(j) <- v
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if t.keys.(i) < t.keys.(parent) then begin
-        swap t i parent;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && t.keys.(l) < t.keys.(!smallest) then smallest := l;
-    if r < t.size && t.keys.(r) < t.keys.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
-
+  (* Array bounds checks reject an out-of-range priority (first read) and
+     an exhausted slot pool (first write) before any state changes. *)
   let push t ~priority v =
-    if priority < 0 || priority > max_priority then
-      invalid_arg "Heap.Int_pq.push: priority out of range";
-    if t.stamp > max_stamp then invalid_arg "Heap.Int_pq.push: stamp overflow";
-    grow t;
-    t.keys.(t.size) <- (priority lsl seq_bits) lor t.stamp;
-    t.vals.(t.size) <- v;
-    t.stamp <- t.stamp + 1;
+    let empty = t.bucket_gen.(priority) <> t.gen || t.head.(priority) < 0 in
+    let s = t.used in
+    t.vals.(s) <- v;
+    t.next.(s) <- -1;
+    if empty then begin
+      t.bucket_gen.(priority) <- t.gen;
+      t.head.(priority) <- s
+    end
+    else t.next.(t.tail.(priority)) <- s;
+    t.tail.(priority) <- s;
+    t.used <- s + 1;
     t.size <- t.size + 1;
-    sift_up t (t.size - 1)
+    if priority < t.cur then t.cur <- priority
 
   let pop_min t =
     if t.size = 0 then -1
     else begin
-      let top = t.vals.(0) in
+      let p = ref t.cur in
+      while t.bucket_gen.(!p) <> t.gen || t.head.(!p) < 0 do
+        incr p
+      done;
+      let p = !p in
+      t.cur <- p;
+      let s = t.head.(p) in
+      t.head.(p) <- t.next.(s);
       t.size <- t.size - 1;
-      if t.size > 0 then begin
-        t.keys.(0) <- t.keys.(t.size);
-        t.vals.(0) <- t.vals.(t.size);
-        sift_down t 0
-      end;
-      top
+      t.vals.(s)
     end
 
   let clear t =
+    t.gen <- t.gen + 1;
+    t.used <- 0;
     t.size <- 0;
-    t.stamp <- 0
+    t.cur <- Array.length t.head
 end

@@ -278,6 +278,103 @@ let with_counters f =
   Tel.with_sink (Collector.sink c) f;
   c
 
+(* Differential at paper scale: side-24..32 lattices (QFT-400 runs on
+   side 20) with 30-45% of the vertices blocked, so routes are long, many
+   fail and dead-region labels are used. Each case reserves a sequence of
+   routes, some bounded, comparing [route] with [route_reference] before
+   every reservation. *)
+let prop_route_matches_reference_large =
+  QCheck.Test.make
+    ~name:"arena A* = reference A* (side 24-32, 30-45% blocked)" ~count:60
+    QCheck.(
+      make
+        ~print:(fun (side, pct, seed) ->
+          Printf.sprintf "side %d, %d%% blocked, seed %d" side pct seed)
+        Gen.(triple (int_range 24 32) (int_range 30 45) (int_bound 1_000_000)))
+    (fun (side, pct, seed) ->
+      let g = Grid.create side in
+      let r = Router.create g in
+      let occ = Occupancy.create g in
+      let rng = Random.State.make [| seed |] in
+      for v = 0 to Grid.num_vertices g - 1 do
+        if Random.State.int rng 100 < pct then
+          Occupancy.reserve_path occ (Path.of_vertices g [ v ])
+      done;
+      let cells = Grid.num_cells g in
+      List.for_all
+        (fun _ ->
+          let src_cell = Random.State.int rng cells in
+          let dst_cell =
+            (src_cell + 1 + Random.State.int rng (cells - 1)) mod cells
+          in
+          let bounds =
+            if Random.State.bool rng then None
+            else
+              let c () = Random.State.int rng side in
+              Some (Bbox.of_cells (c (), c ()) (c (), c ()))
+          in
+          let expect =
+            verts (Router.route_reference ?bounds r occ ~src_cell ~dst_cell)
+          in
+          verts (Router.route_and_reserve ?bounds r occ ~src_cell ~dst_cell)
+          = expect)
+        (List.init 12 Fun.id))
+
+(* A serpentine maze on the QFT-400 lattice: every odd channel row is a
+   wall with one gap, alternating right and left, so the only path from
+   the top-left cell to the bottom-right one runs every free row end to
+   end. Its f-scores climb to the path length and every free vertex is
+   pushed, towards the open list's sizing (f < n + 2 vside, at most
+   4n + 4 pushes); the queue's bounds checks would raise if the sizing
+   were short. *)
+let test_serpentine_maze () =
+  let side = 20 in
+  let g = Grid.create side in
+  let r = Router.create g in
+  let occ = Occupancy.create g in
+  let free = ref 0 in
+  for y = 0 to side do
+    for x = 0 to side do
+      let gap = if y / 2 mod 2 = 0 then side else 0 in
+      if y mod 2 = 1 && x <> gap then
+        Occupancy.reserve_path occ
+          (Path.of_vertices g [ Grid.vertex_id g ~x ~y ])
+      else incr free
+    done
+  done;
+  let src_cell = Grid.cell_id g ~x:0 ~y:0
+  and dst_cell = Grid.cell_id g ~x:(side - 1) ~y:(side - 1) in
+  let c =
+    with_counters (fun () ->
+        let got = Router.route r occ ~src_cell ~dst_cell in
+        Alcotest.(check (option (list int)))
+          "arena = reference"
+          (verts (Router.route_reference r occ ~src_cell ~dst_cell))
+          (verts got);
+        match got with
+        | None -> Alcotest.fail "the maze has a path"
+        | Some p ->
+          (* all free vertices but the first row's (0,0) and the last
+             row's (20,20) *)
+          check_int "path visits the maze" (!free - 2) (Path.length p))
+  in
+  check_bool "searches close most of the maze" true
+    (Collector.counter c "router.expansions" >= 2 * (!free - 3));
+  (* Closing the last gap disconnects the goal: the failed search closes
+     the whole maze, and a repeat is certified without expanding. *)
+  Occupancy.reserve_path occ
+    (Path.of_vertices g [ Grid.vertex_id g ~x:0 ~y:(side - 1) ]);
+  let c =
+    with_counters (fun () ->
+        check_bool "fails" true (Router.route r occ ~src_cell ~dst_cell = None);
+        check_bool "fails again" true
+          (Router.route r occ ~src_cell ~dst_cell = None))
+  in
+  check_int "one certified failure" 1
+    (Collector.counter c "router.dead_region_hits");
+  check_int "expanded once" (!free - 1 - (side + 1))
+    (Collector.counter c "router.expansions")
+
 let test_dead_region_then_release () =
   let occ = fresh_occ () in
   (* A wall along channel column 3 cuts the lattice in two. *)
@@ -506,6 +603,8 @@ let () =
             test_differential_fixtures;
           QCheck_alcotest.to_alcotest prop_route_matches_reference;
           QCheck_alcotest.to_alcotest prop_ops_match_reference;
+          QCheck_alcotest.to_alcotest prop_route_matches_reference_large;
+          Alcotest.test_case "serpentine maze" `Quick test_serpentine_maze;
         ] );
       ( "dead regions",
         [

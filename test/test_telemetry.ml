@@ -211,6 +211,41 @@ let test_worker_lanes_and_merge () =
   Alcotest.(check (list int)) "merge order by worker id" [ 0; 1; 2 ]
     span_workers
 
+(* Aggregate timers: calls and summed clock time per name, counted when
+   the body raises too, summed across worker domains, one record per name
+   at flush and none per call. *)
+let test_timers () =
+  check_int "disabled passthrough" 3 (Tel.timed "t" (fun () -> 3));
+  let clock, set = manual_clock () in
+  let advance dt = set (clock () +. dt) in
+  let buf = Buffer.create 64 in
+  let c = Collector.create () in
+  Tel.with_sink ~clock
+    (Tel.tee [ Collector.sink c; Jsonl.sink (Buffer.add_string buf) ])
+    (fun () ->
+      check_int "result" 7 (Tel.timed "plan" (fun () -> advance 2.; 7));
+      Tel.timed "plan" (fun () -> advance 0.5);
+      (try Tel.timed "plan" (fun () -> advance 1.; failwith "boom")
+       with Failure _ -> ());
+      Tel.timed "apply" (fun () -> advance 4.));
+  Alcotest.(check (list (triple string int (float 1e-9))))
+    "one aggregate per name" [ ("apply", 1, 4.); ("plan", 3, 3.5) ]
+    (Collector.timers c);
+  check_int "no spans" 0 (List.length (Collector.spans c));
+  Alcotest.(check string) "jsonl, sorted by name"
+    ({|{"type":"timer","name":"apply","calls":1,"total_s":4.0}|} ^ "\n"
+   ^ {|{"type":"timer","name":"plan","calls":3,"total_s":3.5}|} ^ "\n")
+    (Buffer.contents buf);
+  let c =
+    with_collector ~clock:(fun () -> 0.) (fun () ->
+        Qec_util.Parallel.run_workers ~jobs:3 (fun id ->
+            for _ = 0 to id do
+              Tel.timed "work" ignore
+            done))
+  in
+  Alcotest.(check (list (triple string int (float 0.))))
+    "calls sum across domains" [ ("work", 6, 0.) ] (Collector.timers c)
+
 (* Cross-domain gauge rule: the root's value wins, else the lowest worker
    id — deterministic regardless of which domain merged last. *)
 let test_gauge_merge_deterministic () =
@@ -419,6 +454,7 @@ let () =
         [
           Alcotest.test_case "worker lanes and merge" `Quick
             test_worker_lanes_and_merge;
+          Alcotest.test_case "timers" `Quick test_timers;
           Alcotest.test_case "gauge merge deterministic" `Quick
             test_gauge_merge_deterministic;
           Alcotest.test_case "merge determinism across jobs" `Quick
