@@ -13,7 +13,7 @@
        BENCH_scale.json --tolerance 0.02    # drift gate vs committed JSON
 
    Sections: table1 table2 fig16 fig17 fig18 compile-time ablation planar
-   magic backends scale scale-smoke engine prop micro all.
+   backends scale scale-smoke engine prop micro all.
 
    `scale` is the paper-size Table-2 sweep (QFT-100..400, adder, RevLib)
    of braid vs the greedy baseline — minutes of wall time, gated by
@@ -618,64 +618,6 @@ let planar () =
     "(braiding holds channels 2x longer per CX, but affords a higher code \
      distance at equal budget; with autobraid closing the congestion gap, \
      double-defect wins reliability per qubit - the paper's section 5 claim)"
-
-(* ------------------------------------------------------------------ *)
-(* Magic-state supply: cost of the paper's steady-supply assumption     *)
-
-let magic () =
-  header "Magic-state supply: relaxing the steady-supply assumption (4.1)";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("benchmark", TP.Left);
-          ("supply", TP.Left);
-          ("time (us)", TP.Right);
-          ("vs ideal", TP.Right);
-          ("deliveries", TP.Right);
-          ("stalled rounds", TP.Right);
-        ]
-  in
-  List.iter
-    (fun (name, c) ->
-      let ideal = S.run ~options:sp_options timing33 c in
-      let row label (r : Qec_magic.Factory_model.result) =
-        TP.add_row t
-          [
-            name;
-            label;
-            TP.si_cell (us r.Qec_magic.Factory_model.scheduler);
-            Printf.sprintf "%.2fx"
-              (float_of_int
-                 r.Qec_magic.Factory_model.scheduler.S.total_cycles
-              /. float_of_int ideal.S.total_cycles);
-            string_of_int r.Qec_magic.Factory_model.deliveries;
-            string_of_int r.Qec_magic.Factory_model.stalled_rounds;
-          ]
-      in
-      TP.add_row t
-        [ name; "ideal (paper's assumption)"; TP.si_cell (us ideal); "1.00x";
-          "-"; "-" ];
-      List.iter
-        (fun k ->
-          let options =
-            { (Qec_magic.Factory_model.default_options ()) with
-              Qec_magic.Factory_model.num_factories = k }
-          in
-          row
-            (Printf.sprintf "%d boundary factories" k)
-            (Qec_magic.Factory_model.run ~options timing33 c))
-        [ 1; 2; 4; 8 ];
-      TP.add_separator t)
-    [
-      ("urf2_277", B.Building_blocks.by_name "urf2_277");
-      ("grover6", B.Grover.circuit ~iterations:2 6);
-      ("sqrt8_260", B.Building_blocks.by_name "sqrt8_260");
-    ];
-  TP.print t;
-  print_endline
-    "(T gates fetch magic states over real braiding paths from boundary \
-     distillation factories producing one state per 10d cycles)"
 
 (* ------------------------------------------------------------------ *)
 (* Backends: braiding vs lattice surgery over the Comm_backend API      *)
@@ -1549,7 +1491,6 @@ let () =
   | "compile-time" -> profiled "compile-time" compile_time
   | "ablation" -> profiled "ablation" ablation
   | "planar" -> profiled "planar" planar
-  | "magic" -> profiled "magic" magic
   | "backends" -> profiled "backends" (backends ~json_out)
   | "scale" -> profiled "scale" (scale ~json_out)
   | "scale-smoke" -> profiled "scale-smoke" scale_smoke
@@ -1568,7 +1509,6 @@ let () =
     profiled "compile-time" compile_time;
     profiled "ablation" ablation;
     profiled "planar" planar;
-    profiled "magic" magic;
     profiled "backends" (backends ~json_out);
     (* --json names one file; in `all` mode it belongs to `backends` *)
     profiled "engine" (engine ~json_out:None);
@@ -1578,7 +1518,7 @@ let () =
     profiled "micro" micro
   | other ->
     Printf.eprintf
-      "unknown section %S (expected table1|table2|fig16|fig17|fig18|compile-time|ablation|planar|magic|backends|scale|scale-smoke|engine|prop|verify|serve|micro|all)\n"
+      "unknown section %S (expected table1|table2|fig16|fig17|fig18|compile-time|ablation|planar|backends|scale|scale-smoke|engine|prop|verify|serve|micro|all)\n"
       other;
     exit 2);
   Printf.printf "\n[bench completed in %.1f s]\n" (Unix.gettimeofday () -. t0)

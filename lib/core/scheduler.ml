@@ -75,10 +75,37 @@ type round_route =
   Task.t list ->
   Stack_finder.outcome
 
-let run_impl ?route ~record ~options timing circuit =
+type policy = {
+  select :
+    prev:Trace.round option -> int list * Task.t list -> int list * Task.t list;
+  route : round_route option;
+  routed_round : (Task.t * Qec_lattice.Path.t) list -> int list -> Trace.round;
+  gate_cycles : Gate.t -> int;
+}
+
+let braid_policy ?route timing =
+  {
+    select = (fun ~prev:_ front -> front);
+    route;
+    routed_round = (fun braids locals -> Trace.Braid { braids; locals });
+    gate_cycles = Timing.gate_cycles timing;
+  }
+
+type prepared = {
+  circuit : Circuit.t;
+  placement : Qec_lattice.Placement.t;
+  dag : Dag.t;
+  strategy : Layout_opt.strategy Lazy.t;
+  prepare_s : float;
+}
+
+let lowered prep = prep.circuit
+
+let check_threshold options =
   if options.threshold_p < 0. || options.threshold_p >= 1. then
-    invalid_arg "Scheduler.run: threshold_p out of [0, 1)";
-  Tel.with_span "scheduler.run" @@ fun () ->
+    invalid_arg "Scheduler.run: threshold_p out of [0, 1)"
+
+let prepare options circuit =
   let t0 = Unix.gettimeofday () in
   let circuit = Decompose.to_scheduler_gates circuit in
   let n = Circuit.num_qubits circuit in
@@ -86,8 +113,8 @@ let run_impl ?route ~record ~options timing circuit =
   let grid = Grid.create side in
   (* Each built once, on first use: the coupling graph by the initial
      placement or the first time the layout optimizer fires ([Sp] runs
-     over an override never pay), the DAG by the anneal or the round loop,
-     so it is not in memory while [Embed] runs. *)
+     over an override never pay), the DAG by the anneal or here, after
+     the placement, so it is not in memory while [Embed] runs. *)
   let dag = lazy (Dag.of_circuit circuit) in
   let coupling = lazy (Coupling.of_circuit circuit) in
   let placement =
@@ -95,15 +122,15 @@ let run_impl ?route ~record ~options timing circuit =
     | Some p ->
       if Qec_lattice.Placement.num_qubits p <> n then
         invalid_arg "Scheduler.run: placement override width mismatch";
-      Qec_lattice.Placement.copy p
+      p
     | None ->
       Initial_layout.place ~seed:options.seed ~coupling ~dag
         ~method_:options.initial circuit grid
   in
   (* An overridden placement carries its own (equal-sided) grid instance;
-     use that instance so router/occupancy and placement agree physically. *)
-  let grid = Qec_lattice.Placement.grid placement in
-  if Grid.side grid <> side then
+     each drive copies the placement, grid included, so router/occupancy
+     and placement agree physically. *)
+  if Grid.side (Qec_lattice.Placement.grid placement) <> side then
     invalid_arg "Scheduler.run: placement override grid size mismatch";
   let strategy =
     lazy
@@ -115,6 +142,20 @@ let run_impl ?route ~record ~options timing circuit =
      so the graph is not kept alive through the round loop. *)
   if Lazy.is_val coupling then ignore (Lazy.force strategy);
   let dag = Lazy.force dag in
+  {
+    circuit;
+    placement;
+    dag;
+    strategy;
+    prepare_s = Unix.gettimeofday () -. t0;
+  }
+
+let drive_impl ~record policy ~options timing prep =
+  check_threshold options;
+  let t0 = Unix.gettimeofday () in
+  let { circuit; dag; strategy; _ } = prep in
+  let placement = Qec_lattice.Placement.copy prep.placement in
+  let grid = Qec_lattice.Placement.grid placement in
   (* Downstream height of each gate (longest dependent chain below it):
      the critical-path lookahead routes tall gates first so the schedule's
      tail does not starve. *)
@@ -148,11 +189,16 @@ let run_impl ?route ~record ~options timing circuit =
   let swaps_inserted = ref 0 in
   let util_sum = ref 0. in
   let util_peak = ref 0. in
-  let last_was_swap = ref false in
   let swap_phase = ref 0 in
-  let initial_cells = Qec_lattice.Placement.to_array placement in
+  let prev = ref None in
   let trace_rounds = ref [] in
-  let emit round = if record then trace_rounds := round :: !trace_rounds in
+  (* Every round is charged through the trace's own cost model. *)
+  let emit round =
+    if record then trace_rounds := round :: !trace_rounds;
+    cycles := !cycles + Trace.round_cycles timing round;
+    incr rounds;
+    prev := Some round
+  in
   Tel.span_open "routing_rounds";
   while not (Dag.Frontier.is_done frontier) do
     let rev_singles = ref [] and rev_cx = ref [] in
@@ -162,15 +208,14 @@ let run_impl ?route ~record ~options timing circuit =
         | Some t -> rev_cx := t :: !rev_cx
         | None -> rev_singles := id :: !rev_singles)
       frontier;
-    let singles = List.rev !rev_singles and cx_tasks = List.rev !rev_cx in
+    let singles, cx_tasks =
+      policy.select ~prev:!prev (List.rev !rev_singles, List.rev !rev_cx)
+    in
     if cx_tasks = [] then begin
       (* Purely local round. *)
       List.iter (Dag.Frontier.complete frontier) singles;
-      emit (Trace.Local { gates = singles });
       Tel.count "scheduler.local_rounds";
-      cycles := !cycles + Timing.single_qubit_cycles timing;
-      incr rounds;
-      last_was_swap := false
+      emit (Trace.Local { gates = singles })
     end
     else begin
       Occupancy.clear occ;
@@ -180,7 +225,7 @@ let run_impl ?route ~record ~options timing circuit =
            rescue) and must leave [occ] holding exactly the reservations
            of the outcome it returns. The default is the stack finder
            plus optional compaction below. *)
-        match route with
+        match policy.route with
         | Some f -> f ~round:!rounds ~router ~occ ~placement cx_tasks
         | None ->
           let outcome =
@@ -192,8 +237,9 @@ let run_impl ?route ~record ~options timing circuit =
              use the freed vertices to rescue gates that failed to route. *)
           if options.compaction && outcome.Stack_finder.routed <> [] then begin
             let routed =
-              Compaction.compact router occ placement
-                outcome.Stack_finder.routed
+              Tel.timed "compaction.compact" (fun () ->
+                  Compaction.compact router occ placement
+                    outcome.Stack_finder.routed)
             in
             let rescued, failed =
               Stack_finder.route_in_order router occ placement
@@ -215,7 +261,7 @@ let run_impl ?route ~record ~options timing circuit =
       let want_swap =
         options.variant = Full
         && outcome.Stack_finder.ratio < options.threshold_p
-        && (not !last_was_swap)
+        && (match !prev with Some (Trace.Swap_layer _) -> false | _ -> true)
         && List.length cx_tasks > 1
       in
       if want_swap then Tel.count "scheduler.optimizer_triggers";
@@ -224,8 +270,9 @@ let run_impl ?route ~record ~options timing circuit =
           (* Plan over the whole concurrent front: the bottleneck pattern
              lives in the interference structure of all pending gates, not
              only the ones that happened to lose the routing race. *)
-          Layout_opt.plan (Lazy.force strategy) router placement
-            ~pending:cx_tasks ~phase:!swap_phase
+          Tel.timed "layout_opt.plan" (fun () ->
+              Layout_opt.plan (Lazy.force strategy) router placement
+                ~pending:cx_tasks ~phase:!swap_phase)
         else []
       in
       if swaps <> [] then begin
@@ -234,71 +281,79 @@ let run_impl ?route ~record ~options timing circuit =
           (fun (_, p) -> Occupancy.release_path occ p)
           outcome.Stack_finder.routed;
         Layout_opt.apply placement swaps;
-        emit (Trace.Swap_layer { swaps });
         Tel.count "scheduler.swap_layers";
         Tel.count ~by:(List.length swaps) "scheduler.swaps_inserted";
-        cycles := !cycles + Timing.swap_layer_cycles timing;
-        incr rounds;
         incr swap_layers;
         swaps_inserted := !swaps_inserted + List.length swaps;
         incr swap_phase;
-        last_was_swap := true
+        emit (Trace.Swap_layer { swaps })
       end
       else begin
-        (* Commit: scheduled braids plus every ready local gate. *)
+        (* Commit: routed gates plus every selected local gate. *)
         List.iter
           (fun ((t : Task.t), _) -> Dag.Frontier.complete frontier t.id)
           outcome.Stack_finder.routed;
         List.iter (Dag.Frontier.complete frontier) singles;
-        emit
-          (Trace.Braid
-             { braids = outcome.Stack_finder.routed; locals = singles });
         let u = Occupancy.utilization occ in
         util_sum := !util_sum +. u;
         if u > !util_peak then util_peak := u;
         Tel.count "scheduler.braid_rounds";
-        cycles := !cycles + Timing.braid_cycles timing;
-        incr rounds;
         incr braid_rounds;
-        last_was_swap := false
+        emit (policy.routed_round outcome.Stack_finder.routed singles)
       end
     end
   done;
   Tel.span_close ();
-  let compile_time_s = Unix.gettimeofday () -. t0 in
+  let compile_time_s = prep.prepare_s +. (Unix.gettimeofday () -. t0) in
   let trace =
-    {
-      Trace.circuit;
-      grid;
-      initial_cells;
-      rounds = List.rev !trace_rounds;
-    }
+    if not record then None
+    else
+      Some
+        {
+          Trace.circuit;
+          grid;
+          initial_cells = Qec_lattice.Placement.to_array prep.placement;
+          rounds = List.rev !trace_rounds;
+        }
   in
-  ( trace,
-  {
-    name = Circuit.name circuit;
-    num_qubits = n;
-    num_gates = Circuit.length circuit;
-    num_two_qubit = Circuit.two_qubit_count circuit;
-    lattice_side = side;
-    total_cycles = !cycles;
-    rounds = !rounds;
-    braid_rounds = !braid_rounds;
-    swap_layers = !swap_layers;
-    swaps_inserted = !swaps_inserted;
-    critical_path_cycles = Dag.critical_path ~cost:(Timing.gate_cycles timing) dag;
-    avg_utilization =
-      (if !braid_rounds = 0 then 0. else !util_sum /. float_of_int !braid_rounds);
-    peak_utilization = !util_peak;
-    compile_time_s;
-  } )
+  ( {
+      name = Circuit.name circuit;
+      num_qubits = Circuit.num_qubits circuit;
+      num_gates = Circuit.length circuit;
+      num_two_qubit = Circuit.two_qubit_count circuit;
+      lattice_side = Grid.side grid;
+      total_cycles = !cycles;
+      rounds = !rounds;
+      braid_rounds = !braid_rounds;
+      swap_layers = !swap_layers;
+      swaps_inserted = !swaps_inserted;
+      critical_path_cycles = Dag.critical_path ~cost:policy.gate_cycles dag;
+      avg_utilization =
+        (if !braid_rounds = 0 then 0.
+         else !util_sum /. float_of_int !braid_rounds);
+      peak_utilization = !util_peak;
+      compile_time_s;
+    },
+    trace )
+
+let drive policy ~options timing prep =
+  fst (drive_impl ~record:false policy ~options timing prep)
+
+let drive_traced policy ~options timing prep =
+  match drive_impl ~record:true policy ~options timing prep with
+  | result, Some trace -> (result, trace)
+  | _, None -> assert false
+
+let run_impl drive ?route ~options timing circuit =
+  check_threshold options;
+  Tel.with_span "scheduler.run" @@ fun () ->
+  drive (braid_policy ?route timing) ~options timing (prepare options circuit)
 
 let run ?route ?(options = default_options) timing circuit =
-  snd (run_impl ?route ~record:false ~options timing circuit)
+  run_impl drive ?route ~options timing circuit
 
 let run_traced_with ?route ?(options = default_options) timing circuit =
-  let trace, result = run_impl ?route ~record:true ~options timing circuit in
-  (result, trace)
+  run_impl drive_traced ?route ~options timing circuit
 
 let run_traced ?options timing circuit = run_traced_with ?options timing circuit
 
@@ -307,26 +362,22 @@ let default_grid_points = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
 let run_best_p ?(options = default_options) ?(grid_points = default_grid_points)
     ?(jobs = 1) timing circuit =
   let jobs = max 1 jobs in
-  (* Initial placement (including the annealing fine-tune) is independent
-     of the threshold, so compute it once for the whole sweep. *)
-  let options =
-    match options.placement_override with
-    | Some _ -> options
-    | None ->
-      let lowered = Decompose.to_scheduler_gates circuit in
-      let n = Circuit.num_qubits lowered in
-      let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:n) in
-      let grid = Grid.create side in
-      let placement =
-        Initial_layout.place ~seed:options.seed ~method_:options.initial
-          lowered grid
-      in
-      { options with placement_override = Some placement }
+  (* Lowering, placement (including the annealing fine-tune) and the DAG
+     are independent of the threshold: prepare them once for the whole
+     sweep. The DAG is immutable and each drive copies the placement, so
+     the runs share them safely. Forcing one [Lazy.t] from two domains at
+     once is not safe, so settle the swap strategy (and the coupling graph
+     behind it) before the pool starts. *)
+  let prep = prepare options circuit in
+  if options.variant = Full then ignore (Lazy.force prep.strategy);
+  let policy = braid_policy timing in
+  let eval p =
+    Tel.with_span "scheduler.run" @@ fun () ->
+    (p, drive policy ~options:{ options with threshold_p = p } timing prep)
   in
-  let eval p = (p, run ~options:{ options with threshold_p = p } timing circuit) in
   let curve =
     (* Threshold runs are independent; spread them over a worker pool on
-       request. Each run's compile_time_s is its own wall time. *)
+       request. *)
     Qec_util.Parallel.map_jobs ~jobs eval grid_points
   in
   match curve with

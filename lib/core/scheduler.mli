@@ -88,6 +88,66 @@ type round_route =
     SWAP-layer rollback releases those paths when it overrides the
     round. *)
 
+type policy = {
+  select :
+    prev:Trace.round option -> int list * Task.t list -> int list * Task.t list;
+      (** which ready gates run this round: given the previous emitted
+          round and the ready (local gate ids, two-qubit tasks), both in
+          ascending gate id, return the subsets to schedule. Must keep at
+          least one gate. *)
+  route : round_route option;
+      (** the round's routing; [None] is the stack finder under the
+          driver's options (retry, LLG confinement, compaction,
+          lookahead priority) *)
+  routed_round : (Task.t * Qec_lattice.Path.t) list -> int list -> Trace.round;
+      (** the trace round of a committed routed round, from its routed
+          gates and local gates: [Braid], or [Merge] with
+          [split_overlapped = false] *)
+  gate_cycles : Qec_circuit.Gate.t -> int;
+      (** per-gate cost of [critical_path_cycles] *)
+}
+(** What a backend plugs into the one round driver ({!drive}). The driver
+    keeps everything else: the DAG frontier, local rounds, the SWAP-layer
+    decision, utilization, counters, the wall clock, trace assembly and
+    cycle accounting (each emitted round costs {!Trace.round_cycles}). *)
+
+val braid_policy : ?route:round_route -> Qec_surface.Timing.t -> policy
+(** Defect braiding: every ready gate runs, routed rounds are [Braid],
+    gate costs are {!Qec_surface.Timing.gate_cycles}. [route] as in
+    {!policy}. *)
+
+type prepared
+(** A circuit made ready for driving: lowered, placed on its lattice,
+    with its DAG and (lazily) its layout optimizer's swap strategy. Never
+    mutated by a drive, so one preparation serves many drives. *)
+
+val prepare : options -> Qec_circuit.Circuit.t -> prepared
+(** Lower the circuit ({!Qec_circuit.Decompose.to_scheduler_gates}),
+    size the lattice (the smallest square grid fitting the qubit count,
+    §4.1), place it ([placement_override] or [initial] with [seed]) and
+    build its DAG. Reads only those options and [swap_strategy]. Raises
+    [Invalid_argument] on a mismatched [placement_override]. *)
+
+val lowered : prepared -> Qec_circuit.Circuit.t
+(** The lowered circuit; gate and task ids in every drive index it. *)
+
+val drive :
+  policy -> options:options -> Qec_surface.Timing.t -> prepared -> result
+(** The round loop: until every gate is scheduled, take the DAG front,
+    let the policy select and route it, and emit a local, routed or SWAP
+    round. Starts from a copy of the prepared placement. [compile_time_s]
+    is the preparation's wall time plus this drive's. Raises
+    [Invalid_argument] if [threshold_p] is outside [0, 1). *)
+
+val drive_traced :
+  policy ->
+  options:options ->
+  Qec_surface.Timing.t ->
+  prepared ->
+  result * Trace.t
+(** {!drive}, also recording every round. Scheduling decisions are
+    identical. *)
+
 val run :
   ?route:round_route ->
   ?options:options ->
@@ -115,12 +175,11 @@ val run_traced_with :
   Qec_surface.Timing.t ->
   Qec_circuit.Circuit.t ->
   result * Trace.t
-(** {!run_traced} with the per-round routing block swapped out: frontier
-    bookkeeping, trace emission, SWAP-layer logic and cycle accounting
-    stay shared, only the path search is replaced. With [route] absent
-    this {e is} [run_traced] (same code path). The seam the lookahead
-    backend ([Qec_lookahead]), the greedy baseline ([Gp_baseline]) and
-    the planar-teleport model ([Qec_planar.Teleport]) schedule
+(** {!run_traced} under [braid_policy ?route]: frontier bookkeeping,
+    trace emission, SWAP-layer logic and cycle accounting stay shared,
+    only the path search is replaced. With [route] absent this {e is}
+    [run_traced] (same code path). The seam the lookahead backend
+    ([Qec_lookahead]) and the greedy baseline ([Gp_baseline]) schedule
     through. *)
 
 val run_best_p :
@@ -131,9 +190,10 @@ val run_best_p :
   Qec_circuit.Circuit.t ->
   result * (float * result) list
 (** The paper's p-sweep: run at each threshold (default 0.0 to 0.9 by 0.1)
-    and return the best result plus the whole curve (for Fig. 18). With
+    and return the best result plus the whole curve (for Fig. 18). The
+    circuit is prepared ({!prepare}) once and driven per threshold. With
     [jobs > 1] the thresholds run on a {!Qec_util.Parallel} worker pool of
     that size — identical results in identical order, shorter wall time.
-    Each run's [compile_time_s] is that run's own wall time, so it does
-    not count work done on other domains. [jobs] defaults to 1
-    (sequential). *)
+    Each run's [compile_time_s] is the shared preparation plus that run's
+    own drive, so it does not count work done on other domains. [jobs]
+    defaults to 1 (sequential). *)

@@ -23,19 +23,19 @@ type t = {
   rounds : round list;
 }
 
+let round_cycles timing = function
+  | Local _ -> Timing.single_qubit_cycles timing
+  | Braid _ -> Timing.braid_cycles timing
+  | Swap_layer _ -> Timing.swap_layer_cycles timing
+  | Merge { split_overlapped; _ } ->
+    (* The split (d cycles) overlaps the next round when the scheduler
+       proved the rounds data-independent; only the merge is charged. *)
+    let module St = Qec_surface.Surgery_timing in
+    St.merge_cycles timing
+    + if split_overlapped then 0 else St.split_cycles timing
+
 let cycles timing t =
-  let module St = Qec_surface.Surgery_timing in
-  List.fold_left
-    (fun acc -> function
-      | Local _ -> acc + Timing.single_qubit_cycles timing
-      | Braid _ -> acc + Timing.braid_cycles timing
-      | Swap_layer _ -> acc + Timing.swap_layer_cycles timing
-      | Merge { split_overlapped; _ } ->
-        (* The split (d cycles) overlaps the next round when the scheduler
-           proved the rounds data-independent; only the merge is charged. *)
-        acc + St.merge_cycles timing
-        + (if split_overlapped then 0 else St.split_cycles timing))
-    0 t.rounds
+  List.fold_left (fun acc r -> acc + round_cycles timing r) 0 t.rounds
 
 let num_rounds t = List.length t.rounds
 

@@ -38,8 +38,12 @@ type t = {
   rounds : round list;  (** in execution order *)
 }
 
+val round_cycles : Qec_surface.Timing.t -> round -> int
+(** Latency of one round under the standard cost model: the cost named
+    on each constructor above. *)
+
 val cycles : Qec_surface.Timing.t -> t -> int
-(** Total latency of the trace under the standard cost model. *)
+(** Total latency of the trace: the sum of {!round_cycles}. *)
 
 val num_rounds : t -> int
 

@@ -1,6 +1,5 @@
 module Circuit = Qec_circuit.Circuit
 module Dag = Qec_circuit.Dag
-module Decompose = Qec_circuit.Decompose
 module Occupancy = Qec_lattice.Occupancy
 module Scheduler = Autobraid.Scheduler
 module Stack_finder = Autobraid.Stack_finder
@@ -82,9 +81,12 @@ let run_traced ?(options = default_options) timing circuit =
     invalid_arg "Lookahead_scheduler.run: slack_weight < 0";
   Tel.with_span "lookahead.run" @@ fun () ->
   let sched_options = scheduler_options options in
-  let greedy_result, greedy_trace =
-    Scheduler.run_traced ~options:sched_options timing circuit
+  (* Both runs drive one preparation: one lowering, placement and DAG. *)
+  let prep = Scheduler.prepare sched_options circuit in
+  let drive policy =
+    Scheduler.drive_traced policy ~options:sched_options timing prep
   in
+  let greedy_result, greedy_trace = drive (Scheduler.braid_policy timing) in
   if options.window = 0 then
     (* Pure greedy by definition: the route hook would reproduce the
        stack-finder round verbatim, so skip the second run entirely. *)
@@ -99,9 +101,9 @@ let run_traced ?(options = default_options) timing circuit =
         rescued_gates = 0;
       } )
   else begin
-    (* Priorities are computed on the same lowering [run_impl] performs,
-       so the task ids seen by the route hook index these arrays. *)
-    let lowered = Decompose.to_scheduler_gates circuit in
+    (* Priorities are computed on the prepared lowering, so the task ids
+       seen by the route hook index these arrays. *)
+    let lowered = Scheduler.lowered prep in
     let wtail = windowed_tail ~window:options.window lowered in
     let sa = Dataflow.slack_analysis lowered in
     let crit = Dataflow.critical_length sa in
@@ -148,7 +150,8 @@ let run_traced ?(options = default_options) timing circuit =
         if o.Stack_finder.routed = [] then (o, 0)
         else begin
           let routed =
-            Compaction.compact router occ placement o.Stack_finder.routed
+            Tel.timed "compaction.compact" (fun () ->
+                Compaction.compact router occ placement o.Stack_finder.routed)
           in
           let rescued, failed =
             Stack_finder.route_in_order router occ placement
@@ -192,9 +195,7 @@ let run_traced ?(options = default_options) timing circuit =
       rescued_gates := !rescued_gates + rescued;
       outcome
     in
-    let look_result, look_trace =
-      Scheduler.run_traced_with ~route ~options:sched_options timing circuit
-    in
+    let look_result, look_trace = drive (Scheduler.braid_policy ~route timing) in
     let chose_lookahead =
       look_result.Scheduler.total_cycles
       <= greedy_result.Scheduler.total_cycles

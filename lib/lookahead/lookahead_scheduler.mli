@@ -4,7 +4,7 @@
     at the current DAG front; whenever two front gates contend for lattice
     paths, the routing race — not the dependency structure — decides which
     one waits. This scheduler re-runs the braiding driver through the
-    {!Autobraid.Scheduler.run_traced_with} seam and, each round, routes a
+    {!Autobraid.Scheduler.drive_traced} seam and, each round, routes a
     {e portfolio} of candidate orderings through the same stack finder:
 
     + the greedy stack order, exactly as the braid backend would route

@@ -1,5 +1,3 @@
-module Dag = Qec_circuit.Dag
-module Decompose = Qec_circuit.Decompose
 module Timing = Qec_surface.Timing
 module Scheduler = Autobraid.Scheduler
 
@@ -39,30 +37,27 @@ let distance_for_budget ?(overhead_factor = 1.5) ~num_logical ~budget () =
 (* Every round costs one d-cycle block: a teleported CX holds its channel
    for d cycles instead of a braid's 2d, and a purely local round is d
    anyway. So the model is the scheduler's round loop with static
-   placement, re-costed afterwards. *)
+   placement and teleport gate costs, re-costed afterwards. *)
 let run ?(options = default_options) timing circuit : Scheduler.result =
   let route =
     match options.ordering with
     | Stack -> None
     | Greedy_shortest -> Some (Gp_baseline.route Gp_baseline.Astar)
   in
-  let r =
-    Scheduler.run ?route
-      ~options:
-        {
-          Scheduler.default_options with
-          variant = Scheduler.Sp;
-          confine_llg = false;
-          initial = options.initial;
-          seed = options.seed;
-        }
-      timing circuit
-  in
   let d = Timing.single_qubit_cycles timing in
-  (* Critical path under teleport costs: every gate costs d cycles. *)
-  let dag = Dag.of_circuit (Decompose.to_scheduler_gates circuit) in
-  {
-    r with
-    total_cycles = r.rounds * d;
-    critical_path_cycles = Dag.critical_path ~cost:(fun _ -> d) dag;
-  }
+  let policy =
+    { (Scheduler.braid_policy ?route timing) with gate_cycles = (fun _ -> d) }
+  in
+  let options =
+    {
+      Scheduler.default_options with
+      variant = Scheduler.Sp;
+      confine_llg = false;
+      initial = options.initial;
+      seed = options.seed;
+    }
+  in
+  let r =
+    Scheduler.drive policy ~options timing (Scheduler.prepare options circuit)
+  in
+  { r with total_cycles = r.rounds * d }

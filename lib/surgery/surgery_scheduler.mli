@@ -1,17 +1,20 @@
-(** Round-based lattice-surgery scheduler.
+(** Round-based lattice-surgery scheduler: a round policy on
+    {!Autobraid.Scheduler}'s one round driver.
 
-    Drives the same DAG-frontier loop as {!Autobraid.Scheduler} — ready
-    front, single/two-qubit split, per-round occupancy reset — but
-    executes long-range CX gates as merge–split lattice surgery instead
-    of defect braiding:
+    The driver keeps the DAG frontier, local rounds, counters, the clock
+    and trace assembly; this module supplies what differs from braiding:
 
     - each two-qubit gate becomes a ZZ/XX merge through an ancilla path
       routed by {!Surgery_router} (tile-time-aware, with volume-based
-      rip-up), then a split;
+      rip-up), then a split; routed rounds are recorded as
+      [Trace.Merge];
     - a merge round costs [merge + split = 2d] cycles, except when the
       split {e pipelines}: if the next round touches none of this round's
       merge qubits, the split overlaps it and the round costs only [d]
-      (see {!Qec_surface.Surgery_timing});
+      (see {!Qec_surface.Surgery_timing}). The policy's round selection
+      defers gates off the previous round's merge qubits to buy such
+      overlaps; both the deferred and the undeferred schedule are driven
+      from one preparation and the cheaper is kept;
     - no SWAP layers are ever inserted — surgery reaches any two patches
       directly, so the placement stays static.
 
@@ -59,8 +62,10 @@ val run_traced :
     braiding result record: [braid_rounds] holds merge rounds and
     [swap_layers]/[swaps_inserted] are 0 by construction.
     [critical_path_cycles] uses the surgery gate costs
-    ({!Qec_surface.Surgery_timing.gate_cycles}). Raises
-    [Invalid_argument] on a mismatched [placement_override]. *)
+    ({!Qec_surface.Surgery_timing.gate_cycles}). [stats] are read off
+    the kept trace's merge rounds, plus the rip-up totals of the pass
+    that produced it. Raises [Invalid_argument] on a mismatched
+    [placement_override]. *)
 
 val run :
   ?options:options ->
