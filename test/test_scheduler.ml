@@ -122,6 +122,22 @@ let test_run_best_p () =
     (fun (_, r) -> check_bool "best is min" true (best.S.total_cycles <= r.S.total_cycles))
     curve
 
+(* A drive starts from a copy of the prepared placement, so SWAP layers
+   in one drive leave the preparation intact for the next. *)
+let test_prepare_once_drive_many () =
+  let options = { S.default_options with threshold_p = 0.9 } in
+  let c = B.Qft.circuit 36 in
+  let prep = S.prepare options c in
+  let drive () =
+    { (S.drive (S.braid_policy timing) ~options timing prep) with
+      S.compile_time_s = 0. }
+  in
+  let first = drive () in
+  check_bool "swaps happen" true (first.S.swap_layers > 0);
+  check_bool "second drive identical" true (drive () = first);
+  check_bool "equals run" true
+    ({ (run ~options c) with S.compile_time_s = 0. } = first)
+
 let test_initial_methods_all_work () =
   List.iter
     (fun m ->
@@ -203,6 +219,8 @@ let () =
           Alcotest.test_case "invalid threshold" `Quick test_invalid_threshold;
           Alcotest.test_case "swap accounting" `Quick test_swap_layer_accounting;
           Alcotest.test_case "best p sweep" `Quick test_run_best_p;
+          Alcotest.test_case "prepare once, drive many" `Quick
+            test_prepare_once_drive_many;
           Alcotest.test_case "initial methods" `Quick test_initial_methods_all_work;
         ] );
       ( "edges",
