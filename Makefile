@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is the one-stop pre-commit gate.
 
-.PHONY: all build test perfbench-test bench bench-smoke bench-check bench-scale scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke fmt lint check clean
+.PHONY: all build test perfbench-test bench bench-smoke bench-check bench-scale scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke qasm-smoke fmt lint check clean
 
 CLI := _build/default/bin/autobraid_cli.exe
 
@@ -86,6 +86,31 @@ FUZZ_COUNT ?= 200
 
 fuzz-smoke: build
 	$(CLI) fuzz --seed 42 --count $(FUZZ_COUNT)
+
+# QASM front-end smoke: a Table-2 RevLib instance emitted as QASM and
+# compiled from that file must certify with the same total cycles and
+# rounds as the benchmark compiled by name, and lint must accept the file.
+qasm-smoke: build
+	@dir=$$(mktemp -d); f="$$dir/urf2_277.qasm"; \
+	$(CLI) emit urf2_277 -o "$$f" || exit 1; \
+	$(CLI) compile "$$f" --certify > "$$dir/file.out" \
+		|| { cat "$$dir/file.out"; exit 1; }; \
+	$(CLI) compile urf2_277 --certify > "$$dir/name.out" \
+		|| { cat "$$dir/name.out"; exit 1; }; \
+	for o in file name; do \
+		grep -q ': certified (' "$$dir/$$o.out" \
+			|| { echo "qasm-smoke: $$o run not certified"; exit 1; }; \
+		grep -E '^\| (total cycles|rounds) ' "$$dir/$$o.out" > "$$dir/$$o.key"; \
+	done; \
+	[ $$(wc -l < "$$dir/file.key") -eq 2 ] \
+		|| { echo "qasm-smoke: missing cycles or rounds"; exit 1; }; \
+	cmp -s "$$dir/file.key" "$$dir/name.key" \
+		|| { echo "qasm-smoke: file and benchmark runs differ"; \
+		     cat "$$dir/file.key" "$$dir/name.key"; exit 1; }; \
+	$(CLI) lint "$$f" > /dev/null \
+		|| { echo "qasm-smoke: lint rejected $$f"; exit 1; }; \
+	rm -rf "$$dir"; \
+	echo "qasm-smoke: OK"
 
 # Drift gate: re-measure the committed BENCH snapshots and fail on
 # regressions. Only the deterministic cycle-count sections are gated at
@@ -227,7 +252,7 @@ serve-smoke: build
 	rm -rf "$$dir"; \
 	echo "serve-smoke: OK"
 
-check: fmt build test perfbench-test lint bench-smoke bench-check scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke
+check: fmt build test perfbench-test lint bench-smoke bench-check scale-smoke batch-smoke fuzz-smoke profile-smoke verify-smoke lookahead-smoke serve-smoke qasm-smoke
 	@echo "check: OK"
 
 clean:

@@ -100,6 +100,7 @@ type prepared = {
 }
 
 let lowered prep = prep.circuit
+let dag prep = prep.dag
 
 let check_threshold options =
   if options.threshold_p < 0. || options.threshold_p >= 1. then
@@ -107,7 +108,9 @@ let check_threshold options =
 
 let prepare options circuit =
   let t0 = Unix.gettimeofday () in
-  let circuit = Decompose.to_scheduler_gates circuit in
+  let circuit =
+    Tel.timed "decompose.lower" (fun () -> Decompose.to_scheduler_gates circuit)
+  in
   let n = Circuit.num_qubits circuit in
   let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:n) in
   let grid = Grid.create side in
@@ -115,7 +118,7 @@ let prepare options circuit =
      placement or the first time the layout optimizer fires ([Sp] runs
      over an override never pay), the DAG by the anneal or here, after
      the placement, so it is not in memory while [Embed] runs. *)
-  let dag = lazy (Dag.of_circuit circuit) in
+  let dag = lazy (Tel.timed "dag.build" (fun () -> Dag.of_circuit circuit)) in
   let coupling = lazy (Coupling.of_circuit circuit) in
   let placement =
     match options.placement_override with

@@ -131,6 +131,9 @@ val prepare : options -> Qec_circuit.Circuit.t -> prepared
 val lowered : prepared -> Qec_circuit.Circuit.t
 (** The lowered circuit; gate and task ids in every drive index it. *)
 
+val dag : prepared -> Qec_circuit.Dag.t
+(** The DAG of {!lowered}, built once by {!prepare}. *)
+
 val drive :
   policy -> options:options -> Qec_surface.Timing.t -> prepared -> result
 (** The round loop: until every gate is scheduled, take the DAG front,

@@ -57,6 +57,7 @@ type job = {
    message is the diagnostic the CLI prints ([file:line:col: msg] for
    parse errors). *)
 let load_circuit spec =
+  Qec_telemetry.Telemetry.timed "frontend.load" @@ fun () ->
   let file = spec.Spec.circuit in
   let err kind fmt = Printf.ksprintf (fun message -> Error { kind; message }) fmt in
   if Sys.file_exists file then

@@ -44,10 +44,9 @@ let stats_to_assoc s =
     ("rescued_gates", float_of_int s.rescued_gates);
   ]
 
-let windowed_tail ~window circuit =
+let windowed_tail ~dag ~window circuit =
   if window < 0 then invalid_arg "Lookahead_scheduler.windowed_tail: window < 0";
   let n = Circuit.length circuit in
-  let dag = Dag.of_circuit circuit in
   let cost = Array.init n (fun i -> Dataflow.default_cost (Circuit.gate circuit i)) in
   let cur = Array.copy cost in
   (* The recurrence is monotone and fixes once [window] reaches the DAG
@@ -103,9 +102,9 @@ let run_traced ?(options = default_options) timing circuit =
   else begin
     (* Priorities are computed on the prepared lowering, so the task ids
        seen by the route hook index these arrays. *)
-    let lowered = Scheduler.lowered prep in
-    let wtail = windowed_tail ~window:options.window lowered in
-    let sa = Dataflow.slack_analysis lowered in
+    let lowered = Scheduler.lowered prep and dag = Scheduler.dag prep in
+    let wtail = windowed_tail ~dag ~window:options.window lowered in
+    let sa = Dataflow.slack_analysis ~dag lowered in
     let crit = Dataflow.critical_length sa in
     let criticality id =
       if crit = 0 then 0.

@@ -72,14 +72,15 @@ val stats_to_assoc : stats -> (string * float) list
 (** Stable order, booleans as 0/1 — the {!Autobraid.Comm_backend}
     [stats] payload. *)
 
-val windowed_tail : window:int -> Qec_circuit.Circuit.t -> int array
+val windowed_tail :
+  dag:Qec_circuit.Dag.t -> window:int -> Qec_circuit.Circuit.t -> int array
 (** [.(g)] is the longest-cost chain starting at gate [g] that stays
     within [window] dependency levels, under
     {!Qec_verify.Dataflow.default_cost}: [wt_0 g = cost g] and
     [wt_(k+1) g = cost g + max over successors of wt_k]. For
     [window >= depth] this is exactly the Dataflow [tail]. Computed on
     the circuit as given (no lowering) — callers wanting scheduler-gate
-    ids must lower first. *)
+    ids must lower first. [dag] is the circuit's DAG. *)
 
 val run_traced :
   ?options:options ->

@@ -671,6 +671,45 @@ let qasm_crash =
               failf "lint_source raised: %s" (Printexc.to_string e)));
   }
 
+(* The streaming front end against the list pipeline it replaced: lex
+   the whole input, parse the whole token list, then elaborate. Outcomes
+   agree when the circuits are equal or the same exception carries equal
+   fields, so a streaming shortcut that reorders error precedence shows
+   here. *)
+let qasm_stream =
+  let module Q = Qec_qasm in
+  {
+    name = "qasm/stream";
+    description =
+      "streaming Frontend.of_string agrees with Lexer.tokenize -> \
+       Parser.parse_tokens -> Frontend.elaborate: the same circuit, or the \
+       same exception with equal fields";
+    check =
+      Source
+        (fun src ->
+          let outcome f = match f () with c -> Ok c | exception e -> Error e in
+          let reference () =
+            match Q.Lexer.tokenize src with
+            | exception Q.Lexer.Error { line; col; msg } ->
+              raise (Q.Parser.Error { line; col; msg })
+            | toks -> Q.Frontend.elaborate ~name:"fuzz" (Q.Parser.parse_tokens toks)
+          in
+          let key c = (Circuit.name c, Circuit.num_qubits c, Circuit.gates c) in
+          match
+            ( outcome (fun () -> Q.Frontend.of_string ~name:"fuzz" src),
+              outcome reference )
+          with
+          | Ok c, Ok c' when compare (key c) (key c') = 0 -> Pass
+          | Error e, Error e' when e = e' -> Pass
+          | got, want ->
+            let show = function
+              | Ok c -> Printf.sprintf "a %d-gate circuit" (Circuit.length c)
+              | Error e -> Printexc.to_string e
+            in
+            failf "streaming gave %s, the list pipeline %s" (show got)
+              (show want));
+  }
+
 (* ---------------- serve protocol crash safety ---------------- *)
 
 (* The daemon's per-line loop leans entirely on Protocol.decode being
@@ -746,6 +785,7 @@ let all () =
     qasm_roundtrip;
     lint_stable_codes;
     qasm_crash;
+    qasm_stream;
     serve_protocol;
   ]
 

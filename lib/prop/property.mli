@@ -28,6 +28,10 @@
     - [qasm/crash] (source-keyed) — mutated QASM bytes must produce
       structured positioned errors from the frontend and the lint pass,
       never an unhandled exception;
+    - [qasm/stream] (source-keyed) — the streaming front end
+      ({!Qec_qasm.Frontend.of_string}) agrees with the list pipeline
+      (lex the whole input, parse the token list, elaborate): the same
+      circuit, or the same exception with equal fields;
     - [serve/protocol] (source-keyed) — the serve daemon's wire decoding
       ({!Qec_serve.Protocol}) is total: arbitrary bytes, raw or spliced
       into well-formed request envelopes, yield [Ok] or a structured

@@ -9,15 +9,16 @@ let unsupported fmt =
 type decl = { params : string list; formals : string list; body : Ast.gate_app list }
 
 type env = {
+  name : string;
   qregs : (string, int * int) Hashtbl.t; (* name -> offset, size *)
   cregs : (string, int) Hashtbl.t; (* name -> size; values unused *)
   decls : (string, decl) Hashtbl.t;
-  builder : C.Builder.t option ref; (* created lazily after qregs known *)
+  mutable builder : C.Builder.t option; (* created lazily after qregs known *)
   mutable total_qubits : int;
 }
 
 let builder env =
-  match !(env.builder) with
+  match env.builder with
   | Some b -> b
   | None -> unsupported "gate application before any qreg declaration"
 
@@ -160,74 +161,90 @@ let elaborate_app env (app : Ast.gate_app) =
   let operand_lists = List.map (resolve_arg env) app.gargs in
   List.iter (fun qs -> apply_gate env app.gname ps qs) (broadcast operand_lists)
 
-let elaborate ?(name = "qasm") program =
-  let env =
-    {
-      qregs = Hashtbl.create 4;
-      cregs = Hashtbl.create 4;
-      decls = Hashtbl.create 16;
-      builder = ref None;
-      total_qubits = 0;
-    }
-  in
-  let ensure_builder () =
-    if !(env.builder) = None && env.total_qubits > 0 then
-      env.builder :=
-        Some (C.Builder.create ~name ~num_qubits:env.total_qubits ())
-  in
-  let elaborate_stmt stmt =
-      match (stmt : Ast.stmt) with
-      | Ast.Version v ->
-        if v <> "2.0" then unsupported "OPENQASM version %s" v
-      | Ast.Include _ -> () (* qelib1.inc built-ins are native *)
-      | Ast.Qreg (reg, size) ->
-        if !(env.builder) <> None then
-          unsupported "qreg %s declared after first gate" reg;
-        if Hashtbl.mem env.qregs reg then unsupported "duplicate qreg %s" reg;
-        Hashtbl.add env.qregs reg (env.total_qubits, size);
-        env.total_qubits <- env.total_qubits + size
-      | Ast.Creg (reg, size) -> Hashtbl.replace env.cregs reg size
-      | Ast.Gate_decl { name = gname; params; formals; body } ->
-        Hashtbl.replace env.decls gname { params; formals; body }
-      | Ast.App app ->
-        ensure_builder ();
-        elaborate_app env app
-      | Ast.Measure (src, _dst) ->
-        ensure_builder ();
-        List.iter
-          (fun q -> C.Builder.add (builder env) (G.Measure q))
-          (resolve_arg env src)
-      | Ast.Reset a ->
-        ensure_builder ();
-        (* Reset is a local (in-tile) operation; model it as a local
-           measurement for scheduling purposes. *)
-        List.iter
-          (fun q -> C.Builder.add (builder env) (G.Measure q))
-          (resolve_arg env a)
-      | Ast.Barrier args ->
-        ensure_builder ();
-        let qs = List.concat_map (resolve_arg env) args in
-        C.Builder.add (builder env) (G.Barrier (List.sort_uniq compare qs))
-  in
-  List.iter
-    (fun { Ast.stmt; pos } ->
-      (* Attach the statement's source position to errors raised anywhere
-         below it (including inside expanded user-gate bodies). *)
-      try elaborate_stmt stmt with
-      | Unsupported { pos = None; msg } ->
-        raise (Unsupported { pos = Some pos; msg }))
-    program;
-  ensure_builder ();
-  match !(env.builder) with
+let create_env name =
+  {
+    name;
+    qregs = Hashtbl.create 4;
+    cregs = Hashtbl.create 4;
+    decls = Hashtbl.create 16;
+    builder = None;
+    total_qubits = 0;
+  }
+
+let ensure_builder env =
+  if Option.is_none env.builder && env.total_qubits > 0 then
+    env.builder <-
+      Some (C.Builder.create ~name:env.name ~num_qubits:env.total_qubits ())
+
+let elaborate_stmt env (stmt : Ast.stmt) =
+  match stmt with
+  | Ast.Version v -> if v <> "2.0" then unsupported "OPENQASM version %s" v
+  | Ast.Include _ -> () (* qelib1.inc built-ins are native *)
+  | Ast.Qreg (reg, size) ->
+    if Option.is_some env.builder then
+      unsupported "qreg %s declared after first gate" reg;
+    if Hashtbl.mem env.qregs reg then unsupported "duplicate qreg %s" reg;
+    Hashtbl.add env.qregs reg (env.total_qubits, size);
+    env.total_qubits <- env.total_qubits + size
+  | Ast.Creg (reg, size) -> Hashtbl.replace env.cregs reg size
+  | Ast.Gate_decl { name = gname; params; formals; body } ->
+    Hashtbl.replace env.decls gname { params; formals; body }
+  | Ast.App app ->
+    ensure_builder env;
+    elaborate_app env app
+  | Ast.Measure (src, _dst) ->
+    ensure_builder env;
+    List.iter
+      (fun q -> C.Builder.add (builder env) (G.Measure q))
+      (resolve_arg env src)
+  | Ast.Reset a ->
+    ensure_builder env;
+    (* Reset is a local (in-tile) operation; model it as a local
+       measurement for scheduling purposes. *)
+    List.iter
+      (fun q -> C.Builder.add (builder env) (G.Measure q))
+      (resolve_arg env a)
+  | Ast.Barrier args ->
+    ensure_builder env;
+    let qs = List.concat_map (resolve_arg env) args in
+    C.Builder.add (builder env) (G.Barrier (List.sort_uniq compare qs))
+
+(* Attach the statement's source position to errors raised anywhere below
+   it (including inside expanded user-gate bodies). *)
+let elaborate_node env { Ast.stmt; pos } =
+  try elaborate_stmt env stmt
+  with Unsupported { pos = None; msg } ->
+    raise (Unsupported { pos = Some pos; msg })
+
+let finish env =
+  ensure_builder env;
+  match env.builder with
   | Some b -> C.Builder.finish b
   | None -> unsupported "program declares no quantum register"
 
-let of_string ?name src = elaborate ?name (Parser.parse_string src)
+let elaborate ?(name = "qasm") program =
+  let env = create_env name in
+  List.iter (elaborate_node env) program;
+  finish env
+
+(* Each statement is elaborated as soon as it parses. The first
+   elaboration error is held until the whole input has parsed, so a lexer
+   or syntax error anywhere in the input still takes precedence over it;
+   later statements are parsed but not elaborated. *)
+let of_string ?(name = "qasm") src =
+  let env = create_env name in
+  let failed = ref None in
+  Parser.iter_string
+    (fun node ->
+      if Option.is_none !failed then
+        try elaborate_node env node
+        with e -> failed := Some (e, Printexc.get_raw_backtrace ()))
+    src;
+  match !failed with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> finish env
 
 let of_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
+  let src = In_channel.with_open_bin path In_channel.input_all in
   let name = Filename.remove_extension (Filename.basename path) in
   of_string ~name src

@@ -24,13 +24,25 @@ val builtin_signature : string -> (int * int) option
     before elaboration can raise {!Unsupported}. *)
 
 val elaborate : ?name:string -> Ast.program -> Qec_circuit.Circuit.t
-(** Raises {!Unsupported}, or {!Qec_circuit.Circuit.Invalid} on
-    inconsistent register use (bad index, arity mismatch, duplicate
-    operand). *)
+(** Elaborate the statements in order. Raises {!Unsupported}, or
+    {!Qec_circuit.Circuit.Invalid} on inconsistent register use (bad
+    index, arity mismatch, duplicate operand). *)
 
 val of_string : ?name:string -> string -> Qec_circuit.Circuit.t
-(** Parse ({!Parser.parse_string}) then elaborate. *)
+(** Lex, parse and elaborate in one pass: each statement from
+    {!Parser.iter_string} is elaborated, by the same statement elaborator
+    as {!elaborate}, as soon as it parses, so no token list or program
+    AST is built. Errors are those of lexing the whole input, then
+    parsing it, then elaborating it, in that precedence:
+    + the first lexer error anywhere, as {!Parser.Error};
+    + otherwise the first syntax error, as {!Parser.Error};
+    + otherwise the first {!Unsupported} or
+      {!Qec_circuit.Circuit.Invalid}.
+
+    So after an elaboration error the rest of the input is still parsed
+    (not elaborated), and a later lexer or syntax error is reported
+    instead. *)
 
 val of_file : string -> Qec_circuit.Circuit.t
-(** Read, parse, elaborate; circuit named after the file's basename.
-    Raises [Sys_error] on I/O failure. *)
+(** Read the file, then {!of_string}; the circuit is named after the
+    file's basename. Raises [Sys_error] on I/O failure. *)

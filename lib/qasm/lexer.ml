@@ -30,148 +30,145 @@ let is_id_start c =
 
 let is_id_char c = is_id_start c || is_digit c
 
-let tokenize src =
+(* Pull lexer: [pos] indexes [src] directly and a token's column is its
+   offset from [bol], the offset where its line starts. *)
+type state = {
+  src : string;
+  mutable pos : int;
+  mutable line : int;
+  mutable bol : int;
+}
+
+let create src = { src; pos = 0; line = 1; bol = 0 }
+
+let fail lx msg =
+  raise (Error { line = lx.line; col = lx.pos - lx.bol + 1; msg })
+
+let newline lx =
+  lx.line <- lx.line + 1;
+  lx.bol <- lx.pos + 1
+
+let rec scan lx pred =
+  if lx.pos < String.length lx.src && pred lx.src.[lx.pos] then begin
+    lx.pos <- lx.pos + 1;
+    scan lx pred
+  end
+
+let lex_number lx =
+  let src = lx.src and start = lx.pos in
   let n = String.length src in
-  let pos = ref 0 and line = ref 1 and col = ref 1 in
-  let tokens = ref [] in
-  let fail msg = raise (Error { line = !line; col = !col; msg }) in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let advance () =
-    (match peek () with
-    | Some '\n' ->
-      incr line;
-      col := 1
-    | Some _ -> incr col
-    | None -> ());
-    incr pos
-  in
-  let emit tok ~line ~col = tokens := { token = tok; line; col } :: !tokens in
-  let rec skip_line () =
-    match peek () with
-    | Some '\n' | None -> ()
-    | Some _ ->
-      advance ();
-      skip_line ()
-  in
-  let lex_number start_line start_col =
-    let start = !pos in
-    let seen_dot = ref false and seen_exp = ref false in
-    let rec go () =
-      match peek () with
-      | Some c when is_digit c ->
-        advance ();
+  let seen_dot = ref false and seen_exp = ref false in
+  let rec go () =
+    if lx.pos < n then
+      match src.[lx.pos] with
+      | '0' .. '9' ->
+        lx.pos <- lx.pos + 1;
         go ()
-      | Some '.' when not !seen_dot ->
+      | '.' when not !seen_dot ->
         seen_dot := true;
-        advance ();
+        lx.pos <- lx.pos + 1;
         go ()
-      | Some ('e' | 'E') when not !seen_exp ->
+      | ('e' | 'E') when not !seen_exp ->
         seen_exp := true;
         seen_dot := true (* no dot after exponent *);
-        advance ();
-        (match peek () with
-        | Some ('+' | '-') -> advance ()
-        | Some _ | None -> ());
+        lx.pos <- lx.pos + 1;
+        if lx.pos < n && (src.[lx.pos] = '+' || src.[lx.pos] = '-') then
+          lx.pos <- lx.pos + 1;
         go ()
-      | Some _ | None -> ()
-    in
-    go ();
-    let text = String.sub src start (!pos - start) in
-    if !seen_dot || !seen_exp then
-      match float_of_string_opt text with
-      | Some f -> emit (Number f) ~line:start_line ~col:start_col
-      | None -> fail (Printf.sprintf "malformed number %S" text)
+      | _ -> ()
+  in
+  go ();
+  let text = String.sub src start (lx.pos - start) in
+  if !seen_dot then
+    match float_of_string_opt text with
+    | Some f -> Number f
+    | None -> fail lx (Printf.sprintf "malformed number %S" text)
+  else
+    match int_of_string_opt text with
+    | Some i -> Integer i
+    | None -> fail lx (Printf.sprintf "malformed integer %S" text)
+
+(* Strings may span lines; no escapes. *)
+let lex_string lx =
+  let src = lx.src in
+  lx.pos <- lx.pos + 1 (* opening quote *);
+  let start = lx.pos in
+  let rec go () =
+    if lx.pos >= String.length src then fail lx "unterminated string"
     else
-      match int_of_string_opt text with
-      | Some i -> emit (Integer i) ~line:start_line ~col:start_col
-      | None -> fail (Printf.sprintf "malformed integer %S" text)
-  in
-  let lex_ident start_line start_col =
-    let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some c when is_id_char c ->
-        advance ();
+      match src.[lx.pos] with
+      | '"' -> ()
+      | c ->
+        if c = '\n' then newline lx;
+        lx.pos <- lx.pos + 1;
         go ()
-      | Some _ | None -> ()
-    in
-    go ();
-    emit (Id (String.sub src start (!pos - start))) ~line:start_line
-      ~col:start_col
   in
-  let lex_string start_line start_col =
-    advance () (* opening quote *);
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    emit (Str (Buffer.contents buf)) ~line:start_line ~col:start_col
-  in
-  let rec loop () =
-    match peek () with
-    | None -> ()
-    | Some c ->
-      let l = !line and co = !col in
-      (match c with
-      | ' ' | '\t' | '\r' | '\n' -> advance ()
-      | '/' ->
-        advance ();
-        (match peek () with
-        | Some '/' -> skip_line ()
-        | Some _ | None -> emit Slash ~line:l ~col:co)
-      | ';' ->
-        advance ();
-        emit Semicolon ~line:l ~col:co
-      | ',' ->
-        advance ();
-        emit Comma ~line:l ~col:co
-      | '(' ->
-        advance ();
-        emit Lparen ~line:l ~col:co
-      | ')' ->
-        advance ();
-        emit Rparen ~line:l ~col:co
-      | '[' ->
-        advance ();
-        emit Lbracket ~line:l ~col:co
-      | ']' ->
-        advance ();
-        emit Rbracket ~line:l ~col:co
-      | '{' ->
-        advance ();
-        emit Lbrace ~line:l ~col:co
-      | '}' ->
-        advance ();
-        emit Rbrace ~line:l ~col:co
-      | '+' ->
-        advance ();
-        emit Plus ~line:l ~col:co
-      | '*' ->
-        advance ();
-        emit Star ~line:l ~col:co
-      | '^' ->
-        advance ();
-        emit Caret ~line:l ~col:co
+  go ();
+  lx.pos <- lx.pos + 1;
+  Str (String.sub src start (lx.pos - 1 - start))
+
+(* Skip whitespace and [//] comments. *)
+let rec skip lx =
+  let src = lx.src in
+  if lx.pos < String.length src then
+    match src.[lx.pos] with
+    | ' ' | '\t' | '\r' ->
+      lx.pos <- lx.pos + 1;
+      skip lx
+    | '\n' ->
+      newline lx;
+      lx.pos <- lx.pos + 1;
+      skip lx
+    | '/' when lx.pos + 1 < String.length src && src.[lx.pos + 1] = '/' ->
+      scan lx (fun c -> c <> '\n');
+      skip lx
+    | _ -> ()
+
+let punct lx token =
+  lx.pos <- lx.pos + 1;
+  token
+
+let next lx =
+  skip lx;
+  let src = lx.src in
+  let line = lx.line and col = lx.pos - lx.bol + 1 in
+  let token =
+    if lx.pos >= String.length src then Eof
+    else
+      match src.[lx.pos] with
+      | ';' -> punct lx Semicolon
+      | ',' -> punct lx Comma
+      | '(' -> punct lx Lparen
+      | ')' -> punct lx Rparen
+      | '[' -> punct lx Lbracket
+      | ']' -> punct lx Rbracket
+      | '{' -> punct lx Lbrace
+      | '}' -> punct lx Rbrace
+      | '+' -> punct lx Plus
+      | '*' -> punct lx Star
+      | '^' -> punct lx Caret
+      | '/' -> punct lx Slash
       | '-' ->
-        advance ();
-        (match peek () with
-        | Some '>' ->
-          advance ();
-          emit Arrow ~line:l ~col:co
-        | Some _ | None -> emit Minus ~line:l ~col:co)
-      | '"' -> lex_string l co
-      | c when is_digit c || c = '.' -> lex_number l co
-      | c when is_id_start c -> lex_ident l co
-      | c -> fail (Printf.sprintf "unexpected character %C" c));
-      loop ()
+        if lx.pos + 1 < String.length src && src.[lx.pos + 1] = '>' then begin
+          lx.pos <- lx.pos + 2;
+          Arrow
+        end
+        else punct lx Minus
+      | '"' -> lex_string lx
+      | c when is_digit c || c = '.' -> lex_number lx
+      | c when is_id_start c ->
+        let start = lx.pos in
+        scan lx is_id_char;
+        Id (String.sub src start (lx.pos - start))
+      | c -> fail lx (Printf.sprintf "unexpected character %C" c)
   in
-  loop ();
-  emit Eof ~line:!line ~col:!col;
-  List.rev !tokens
+  { token; line; col }
+
+let tokenize src =
+  let lx = create src in
+  let rec go acc =
+    match next lx with
+    | { token = Eof; _ } as t -> List.rev (t :: acc)
+    | t -> go (t :: acc)
+  in
+  go []

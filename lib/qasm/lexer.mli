@@ -1,4 +1,9 @@
-(** Hand-written lexer for the OpenQASM 2.0 subset. *)
+(** Hand-written lexer for the OpenQASM 2.0 subset.
+
+    A pull lexer: {!create} starts at the first byte of a source string
+    and each {!next} returns one token, so a parser can consume tokens as
+    they are made. {!tokenize} collects the whole stream, with the same
+    tokens, positions and errors. *)
 
 type token =
   | Id of string
@@ -26,7 +31,18 @@ type t = { token : token; line : int; col : int }
 
 exception Error of { line : int; col : int; msg : string }
 
+type state
+(** A position in a source string. *)
+
+val create : string -> state
+(** Start lexing at the first byte. *)
+
+val next : state -> t
+(** The next token. Comments ([// ...]) and whitespace are skipped, and
+    at the end of input every call returns [Eof]. Raises {!Error} on an
+    unexpected character or a malformed number or string; the state is
+    then left where the error was found. *)
+
 val tokenize : string -> t list
-(** Whole-input tokenization; comments ([// ...]) and whitespace are
-    skipped. The result ends with an [Eof] token. Raises {!Error} on
-    unexpected characters or malformed numbers/strings. *)
+(** Every token of the input, by {!next}, ending with the [Eof] token.
+    Raises the first {!Error}. *)

@@ -1,16 +1,15 @@
 exception Error of { line : int; col : int; msg : string }
 
-type state = { mutable toks : Lexer.t list }
+(* One token of lookahead over a token source. [next] is called only to
+   move past a token that is not [Eof]. *)
+type state = { next : unit -> Lexer.t; mutable tok : Lexer.t }
 
 let fail (tk : Lexer.t) msg = raise (Error { line = tk.line; col = tk.col; msg })
 
-let peek st =
-  match st.toks with [] -> assert false (* Eof sentinel *) | t :: _ -> t
+let peek st = st.tok
 
 let advance st =
-  match st.toks with
-  | [] -> assert false
-  | _ :: rest -> if rest <> [] then st.toks <- rest
+  match st.tok.token with Lexer.Eof -> () | _ -> st.tok <- st.next ()
 
 let expect st tok what =
   let t = peek st in
@@ -281,16 +280,48 @@ let parse_stmt st : Ast.node option =
     at (Ast.App (parse_gate_app st ~pos:(pos_of t) g))
   | _ -> fail t "expected statement"
 
-let parse_tokens toks =
-  let st = { toks } in
-  let rec go acc =
+(* Hand each statement to [f] as it parses; a syntax error goes to
+   [on_error]. *)
+let iter_stmts ?(on_error = raise) f st =
+  let rec go () =
     match parse_stmt st with
-    | None -> List.rev acc
-    | Some s -> go (s :: acc)
+    | None -> ()
+    | Some s ->
+      f s;
+      go ()
+    | exception (Error _ as e) -> on_error e
   in
-  go []
+  go ()
 
-let parse_string src =
-  match Lexer.tokenize src with
-  | toks -> parse_tokens toks
-  | exception Lexer.Error { line; col; msg } -> raise (Error { line; col; msg })
+let collect iter =
+  let acc = ref [] in
+  iter (fun s -> acc := s :: !acc);
+  List.rev !acc
+
+(* The list source repeats its last token once exhausted. *)
+let parse_tokens toks =
+  let rest = ref toks in
+  let next () =
+    match !rest with
+    | [] -> invalid_arg "Parser.parse_tokens: empty token list"
+    | [ t ] -> t
+    | t :: more ->
+      rest := more;
+      t
+  in
+  let st = { next; tok = next () } in
+  collect (fun f -> iter_stmts f st)
+
+let iter_string f src =
+  let lx = Lexer.create src in
+  let lex_rest e =
+    (* A lexer error later in the input takes precedence. *)
+    while (Lexer.next lx).token <> Lexer.Eof do () done;
+    raise e
+  in
+  try
+    iter_stmts ~on_error:lex_rest f
+      { next = (fun () -> Lexer.next lx); tok = Lexer.next lx }
+  with Lexer.Error { line; col; msg } -> raise (Error { line; col; msg })
+
+let parse_string src = collect (fun f -> iter_string f src)

@@ -81,9 +81,9 @@ let default_cost g =
   | _ when Gate.is_two_qubit g || Gate.is_wide g -> 2
   | _ -> 1
 
-let slack_analysis ?(cost = default_cost) circuit =
+let slack_analysis ?(cost = default_cost) ?dag circuit =
   let n = Circuit.length circuit in
-  let dag = Dag.of_circuit circuit in
+  let dag = match dag with Some d -> d | None -> Dag.of_circuit circuit in
   let gate_cost = Array.init n (fun g -> cost (Circuit.gate circuit g)) in
   let finish =
     solve ~n ~direction:Forward ~edges:(Dag.preds dag) ~init:0

@@ -50,10 +50,14 @@ val default_cost : Qec_circuit.Gate.t -> int
     fixing a distance. *)
 
 val slack_analysis :
-  ?cost:(Qec_circuit.Gate.t -> int) -> Qec_circuit.Circuit.t -> slack array
+  ?cost:(Qec_circuit.Gate.t -> int) ->
+  ?dag:Qec_circuit.Dag.t ->
+  Qec_circuit.Circuit.t ->
+  slack array
 (** Forward earliest-finish plus backward tail longest-paths over the
     DAG; [slack = critical_length - (earliest_finish + tail - cost)].
-    [cost] defaults to {!default_cost}. *)
+    [cost] defaults to {!default_cost}. [dag] must be the circuit's DAG;
+    it is built when omitted. *)
 
 val critical_length : slack array -> int
 (** The longest-path length (0 for an empty circuit). *)

@@ -22,6 +22,9 @@ let timing = Qec_surface.Timing.make ~d:Qec_surface.Timing.default_d ()
 (* ------------------------------------------------------------------ *)
 (* windowed_tail                                                        *)
 
+let windowed_tail ~window c =
+  L.windowed_tail ~dag:(Qec_circuit.Dag.of_circuit c) ~window c
+
 let test_windowed_tail_known_answer () =
   (* g0 = CX(0,1) -> g1 = CX(1,2) -> g2 = CX(0,1): succs(g0) = {g1, g2}
      (via q1 and q0), succs(g1) = {g2}. Two-qubit cost is 2. *)
@@ -32,7 +35,7 @@ let test_windowed_tail_known_answer () =
     Alcotest.(check (array int))
       (Printf.sprintf "window %d" w)
       expected
-      (L.windowed_tail ~window:w c)
+      (windowed_tail ~window:w c)
   in
   check 0 [| 2; 2; 2 |];
   check 1 [| 4; 4; 2 |];
@@ -44,15 +47,15 @@ let test_windowed_tail_known_answer () =
 let test_windowed_tail_mixed_costs () =
   (* single-qubit gates cost 1: H(0) -> CX(0,1) gives H a tail of 3 *)
   let c = Circuit.create ~num_qubits:2 [ Gate.H 0; Gate.Cx (0, 1) ] in
-  Alcotest.(check (array int)) "window 0" [| 1; 2 |] (L.windowed_tail ~window:0 c);
-  Alcotest.(check (array int)) "window 1" [| 3; 2 |] (L.windowed_tail ~window:1 c)
+  Alcotest.(check (array int)) "window 0" [| 1; 2 |] (windowed_tail ~window:0 c);
+  Alcotest.(check (array int)) "window 1" [| 3; 2 |] (windowed_tail ~window:1 c)
 
 let test_windowed_tail_converges_to_dataflow () =
   List.iter
     (fun name ->
       let lowered = Decompose.to_scheduler_gates (B.Registry.build name) in
       let n = Circuit.length lowered in
-      let wt = L.windowed_tail ~window:n lowered in
+      let wt = windowed_tail ~window:n lowered in
       let sa = Dataflow.slack_analysis lowered in
       for i = 0 to n - 1 do
         check_int
@@ -65,7 +68,7 @@ let test_windowed_tail_rejects_negative () =
   let c = Circuit.create ~num_qubits:1 [ Gate.H 0 ] in
   Alcotest.check_raises "negative window"
     (Invalid_argument "Lookahead_scheduler.windowed_tail: window < 0")
-    (fun () -> ignore (L.windowed_tail ~window:(-1) c))
+    (fun () -> ignore (windowed_tail ~window:(-1) c))
 
 (* ------------------------------------------------------------------ *)
 (* window = 0 is the greedy braid schedule                              *)

@@ -109,7 +109,7 @@ let test_registry_complete () =
       "diff/backends"; "lookahead/never-worse";
       "engine/spec-identity";
       "engine/cache-identity"; "engine/batch-identity"; "qasm/roundtrip";
-      "lint/stable-codes"; "qasm/crash" ];
+      "lint/stable-codes"; "qasm/crash"; "qasm/stream" ];
   List.iter
     (fun n ->
       match Property.find n with

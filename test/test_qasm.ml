@@ -331,6 +331,59 @@ let prop_roundtrip =
       C.gates c = C.gates c')
 
 
+(* ------------------------------------------------------------------ *)
+(* Streaming: error precedence                                          *)
+
+(* The streaming front end must report what lexing the whole input, then
+   parsing it, then elaborating it reported: a lexer error anywhere beats
+   a syntax error, which beats an elaboration error. *)
+let list_pipeline src =
+  match Lexer.tokenize src with
+  | exception Lexer.Error { line; col; msg } ->
+    raise (Parser.Error { line; col; msg })
+  | toks -> Frontend.elaborate (Parser.parse_tokens toks)
+
+let expect_parse_error ~line ~col ~msg src =
+  List.iter
+    (fun (what, f) ->
+      match f src with
+      | exception Parser.Error e ->
+        Alcotest.(check (triple int int string))
+          what (line, col, msg) (e.line, e.col, e.msg)
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: no error" what)
+    [ ("stream", fun s -> Frontend.of_string s); ("list", list_pipeline) ]
+
+let test_stream_lexer_error_wins () =
+  expect_parse_error ~line:5 ~col:1 ~msg:"unexpected character '@'"
+    "OPENQASM 2.0;\nqreg q[2];\nh q[0]\nx q[1];\n@\n"
+
+let test_stream_syntax_error_wins () =
+  expect_parse_error ~line:4 ~col:1 ~msg:"expected ;"
+    "qreg q[2];\nfoo q[0];\nh q[1]\n"
+
+let test_stream_elaboration_error_position () =
+  let src = "OPENQASM 2.0;\nqreg q[2];\nh q[0];\nfoo q[1];\nx q[0];\n" in
+  List.iter
+    (fun (what, f) ->
+      match f src with
+      | exception Frontend.Unsupported { pos = Some p; msg } ->
+        Alcotest.(check (triple int int string))
+          what (4, 1, "unknown gate foo") (p.line, p.col, msg)
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: no error" what)
+    [ ("stream", fun s -> Frontend.of_string s); ("list", list_pipeline) ]
+
+let test_stream_iter_order () =
+  let seen = ref [] in
+  Parser.iter_string
+    (fun n -> seen := n.Ast.pos.line :: !seen)
+    "OPENQASM 2.0;\nqreg q[1];\n\nh q[0];";
+  Alcotest.(check (list int)) "statements in order" [ 1; 2; 4 ] (List.rev !seen);
+  let src = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[2];\ncx q[0],q[1];" in
+  check_bool "parse_string = parse_tokens" true
+    (Parser.parse_string src = Parser.parse_tokens (Lexer.tokenize src))
+
 (* Robustness: arbitrary input must either parse or raise Parser.Error —
    never escape with an unexpected exception. *)
 let printable_gen =
@@ -413,6 +466,17 @@ let () =
           Alcotest.test_case "nested user gates" `Quick test_elab_nested_user_gates;
           Alcotest.test_case "measure/reset" `Quick test_elab_measure_reset;
           Alcotest.test_case "errors" `Quick test_elab_errors;
+        ] );
+      ( "stream",
+        [
+          Alcotest.test_case "lexer error beats earlier syntax error" `Quick
+            test_stream_lexer_error_wins;
+          Alcotest.test_case "syntax error beats earlier unknown gate" `Quick
+            test_stream_syntax_error_wins;
+          Alcotest.test_case "elaboration error keeps its position" `Quick
+            test_stream_elaboration_error_position;
+          Alcotest.test_case "statements in source order" `Quick
+            test_stream_iter_order;
         ] );
       ( "fuzz",
         [
