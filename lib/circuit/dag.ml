@@ -132,26 +132,64 @@ module Frontier = struct
   (* Bitset-backed frontier: the ready set is one bit per gate, updated in
      place as gates complete. [ready]/[iter_ready] visit members in
      ascending id order — exactly [Int_set.elements] of the reference —
-     without the per-round tree rebalancing or list churn. *)
+     without the per-round tree rebalancing or list churn.
+
+     Every ready gate lies in the window [lo .. hi] (empty when hi < lo).
+     [complete] widens it to cover each gate it makes ready; a scan reads
+     only the bitset words under the window and shrinks it to the first
+     and last ready ids it visits. A deep, narrow circuit keeps a handful
+     of ready gates, so a round reads a few words instead of the whole
+     bitset. *)
   type nonrec t = {
     dag : dag;
     indegree : int array;
     ready_bits : Qec_util.Bitset.t;
+    mutable lo : int;
+    mutable hi : int;
     mutable left : int;
   }
+
+  let widen t i =
+    if i < t.lo then t.lo <- i;
+    if i > t.hi then t.hi <- i
 
   let create dag =
     let n = num_gates dag in
     let indegree = Array.init n (fun i -> List.length dag.preds.(i)) in
-    let ready_bits = Qec_util.Bitset.create n in
+    let t =
+      {
+        dag;
+        indegree;
+        ready_bits = Qec_util.Bitset.create n;
+        lo = max_int;
+        hi = -1;
+        left = n;
+      }
+    in
     for i = 0 to n - 1 do
-      if indegree.(i) = 0 then Qec_util.Bitset.add ready_bits i
+      if indegree.(i) = 0 then begin
+        Qec_util.Bitset.add t.ready_bits i;
+        widen t i
+      end
     done;
-    { dag; indegree; ready_bits; left = n }
+    t
 
-  let ready t = Qec_util.Bitset.to_list t.ready_bits
+  (* The window restarts empty and grows back over what the scan visits,
+     so a [complete] made from inside [f] still widens it correctly. *)
+  let iter_ready f t =
+    let lo = t.lo and hi = t.hi in
+    t.lo <- max_int;
+    t.hi <- -1;
+    Qec_util.Bitset.iter_range
+      (fun i ->
+        widen t i;
+        f i)
+      t.ready_bits ~lo ~hi
 
-  let iter_ready f t = Qec_util.Bitset.iter f t.ready_bits
+  let ready t =
+    let acc = ref [] in
+    iter_ready (fun i -> acc := i :: !acc) t;
+    List.rev !acc
 
   let complete t i =
     if not (Qec_util.Bitset.mem t.ready_bits i) then
@@ -161,7 +199,10 @@ module Frontier = struct
     List.iter
       (fun s ->
         t.indegree.(s) <- t.indegree.(s) - 1;
-        if t.indegree.(s) = 0 then Qec_util.Bitset.add t.ready_bits s)
+        if t.indegree.(s) = 0 then begin
+          Qec_util.Bitset.add t.ready_bits s;
+          widen t s
+        end)
       t.dag.succs.(i)
 
   let is_done t = t.left = 0

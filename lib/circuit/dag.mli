@@ -43,7 +43,15 @@ val two_qubit_layer_histogram : t -> (int * int) list
     Mutable ready-set tracking for round-based schedulers. The ready set
     is a bitset over gate ids, updated in place as gates complete; its
     observable behavior is pinned to {!Frontier.Reference} by differential
-    tests and the [sched/incremental-frontier] fuzz property. *)
+    tests and the [sched/incremental-frontier] fuzz property.
+
+    The frontier also keeps a window [lo .. hi] of gate ids outside which
+    no gate is ready. {!Frontier.complete} widens it to cover each gate it
+    makes ready; {!Frontier.iter_ready} and {!Frontier.ready} read only the
+    bitset words under it and shrink it to the lowest and highest ready
+    ids they visit. A scan therefore costs O(window words + ready gates),
+    not O(gates / 63): on a deep, narrow circuit the window spans the few
+    gates in flight, wherever they sit in the program. *)
 
 module Frontier : sig
   type dag := t
@@ -56,7 +64,8 @@ module Frontier : sig
   (** Ids of gates whose predecessors have all completed, ascending. *)
 
   val iter_ready : (int -> unit) -> t -> unit
-  (** Visit ready gate ids in ascending order without building a list. *)
+  (** Visit ready gate ids in ascending order without building a list.
+      O(window words + ready gates). *)
 
   val complete : t -> int -> unit
   (** Mark a ready gate as executed, unlocking successors. Raises

@@ -76,7 +76,9 @@ end
 
 type t = {
   tasks : Task.t array; (* dense index -> task, in build order *)
-  idx_of : (int, int) Hashtbl.t; (* task id -> dense index *)
+  idx_of : (int, int) Hashtbl.t Lazy.t;
+      (* task id -> dense index; built on the first lookup by id, so the
+         stack finder's index-only peel never builds it *)
   adj : int array; (* n rows x words_per_row adjacency bit words *)
   deg : int array; (* maintained under removal *)
   present : bool array;
@@ -87,15 +89,19 @@ type t = {
 
 let bits_per_word = 63
 
-let build placement tasks =
-  let arr = Array.of_list tasks in
+let of_boxes arr boxes =
   let n = Array.length arr in
+  if Array.length boxes <> n then
+    invalid_arg "Interference.of_boxes: length mismatch";
   let wpr = max 1 ((n + bits_per_word - 1) / bits_per_word) in
-  let idx_of = Hashtbl.create (max 16 (2 * n)) in
-  Array.iteri (fun i (t : Task.t) -> Hashtbl.replace idx_of t.id i) arr;
+  let idx_of =
+    lazy
+      (let tbl = Hashtbl.create (max 16 (2 * n)) in
+       Array.iteri (fun i (t : Task.t) -> Hashtbl.replace tbl t.id i) arr;
+       tbl)
+  in
   let adj = Array.make (n * wpr) 0 in
   let deg = Array.make n 0 in
-  let boxes = Array.map (fun t -> Task.bbox placement t) arr in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
       if Qec_lattice.Bbox.intersects boxes.(i) boxes.(j) then begin
@@ -119,20 +125,26 @@ let build placement tasks =
     original = n;
   }
 
+let build placement tasks =
+  let arr = Array.of_list tasks in
+  of_boxes arr (Array.map (fun t -> Task.bbox placement t) arr)
+
 let original_count t = t.original
 let node_count t = t.live
 
 let find_idx t id =
-  match Hashtbl.find_opt t.idx_of id with
+  match Hashtbl.find_opt (Lazy.force t.idx_of) id with
   | Some i when t.present.(i) -> i
   | Some _ | None -> raise Not_found
 
 let mem t id =
-  match Hashtbl.find_opt t.idx_of id with
+  match Hashtbl.find_opt (Lazy.force t.idx_of) id with
   | Some i -> t.present.(i)
   | None -> false
 
 let degree t id = t.deg.(find_idx t id)
+let present_at t i = t.present.(i)
+let degree_at t i = t.deg.(i)
 
 (* Dense build order is the caller's task-list order, not necessarily
    ascending by id, so anything returning task lists sorts explicitly to
@@ -183,8 +195,8 @@ let neighbors t id =
   iter_adjacent t i (fun j -> acc := t.tasks.(j) :: !acc);
   List.sort by_id !acc
 
-let remove t id =
-  let i = find_idx t id in
+let remove_at t i =
+  if not t.present.(i) then invalid_arg "Interference.remove_at: absent";
   let ibit = 1 lsl (i mod bits_per_word) and iw = i / bits_per_word in
   iter_adjacent t i (fun j ->
       let wj = (j * t.wpr) + iw in
@@ -194,3 +206,5 @@ let remove t id =
   t.deg.(i) <- 0;
   t.present.(i) <- false;
   t.live <- t.live - 1
+
+let remove t id = remove_at t (find_idx t id)

@@ -15,6 +15,11 @@ type t
 
 val build : Qec_lattice.Placement.t -> Task.t list -> t
 
+val of_boxes : Task.t array -> Qec_lattice.Bbox.t array -> t
+(** [build] over boxes the caller already holds: [boxes.(i)] is the
+    bounding box of [tasks.(i)], and [i] is that node's dense index for
+    the [_at] functions below. *)
+
 val original_count : t -> int
 (** Nodes at build time (the denominator of the scheduling ratio). *)
 
@@ -41,6 +46,20 @@ val remove : t -> int -> unit
     Raises [Not_found] if absent. *)
 
 val mem : t -> int -> bool
+
+(** {2 By dense index}
+
+    Node [i] is the [i]-th task given to {!build} or {!of_boxes}. These
+    never look a task id up, so a caller that works only through them
+    (the stack finder's peel) builds no id table. *)
+
+val present_at : t -> int -> bool
+
+val degree_at : t -> int -> int
+(** Current degree of node [i]; 0 once removed. *)
+
+val remove_at : t -> int -> unit
+(** {!remove} by dense index. Raises [Invalid_argument] if absent. *)
 
 (** The pre-rewrite hashtable-of-sets implementation, kept as the
     differential-testing oracle for the packed representation (see

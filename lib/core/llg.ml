@@ -17,18 +17,17 @@ type partition = {
   y1 : int array;
 }
 
-let partition placement arr =
-  let boxes = Array.map (fun t -> Task.bbox placement t) arr in
+let partition (boxes : Bbox.t array) =
   let p =
     {
-      indices = Array.mapi (fun i _ -> [ i ]) arr;
+      indices = Array.mapi (fun i _ -> [ i ]) boxes;
       x0 = Array.map (fun (b : Bbox.t) -> b.x0) boxes;
       y0 = Array.map (fun (b : Bbox.t) -> b.y0) boxes;
       x1 = Array.map (fun (b : Bbox.t) -> b.x1) boxes;
       y1 = Array.map (fun (b : Bbox.t) -> b.y1) boxes;
     }
   in
-  let n = Array.length arr in
+  let n = Array.length boxes in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -55,9 +54,14 @@ let partition placement arr =
   done;
   p
 
+let boxes_of placement arr = Array.map (fun t -> Task.bbox placement t) arr
+
+let joint_box p g =
+  Bbox.make ~x0:p.x0.(g) ~y0:p.y0.(g) ~x1:p.x1.(g) ~y1:p.y1.(g)
+
 let decompose placement tasks =
   let arr = Array.of_list tasks in
-  let p = partition placement arr in
+  let p = partition (boxes_of placement arr) in
   let groups = ref [] in
   for g = Array.length arr - 1 downto 0 do
     if p.indices.(g) <> [] then begin
@@ -65,10 +69,7 @@ let decompose placement tasks =
         List.map (fun i -> arr.(i)) p.indices.(g)
         |> List.sort (fun (a : Task.t) b -> compare a.id b.id)
       in
-      let bbox =
-        Bbox.make ~x0:p.x0.(g) ~y0:p.y0.(g) ~x1:p.x1.(g) ~y1:p.y1.(g)
-      in
-      groups := { members; bbox } :: !groups
+      groups := { members; bbox = joint_box p g } :: !groups
     end
   done;
   List.sort
@@ -78,22 +79,39 @@ let decompose placement tasks =
 
 let size g = List.length g.members
 
-let is_strictly_nested placement g =
-  let boxes =
-    List.map (fun t -> Task.bbox placement t) g.members
-    |> List.sort (fun a b -> compare (Bbox.area b) (Bbox.area a))
-  in
+(* Strict nesting admits no two boxes of equal area, so the order of
+   equal-area boxes after the sort cannot change the verdict. *)
+let nested_chain boxes =
   let rec chain = function
     | a :: (b :: _ as rest) ->
       Bbox.strictly_nests ~outer:a ~inner:b && chain rest
     | [ _ ] | [] -> true
   in
-  chain boxes
+  chain (List.sort (fun a b -> compare (Bbox.area b) (Bbox.area a)) boxes)
+
+let is_strictly_nested placement g =
+  nested_chain (List.map (fun t -> Task.bbox placement t) g.members)
 
 let is_guaranteed placement g = size g <= 3 || is_strictly_nested placement g
 
+let confinement boxes =
+  let p = partition boxes in
+  let out = Array.make (Array.length boxes) None in
+  Array.iteri
+    (fun g members ->
+      if
+        members <> []
+        && (List.compare_length_with members 3 <= 0
+           || nested_chain (List.map (fun i -> boxes.(i)) members))
+      then begin
+        let box = Some (joint_box p g) in
+        List.iter (fun i -> out.(i) <- box) members
+      end)
+    p.indices;
+  out
+
 let count_oversize placement tasks =
-  let p = partition placement (Array.of_list tasks) in
+  let p = partition (boxes_of placement (Array.of_list tasks)) in
   Array.fold_left
     (fun acc ms -> if List.compare_length_with ms 3 > 0 then acc + 1 else acc)
     0 p.indices

@@ -33,6 +33,14 @@ val is_strictly_nested : Qec_lattice.Placement.t -> group -> bool
 val is_guaranteed : Qec_lattice.Placement.t -> group -> bool
 (** Satisfies Theorem 1 (size ≤ 3) or Theorem 2 (strictly nested). *)
 
+val confinement : Qec_lattice.Bbox.t array -> Qec_lattice.Bbox.t option array
+(** [confinement boxes], where [boxes.(i)] is the bounding box of the
+    round's [i]-th task: entry [i] is the joint box of that task's LLG
+    when the LLG is guaranteed (Theorem 1 or 2), [None] otherwise. The
+    same partition and verdicts as {!decompose} and {!is_guaranteed},
+    computed from the boxes alone. In a round of at most 3 tasks every
+    LLG has size <= 3, so every entry is [Some]. *)
+
 val count_oversize : Qec_lattice.Placement.t -> Task.t list -> int
 (** Number of groups with size > 3 — the Table 1 statistic
     ("# of LLG's (size > 3)"). *)

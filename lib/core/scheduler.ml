@@ -119,7 +119,9 @@ let prepare options circuit =
      over an override never pay), the DAG by the anneal or here, after
      the placement, so it is not in memory while [Embed] runs. *)
   let dag = lazy (Tel.timed "dag.build" (fun () -> Dag.of_circuit circuit)) in
-  let coupling = lazy (Coupling.of_circuit circuit) in
+  let coupling =
+    lazy (Tel.timed "coupling.build" (fun () -> Coupling.of_circuit circuit))
+  in
   let placement =
     match options.placement_override with
     | Some p ->

@@ -67,8 +67,6 @@ let load_circuit spec =
       else Qec_qasm.Frontend.of_file file
     with
     | c -> Ok c
-    | exception Qec_qasm.Lexer.Error { line; col; msg } ->
-      err "parse" "%s:%d:%d: %s" file line col msg
     | exception Qec_qasm.Parser.Error { line; col; msg } ->
       err "parse" "%s:%d:%d: %s" file line col msg
     | exception Qec_qasm.Frontend.Unsupported { pos = Some { line; col }; msg }

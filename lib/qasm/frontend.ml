@@ -22,16 +22,18 @@ let builder env =
   | Some b -> b
   | None -> unsupported "gate application before any qreg declaration"
 
+let resolve_index env reg i =
+  match Hashtbl.find_opt env.qregs reg with
+  | None -> unsupported "unknown quantum register %s" reg
+  | Some (off, size) ->
+    if i < 0 || i >= size then
+      unsupported "index %d out of range for qreg %s[%d]" i reg size;
+    off + i
+
 (* Resolve an argument to the list of flat qubit indices it denotes:
    one for Indexed, the whole register for Whole. *)
 let resolve_arg env = function
-  | Ast.Indexed (reg, i) -> (
-    match Hashtbl.find_opt env.qregs reg with
-    | None -> unsupported "unknown quantum register %s" reg
-    | Some (off, size) ->
-      if i < 0 || i >= size then
-        unsupported "index %d out of range for qreg %s[%d]" i reg size;
-      [ off + i ])
+  | Ast.Indexed (reg, i) -> [ resolve_index env reg i ]
   | Ast.Whole reg -> (
     match Hashtbl.find_opt env.qregs reg with
     | None -> unsupported "unknown quantum register %s" reg
@@ -58,51 +60,95 @@ let broadcast operand_lists =
         (fun l -> match l with [ q ] -> q | _ -> List.nth l i)
         operand_lists)
 
-let apply_builtin env gname (ps : float list) (qs : int list) =
-  let b = builder env in
-  let add = C.Builder.add b in
+let add env g = C.Builder.add (builder env) g
+let bad_arity gname = unsupported "%s: wrong operand count" gname
+let one env gname f = function [ q ] -> add env (f q) | _ -> bad_arity gname
+
+let two env gname f = function
+  | [ a; b ] -> add env (f a b)
+  | _ -> bad_arity gname
+
+(* Apply a (possibly user-declared) gate to concrete qubits with concrete
+   parameter values. One match on the name both recognises a built-in
+   and applies it; any other name is a user gate, which expands
+   recursively (QASM guarantees bodies reference only earlier
+   declarations, so this terminates). Built-in names win over a user
+   declaration of the same name. *)
+let rec apply_gate env gname (ps : float list) (qs : int list) =
   let p i = List.nth ps i in
-  let bad_arity () = unsupported "%s: wrong operand count" gname in
-  let bad_params () = unsupported "%s: wrong parameter count" gname in
-  let one f = match qs with [ q ] -> add (f q) | _ -> bad_arity () in
-  let two f = match qs with [ a; b' ] -> add (f a b') | _ -> bad_arity () in
   match (gname, List.length ps) with
-  | "h", 0 -> one (fun q -> G.H q)
-  | "x", 0 -> one (fun q -> G.X q)
-  | "y", 0 -> one (fun q -> G.Y q)
-  | "z", 0 -> one (fun q -> G.Z q)
-  | "s", 0 -> one (fun q -> G.S q)
-  | "sdg", 0 -> one (fun q -> G.Sdg q)
-  | "t", 0 -> one (fun q -> G.T q)
-  | "tdg", 0 -> one (fun q -> G.Tdg q)
-  | "id", 0 -> ( match qs with [ _ ] -> () | _ -> bad_arity ())
-  | "sx", 0 -> one (fun q -> G.Rx (q, Float.pi /. 2.))
-  | "sxdg", 0 -> one (fun q -> G.Rx (q, -.Float.pi /. 2.))
-  | "rx", 1 -> one (fun q -> G.Rx (q, p 0))
-  | "ry", 1 -> one (fun q -> G.Ry (q, p 0))
-  | "rz", 1 -> one (fun q -> G.Rz (q, p 0))
-  | ("p" | "u1"), 1 -> one (fun q -> G.Rz (q, p 0))
-  | "u2", 2 -> one (fun q -> G.U3 (q, Float.pi /. 2., p 0, p 1))
-  | ("u3" | "u" | "U"), 3 -> one (fun q -> G.U3 (q, p 0, p 1, p 2))
-  | ("cx" | "CX"), 0 -> two (fun a b' -> G.Cx (a, b'))
-  | "cz", 0 -> two (fun a b' -> G.Cz (a, b'))
-  | ("cp" | "cu1" | "crz"), 1 -> two (fun a b' -> G.Cphase (a, b', p 0))
-  | "swap", 0 -> two (fun a b' -> G.Swap (a, b'))
+  | "h", 0 -> one env gname (fun q -> G.H q) qs
+  | "x", 0 -> one env gname (fun q -> G.X q) qs
+  | "y", 0 -> one env gname (fun q -> G.Y q) qs
+  | "z", 0 -> one env gname (fun q -> G.Z q) qs
+  | "s", 0 -> one env gname (fun q -> G.S q) qs
+  | "sdg", 0 -> one env gname (fun q -> G.Sdg q) qs
+  | "t", 0 -> one env gname (fun q -> G.T q) qs
+  | "tdg", 0 -> one env gname (fun q -> G.Tdg q) qs
+  | "id", 0 -> ( match qs with [ _ ] -> () | _ -> bad_arity gname)
+  | "sx", 0 -> one env gname (fun q -> G.Rx (q, Float.pi /. 2.)) qs
+  | "sxdg", 0 -> one env gname (fun q -> G.Rx (q, -.Float.pi /. 2.)) qs
+  | "rx", 1 -> one env gname (fun q -> G.Rx (q, p 0)) qs
+  | "ry", 1 -> one env gname (fun q -> G.Ry (q, p 0)) qs
+  | "rz", 1 -> one env gname (fun q -> G.Rz (q, p 0)) qs
+  | ("p" | "u1"), 1 -> one env gname (fun q -> G.Rz (q, p 0)) qs
+  | "u2", 2 -> one env gname (fun q -> G.U3 (q, Float.pi /. 2., p 0, p 1)) qs
+  | ("u3" | "u" | "U"), 3 ->
+    one env gname (fun q -> G.U3 (q, p 0, p 1, p 2)) qs
+  | ("cx" | "CX"), 0 -> two env gname (fun a b -> G.Cx (a, b)) qs
+  | "cz", 0 -> two env gname (fun a b -> G.Cz (a, b)) qs
+  | ("cp" | "cu1" | "crz"), 1 ->
+    two env gname (fun a b -> G.Cphase (a, b, p 0)) qs
+  | "swap", 0 -> two env gname (fun a b -> G.Swap (a, b)) qs
   | "ccx", 0 -> (
-    match qs with [ a; b'; c ] -> add (G.Ccx (a, b', c)) | _ -> bad_arity ())
+    match qs with
+    | [ a; b; c ] -> add env (G.Ccx (a, b, c))
+    | _ -> bad_arity gname)
   | "cswap", 0 -> (
     match qs with
     | [ c; x; y ] ->
-      add (G.Ccx (c, x, y));
-      add (G.Ccx (c, y, x));
-      add (G.Ccx (c, x, y))
-    | _ -> bad_arity ())
+      add env (G.Ccx (c, x, y));
+      add env (G.Ccx (c, y, x));
+      add env (G.Ccx (c, x, y))
+    | _ -> bad_arity gname)
   | ( ( "h" | "x" | "y" | "z" | "s" | "sdg" | "t" | "tdg" | "id" | "sx"
       | "sxdg" | "rx" | "ry" | "rz" | "p" | "u1" | "u2" | "u3" | "u" | "U"
       | "cx" | "CX" | "cz" | "cp" | "cu1" | "crz" | "swap" | "ccx" | "cswap" ),
       _ ) ->
-    bad_params ()
-  | _ -> unsupported "unknown gate %s" gname
+    unsupported "%s: wrong parameter count" gname
+  | _ -> apply_user_gate env gname ps qs
+
+and apply_user_gate env gname ps qs =
+  match Hashtbl.find_opt env.decls gname with
+  | None -> unsupported "unknown gate %s" gname
+  | Some d ->
+    if List.length ps <> List.length d.params then
+      unsupported "%s: expected %d parameters" gname (List.length d.params);
+    if List.length qs <> List.length d.formals then
+      unsupported "%s: expected %d operands" gname (List.length d.formals);
+    let param_env name =
+      match List.combine d.params ps |> List.assoc_opt name with
+      | Some v -> v
+      | None -> unsupported "%s: unknown parameter %s" gname name
+    in
+    let qubit_of_formal f =
+      match List.combine d.formals qs |> List.assoc_opt f with
+      | Some q -> q
+      | None -> unsupported "%s: unknown formal operand %s" gname f
+    in
+    List.iter
+      (fun (app : Ast.gate_app) ->
+        let ps' = List.map (Ast.eval_expr param_env) app.gparams in
+        let qs' =
+          List.map
+            (function
+              | Ast.Whole f -> qubit_of_formal f
+              | Ast.Indexed _ ->
+                unsupported "%s: indexing inside gate body" gname)
+            app.gargs
+        in
+        apply_gate env app.gname ps' qs')
+      d.body
 
 let builtin_signature = function
   | "h" | "x" | "y" | "z" | "s" | "sdg" | "t" | "tdg" | "id" | "sx" | "sxdg" ->
@@ -117,49 +163,25 @@ let builtin_signature = function
 
 let is_builtin name = builtin_signature name <> None
 
-(* Apply a (possibly user-declared) gate to concrete qubits with concrete
-   parameter values. User gates expand recursively; QASM guarantees bodies
-   reference only earlier declarations, so this terminates. *)
-let rec apply_gate env gname (ps : float list) (qs : int list) =
-  if is_builtin gname then apply_builtin env gname ps qs
-  else
-    match Hashtbl.find_opt env.decls gname with
-    | None -> unsupported "unknown gate %s" gname
-    | Some d ->
-      if List.length ps <> List.length d.params then
-        unsupported "%s: expected %d parameters" gname (List.length d.params);
-      if List.length qs <> List.length d.formals then
-        unsupported "%s: expected %d operands" gname (List.length d.formals);
-      let param_env name =
-        match List.combine d.params ps |> List.assoc_opt name with
-        | Some v -> v
-        | None -> unsupported "%s: unknown parameter %s" gname name
-      in
-      let qubit_of_formal f =
-        match List.combine d.formals qs |> List.assoc_opt f with
-        | Some q -> q
-        | None -> unsupported "%s: unknown formal operand %s" gname f
-      in
-      List.iter
-        (fun (app : Ast.gate_app) ->
-          let ps' = List.map (Ast.eval_expr param_env) app.gparams in
-          let qs' =
-            List.map
-              (function
-                | Ast.Whole f -> qubit_of_formal f
-                | Ast.Indexed _ ->
-                  unsupported "%s: indexing inside gate body" gname)
-              app.gargs
-          in
-          apply_gate env app.gname ps' qs')
-        d.body
-
 let no_params name = fun (_ : string) -> unsupported "%s: free parameter" name
+
+let is_indexed = function Ast.Indexed _ -> true | Ast.Whole _ -> false
 
 let elaborate_app env (app : Ast.gate_app) =
   let ps = List.map (Ast.eval_expr (no_params app.gname)) app.gparams in
-  let operand_lists = List.map (resolve_arg env) app.gargs in
-  List.iter (fun qs -> apply_gate env app.gname ps qs) (broadcast operand_lists)
+  if List.for_all is_indexed app.gargs then
+    (* Every operand is one qubit: nothing to broadcast. *)
+    apply_gate env app.gname ps
+      (List.map
+         (function
+           | Ast.Indexed (reg, i) -> resolve_index env reg i
+           | Ast.Whole _ -> assert false (* excluded just above *))
+         app.gargs)
+  else
+    let operand_lists = List.map (resolve_arg env) app.gargs in
+    List.iter
+      (fun qs -> apply_gate env app.gname ps qs)
+      (broadcast operand_lists)
 
 let create_env name =
   {

@@ -64,15 +64,25 @@ let popcount w =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
-let iter f t =
-  for wi = 0 to Array.length t.words - 1 do
-    let w = ref t.words.(wi) in
-    while !w <> 0 do
-      let b = !w land - !w in
-      f ((wi * 63) + ntz b);
-      w := !w land lnot b
+(* Only the words covering [lo .. hi] are read; the bits of the two end
+   words that fall outside the range are masked off. *)
+let iter_range f t ~lo ~hi =
+  let lo = max lo 0 and hi = min hi (t.cap - 1) in
+  if lo <= hi then begin
+    let wlo = lo / 63 and whi = hi / 63 in
+    for wi = wlo to whi do
+      let w = ref t.words.(wi) in
+      if wi = wlo then w := !w land (-1 lsl (lo mod 63));
+      if wi = whi then w := !w land (-1 lsr (62 - (hi mod 63)));
+      while !w <> 0 do
+        let b = !w land - !w in
+        f ((wi * 63) + ntz b);
+        w := !w land lnot b
+      done
     done
-  done
+  end
+
+let iter f t = iter_range f t ~lo:0 ~hi:(t.cap - 1)
 
 let union_into ~dst src =
   if dst.cap <> src.cap then invalid_arg "Bitset.union_into: capacity mismatch";

@@ -1,8 +1,9 @@
 (** Fixed-capacity bitset over [0 .. capacity-1].
 
-    Backs the routing-grid occupancy map: one bit per channel vertex.
-    Operations are O(1) except [cardinal]/[iter]/[union] which are
-    O(capacity/64). *)
+    Backs the routing-grid occupancy map (one bit per channel vertex) and
+    the DAG frontier's ready set (one bit per gate). Operations are O(1)
+    except [cardinal]/[iter]/[union], which are O(capacity/63), and
+    [iter_range], which reads only the words covering its range. *)
 
 type t
 
@@ -27,6 +28,12 @@ val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
 (** Visit members in ascending order. *)
+
+val iter_range : (int -> unit) -> t -> lo:int -> hi:int -> unit
+(** [iter_range f t ~lo ~hi] visits the members [i] with [lo <= i <= hi]
+    in ascending order, reading only the words that cover the range:
+    O((hi - lo) / 63 + visited). The range is clipped to
+    [0 .. capacity-1]; an empty range ([hi < lo]) visits nothing. *)
 
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst src] adds every member of [src] to [dst]. The two sets

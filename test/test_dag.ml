@@ -190,6 +190,83 @@ let prop_frontier_matches_reference =
       done;
       !ok)
 
+(* The ready window on circuits wider than three 63-bit bitset words.
+   Each circuit is a random block on [n] qubits, a gather chain CX(q, 0)
+   for every q >= 2, a neck of at least 63 CX(0, 1), a scatter chain
+   CX(0, q) for every q >= 2, and a random tail. Gather and scatter tie
+   every other qubit to q0 on both sides of the neck, so inside the neck
+   the ready set is a single gate: completing it empties the bitset, and
+   its successor refills it above the window's top. The neck covers a
+   whole word, so one such successor sits in a higher word. After every
+   [complete], [iter_ready] and [ready] must agree with the reference;
+   the property also checks that both window events really happened. *)
+let wide_circuit_gen =
+  QCheck.Gen.(
+    let random_block n len =
+      list_repeat len
+        (let* a = int_range 0 (n - 1) in
+         let* b = int_range 0 (n - 1) in
+         let* k = int_range 0 2 in
+         return
+           (match k with
+           | 0 -> G.H a
+           | 1 when a <> b -> G.Cx (a, b)
+           | _ -> G.T a))
+    in
+    let* n = int_range 3 6 in
+    let* head = int_range 100 160 >>= random_block n in
+    let* neck = int_range 63 90 in
+    let* tail = int_range 30 80 >>= random_block n in
+    let gather = List.init (n - 2) (fun i -> G.Cx (i + 2, 0)) in
+    let scatter = List.init (n - 2) (fun i -> G.Cx (0, i + 2)) in
+    return
+      (C.create ~num_qubits:n
+         (head @ gather
+         @ List.init neck (fun _ -> G.Cx (0, 1))
+         @ scatter @ tail)))
+
+let prop_wide_frontier_window =
+  QCheck.Test.make ~name:"windowed frontier = reference (> 3 words)"
+    ~count:100
+    QCheck.(pair (make wide_circuit_gen) (list small_nat))
+    (fun (c, picks) ->
+      let d = Dag.of_circuit c in
+      let f = Dag.Frontier.create d in
+      let r = Dag.Frontier.Reference.create d in
+      let iterated () =
+        let acc = ref [] in
+        Dag.Frontier.iter_ready (fun i -> acc := i :: !acc) f;
+        List.rev !acc
+      in
+      let agrees () =
+        let expect = Dag.Frontier.Reference.ready r in
+        iterated () = expect && Dag.Frontier.ready f = expect
+      in
+      let picks = ref picks in
+      let next_pick n =
+        match !picks with
+        | p :: rest ->
+          picks := rest;
+          p mod n
+        | [] -> 0
+      in
+      let above_top = ref false and refilled_higher_word = ref false in
+      let ok = ref (C.length c > 3 * 63 && agrees ()) in
+      while !ok && not (Dag.Frontier.is_done f) do
+        let before = Dag.Frontier.Reference.ready r in
+        let top = List.fold_left max (-1) before in
+        let g = List.nth before (next_pick (List.length before)) in
+        Dag.Frontier.complete f g;
+        Dag.Frontier.Reference.complete r g;
+        let after = Dag.Frontier.Reference.ready r in
+        if List.exists (fun i -> i > top) after then above_top := true;
+        if before = [ g ] && List.exists (fun i -> i / 63 > g / 63) after
+        then refilled_higher_word := true;
+        ok := agrees ()
+      done;
+      !ok && !above_top && !refilled_higher_word
+      && iterated () = [] && Dag.Frontier.ready f = [])
+
 let prop_critical_path_bounds =
   QCheck.Test.make ~name:"depth <= CP <= sum of costs" ~count:200
     arbitrary_circuit (fun c ->
@@ -220,6 +297,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_frontier_schedules_all;
           QCheck_alcotest.to_alcotest prop_frontier_respects_program_order;
           QCheck_alcotest.to_alcotest prop_frontier_matches_reference;
+          QCheck_alcotest.to_alcotest prop_wide_frontier_window;
           QCheck_alcotest.to_alcotest prop_critical_path_bounds;
         ] );
     ]

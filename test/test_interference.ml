@@ -193,6 +193,49 @@ let prop_matches_legacy =
              same ())
            removals)
 
+(* The dense-index API over [of_boxes] (what the stack finder's peel
+   uses) tracks the legacy graph under removals. Tasks are given in
+   reverse id order so that a node's index is not its id. *)
+let prop_index_api_matches_legacy =
+  QCheck.Test.make ~name:"of_boxes + index API = legacy graph" ~count:200
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 1 10)
+           (pair (pair (int_bound 7) (int_bound 7))
+              (pair (int_bound 7) (int_bound 7))))
+        (list_of_size (Gen.int_range 0 10) (int_bound 9)))
+    (fun (coords, removals) ->
+      let flat =
+        List.concat_map (fun ((a, b), (c, d)) -> [ (a, b); (c, d) ]) coords
+      in
+      let distinct = List.sort_uniq compare flat in
+      QCheck.assume (List.length distinct = List.length flat);
+      let p = placement_at 8 flat in
+      let k = List.length coords in
+      let arr = Array.of_list (List.rev (tasks k)) in
+      let ig = I.of_boxes arr (Array.map (Task.bbox p) arr) in
+      let lg = I.Legacy.build p (tasks k) in
+      let same () =
+        I.max_degree ig = I.Legacy.max_degree lg
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun j (t : Task.t) ->
+                  let present = I.Legacy.mem lg t.id in
+                  I.present_at ig j = present
+                  && I.degree_at ig j
+                     = if present then I.Legacy.degree lg t.id else 0)
+                arr)
+      in
+      same ()
+      && List.for_all
+           (fun i ->
+             if i < k && I.Legacy.mem lg i then begin
+               I.remove_at ig (k - 1 - i);
+               I.Legacy.remove lg i
+             end;
+             same ())
+           removals)
+
 let () =
   Alcotest.run "interference"
     [
@@ -211,5 +254,6 @@ let () =
           Alcotest.test_case "peel sequence: packed = legacy" `Quick
             test_differential_removals;
           QCheck_alcotest.to_alcotest prop_matches_legacy;
+          QCheck_alcotest.to_alcotest prop_index_api_matches_legacy;
         ] );
     ]

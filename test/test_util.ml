@@ -284,6 +284,35 @@ let prop_bitset_model =
       let expected = Hashtbl.fold (fun k () acc -> k :: acc) model [] in
       List.sort compare expected = Bitset.to_list b)
 
+(* [iter_range] is [iter] filtered to the range, clipped to the capacity;
+   ranges start and end on and off the 63-bit word boundaries. *)
+let prop_bitset_iter_range =
+  QCheck.Test.make ~name:"Bitset.iter_range = filtered iter" ~count:300
+    QCheck.(
+      triple (list (int_bound 199)) (int_range (-5) 205) (int_range (-5) 205))
+    (fun (members, lo, hi) ->
+      let b = Bitset.create 200 in
+      List.iter (Bitset.add b) members;
+      let got = ref [] in
+      Bitset.iter_range (fun i -> got := i :: !got) b ~lo ~hi;
+      List.rev !got
+      = List.filter (fun i -> lo <= i && i <= hi) (Bitset.to_list b))
+
+let test_bitset_iter_range_word_edges () =
+  let b = Bitset.create 190 in
+  List.iter (Bitset.add b) [ 0; 62; 63; 125; 126; 189 ];
+  let range lo hi =
+    let acc = ref [] in
+    Bitset.iter_range (fun i -> acc := i :: !acc) b ~lo ~hi;
+    List.rev !acc
+  in
+  let check = Alcotest.(check (list int)) in
+  check "one word, top bit" [ 62 ] (range 62 62);
+  check "across a boundary" [ 62; 63 ] (range 62 63);
+  check "inner words" [ 63; 125; 126 ] (range 63 188);
+  check "last bit" [ 189 ] (range 189 189);
+  check "empty range" [] (range 100 99)
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                                *)
 
@@ -514,6 +543,9 @@ let () =
           Alcotest.test_case "union/inter" `Quick test_bitset_union_inter;
           Alcotest.test_case "clear/copy" `Quick test_bitset_clear_copy;
           QCheck_alcotest.to_alcotest prop_bitset_model;
+          QCheck_alcotest.to_alcotest prop_bitset_iter_range;
+          Alcotest.test_case "iter_range word edges" `Quick
+            test_bitset_iter_range_word_edges;
         ] );
       ( "stats",
         [
