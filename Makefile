@@ -151,6 +151,8 @@ profile-smoke: build
 		|| { echo "profile-smoke: missing phases"; exit 1; }; \
 	grep -q '"embed"' "$$out" \
 		|| { echo "profile-smoke: missing embed phase"; exit 1; }; \
+	grep -q '"stack_finder.first_pass"' "$$out" \
+		|| { echo "profile-smoke: missing stack_finder.first_pass timer"; exit 1; }; \
 	grep -q '"traceEvents"' "$$trace" \
 		|| { echo "profile-smoke: missing traceEvents"; exit 1; }; \
 	if command -v jq >/dev/null 2>&1; then \

@@ -11,11 +11,12 @@ type outcome = {
 }
 
 (* Route each task in the given order with its optional confinement box,
-   reserving successful paths. *)
-let route_planned router occ placement order =
-  let routed = ref [] and failed = ref [] in
-  List.iter
-    (fun ((task : Task.t), bounds) ->
+   reserving successful paths. With [max_failed], stop before the next
+   task once that many have failed: the rest are neither routed nor
+   reported. *)
+let route_planned ?(max_failed = max_int) router occ placement order =
+  let rec go routed failed n_failed = function
+    | ((task : Task.t), bounds) :: rest when n_failed < max_failed -> (
       let src_cell, dst_cell = Task.cells placement task in
       (* A bounded search that fails falls back to the whole lattice: the
          confinement of Theorems 1-2 is an optimization, not a rule. *)
@@ -29,13 +30,16 @@ let route_planned router occ placement order =
                attempt None
              | None -> None)
       with
-      | Some p -> routed := (task, p) :: !routed
-      | None -> failed := task :: !failed)
-    order;
-  (List.rev !routed, List.rev !failed)
+      | Some p -> go ((task, p) :: routed) failed n_failed rest
+      | None -> go routed (task :: failed) (n_failed + 1) rest)
+    | _ -> (List.rev routed, List.rev failed)
+  in
+  go [] [] 0 order
+
+let unconfined order = List.map (fun t -> (t, None)) order
 
 let route_in_order router occ placement order =
-  route_planned router occ placement (List.map (fun t -> (t, None)) order)
+  route_planned router occ placement (unconfined order)
 
 (* Pre-rewrite ordering kept verbatim as the differential oracle for
    [planned_order] below (see test_stack_finder.ml): it re-derives every
@@ -171,14 +175,19 @@ let find ?(retry = true) ?(confine_llg = false) ?priority_of router occ
       if retry && failed <> [] then
         Tel.timed "stack_finder.retry" (fun () ->
             (* Failed-first retry: release our paths and try again with the
-               blocked gates routed before everything else. *)
+               blocked gates routed before everything else. It wins only
+               with strictly fewer failures (the same gates, so strictly
+               more routed), so it stops as soon as its failures reach the
+               first pass's: the rest of it could not win. *)
             Tel.count "stack_finder.retry_rounds";
             List.iter (fun (_, p) -> Occupancy.release_path occ p) routed;
             let retry_order = failed @ List.map fst routed in
+            let n_failed = List.length failed in
             let routed', failed' =
-              route_in_order router occ placement retry_order
+              route_planned ~max_failed:n_failed router occ placement
+                (unconfined retry_order)
             in
-            if List.length routed' > List.length routed then begin
+            if List.length failed' < n_failed then begin
               Tel.count "stack_finder.retry_wins";
               (routed', failed')
             end

@@ -17,7 +17,11 @@
     On top of Fig. 13 we add one {e failed-first retry}: if some gates
     could not be routed, the whole round is re-routed once with the failed
     gates first (the Fig. 8 situation — search order, not capacity, was the
-    obstacle); the better of the two attempts is kept. *)
+    obstacle); the better of the two attempts is kept. The retry wins only
+    with strictly more routed gates, that is strictly fewer failures, so it
+    stops as soon as its failures reach the first pass's count and the
+    first attempt is restored: the outcome and the occupancy are exactly
+    those of a retry run to the end, with fewer searches. *)
 
 type outcome = {
   routed : (Task.t * Qec_lattice.Path.t) list;

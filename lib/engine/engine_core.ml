@@ -115,7 +115,9 @@ let exec cache (spec : Spec.t) =
      plumbing. *)
   let certify ~backend ~result trace =
     if spec.outputs.Spec.certificate then
-      Some (Qec_verify.Certifier.certify ~backend ~result timing trace)
+      Some
+        (Qec_telemetry.Telemetry.timed "certifier.certify" @@ fun () ->
+         Qec_verify.Certifier.certify ~backend ~result timing trace)
     else None
   in
   match spec.scheduler with
@@ -227,6 +229,7 @@ let result_json (r : Scheduler.result) =
   Qec_report.Export.result_to_json { r with Scheduler.compile_time_s = 0. }
 
 let job_to_json ?(timings = false) job =
+  Qec_telemetry.Telemetry.timed "export.job_json" @@ fun () ->
   let base =
     [ ("index", Json.Int job.index) ]
     @ (match job.spec.Spec.id with

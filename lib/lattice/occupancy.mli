@@ -4,6 +4,14 @@
     current scheduling round, and accumulates the utilization statistics
     reported in Fig. 17.
 
+    The state is one byte per vertex (['\000'] free, ['\001'] claimed)
+    plus the number of claimed vertices, so {!occupied_count} and
+    {!utilization} are O(1) and {!snapshot} builds its bitset only when
+    called. The router reads the byte map itself ({!claimed_map}) once
+    per search: the library is compiled with [-opaque] in dune's default
+    profile, so a call to {!is_free} is an out-of-line call across
+    modules, while [Bytes.get] on the map is an inline load.
+
     Each occupancy carries an {e epoch}: a number drawn from one
     process-wide counter on {!create}, {!clear} and {!release_path}. Between
     two epoch changes vertices are only ever claimed, never freed, so the
@@ -25,6 +33,11 @@ val epoch : t -> int
 
 val is_free : t -> int -> bool
 
+val claimed_map : t -> Bytes.t
+(** The byte map itself, not a copy: byte [v] is ['\000'] when vertex [v]
+    is free. Read-only for callers; it changes under them on every
+    reserve, release and clear. *)
+
 val reserve_path : t -> Path.t -> unit
 (** Claim every vertex of the path. Raises [Invalid_argument] if any is
     already claimed (caller must route on free vertices only). *)
@@ -38,9 +51,11 @@ val clear : t -> unit
 (** Free everything — called between rounds. Starts a new epoch. *)
 
 val occupied_count : t -> int
+(** Claimed vertices; O(1). *)
 
 val utilization : t -> float
-(** Occupied vertices over total vertices, in [0, 1]. *)
+(** Occupied vertices over total vertices, in [0, 1]; O(1). *)
 
 val snapshot : t -> Qec_util.Bitset.t
-(** Copy of the occupancy bits (for tests and for interference checks). *)
+(** A fresh bitset of the claimed vertices, built from the byte map on
+    each call (for tests and for interference checks). *)

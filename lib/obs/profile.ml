@@ -13,6 +13,8 @@ type phase_row = {
   self : stats;
 }
 
+type timer_row = { timer : string; calls : float; seconds : float }
+
 type t = {
   runs : int;
   jobs : int;
@@ -21,6 +23,7 @@ type t = {
   jobs_failed : int;
   wall : stats;
   phases : phase_row list;
+  timers : timer_row list;
 }
 
 let stats_of = function
@@ -75,6 +78,26 @@ let run ?jobs ~repeat specs =
         })
       names
   in
+  (* Timers: per name, the median over runs of its calls and summed
+     seconds (a run that never hit the timer contributes no sample). *)
+  let per_run_timers = List.map Col.timers collectors in
+  let timers =
+    List.concat_map (List.map (fun (name, _, _) -> name)) per_run_timers
+    |> List.sort_uniq compare
+    |> List.map (fun name ->
+           let hits =
+             List.filter_map
+               (List.find_opt (fun (n, _, _) -> n = name))
+               per_run_timers
+           in
+           {
+             timer = name;
+             calls =
+               Stats.percentile 50.
+                 (List.map (fun (_, c, _) -> float_of_int c) hits);
+             seconds = Stats.percentile 50. (List.map (fun (_, _, s) -> s) hits);
+           })
+  in
   let last = List.nth collectors (repeat - 1) in
   ( {
       runs = repeat;
@@ -84,6 +107,7 @@ let run ?jobs ~repeat specs =
       jobs_failed = Col.counter last "engine.jobs_failed";
       wall = stats_of walls;
       phases;
+      timers;
     },
     last )
 
@@ -117,6 +141,17 @@ let to_json t =
                    ("self_s", stats_json p.self);
                  ])
              t.phases) );
+      ( "timers",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Json.String r.timer);
+                   ("calls_median", Json.Float r.calls);
+                   ("seconds_median", Json.Float r.seconds);
+                 ])
+             t.timers) );
     ]
 
 let print t =
@@ -156,4 +191,22 @@ let print t =
           Printf.sprintf "%.4f" p.self.p95_s;
         ])
     by_self;
-  TP.print tbl
+  TP.print tbl;
+  if t.timers <> [] then begin
+    print_newline ();
+    let tbl =
+      TP.create
+        ~headers:
+          [
+            ("timer", TP.Left);
+            ("calls med", TP.Right);
+            ("seconds med", TP.Right);
+          ]
+    in
+    List.iter
+      (fun r ->
+        TP.add_row tbl
+          [ r.timer; Printf.sprintf "%g" r.calls; Printf.sprintf "%.6f" r.seconds ])
+      t.timers;
+    TP.print tbl
+  end

@@ -12,6 +12,13 @@ type phase_row = {
   self : stats;  (** per-run summed self time (child spans excluded) *)
 }
 
+type timer_row = {
+  timer : string;
+  calls : float;  (** median over the runs that hit it *)
+  seconds : float;  (** median of its per-run summed seconds *)
+}
+(** One {!Qec_telemetry.Telemetry.timed} timer across the runs. *)
+
 type t = {
   runs : int;
   jobs : int;
@@ -20,6 +27,7 @@ type t = {
   jobs_failed : int;  (** from the last run *)
   wall : stats;  (** end-to-end wall time per run *)
   phases : phase_row list;  (** sorted by phase name *)
+  timers : timer_row list;  (** sorted by timer name *)
 }
 
 val run :
@@ -32,8 +40,9 @@ val run :
 
 val to_json : t -> Qec_report.Json.t
 (** Stable-schema report (["schema": "autobraid-profile/v1"]; phases
-    sorted by name, fixed key order) — only the measured times vary
-    between invocations. *)
+    and ["timers"] sorted by name, fixed key order) — only the measured
+    times vary between invocations. *)
 
 val print : t -> unit
-(** Summary line + per-phase table sorted by descending median self. *)
+(** Summary line + per-phase table sorted by descending median self,
+    then the timer table sorted by name. *)

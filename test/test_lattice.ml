@@ -156,6 +156,26 @@ let test_path_invalid () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* Steps of +-1 across a row end and steps past the grid's top or bottom
+   differ by an adjacent-looking amount, but are not grid edges. *)
+let test_path_wrap_and_range () =
+  let rejects verts =
+    match Path.of_vertices grid5 verts with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  check_bool "row end to next row start" true (rejects [ vid 5 0; vid 0 1 ]);
+  check_bool "row start to previous row end" true (rejects [ vid 0 1; vid 5 0 ]);
+  check_bool "wrap late in a path" true
+    (rejects [ vid 3 2; vid 4 2; vid 5 2; vid 0 3 ]);
+  check_bool "below the last row" true (rejects [ vid 2 5; vid 2 5 + 6 ]);
+  check_bool "above the first row" true (rejects [ vid 2 0; vid 2 0 - 6 ]);
+  check_bool "first vertex off the grid" true (rejects [ 36; 30 ]);
+  check_bool "negative first vertex" true (rejects [ -1; 0 ]);
+  check_bool "single vertex off the grid" true (rejects [ 36 ]);
+  check_int "row edges are fine" 4
+    (Path.length (Path.of_vertices grid5 [ vid 4 0; vid 5 0; vid 5 1; vid 4 1 ]))
+
 let test_path_invalid_long () =
   (* A walk around cell (1,1) that returns to its start: every step is
      adjacent, the repeat is four steps apart. *)
@@ -233,27 +253,61 @@ let test_path_within_bbox () =
 (* ------------------------------------------------------------------ *)
 (* Occupancy                                                            *)
 
+(* [occupied_count], [utilization] and [snapshot] against the vertices
+   the test itself has claimed. *)
+let check_accounting msg occ claimed =
+  check_int (msg ^ ": count") (List.length claimed) (Occupancy.occupied_count occ);
+  Alcotest.(check (float 1e-9))
+    (msg ^ ": utilization")
+    (float_of_int (List.length claimed) /. 36.)
+    (Occupancy.utilization occ);
+  Alcotest.(check (list int))
+    (msg ^ ": snapshot")
+    (List.sort compare claimed)
+    (Qec_util.Bitset.to_list (Occupancy.snapshot occ));
+  for v = 0 to 35 do
+    check_bool (Printf.sprintf "%s: v%d free" msg v)
+      (not (List.mem v claimed))
+      (Occupancy.is_free occ v)
+  done
+
 let test_occupancy () =
   let occ = Occupancy.create grid5 in
-  check_bool "free" true (Occupancy.is_free occ (vid 1 1));
+  check_accounting "fresh" occ [];
   let p = Path.of_vertices grid5 [ vid 0 0; vid 1 0 ] in
   Occupancy.reserve_path occ p;
-  check_bool "taken" false (Occupancy.is_free occ (vid 1 0));
-  check_int "count" 2 (Occupancy.occupied_count occ);
-  Alcotest.(check (float 1e-9)) "utilization" (2. /. 36.) (Occupancy.utilization occ);
+  check_accounting "reserved" occ [ vid 0 0; vid 1 0 ];
   check_bool "double reserve" true
     (match Occupancy.reserve_path occ p with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  let q = Path.of_vertices grid5 [ vid 5 5; vid 5 4; vid 4 4 ] in
+  Occupancy.reserve_path occ q;
+  check_accounting "two paths" occ [ vid 0 0; vid 1 0; vid 5 5; vid 5 4; vid 4 4 ];
+  (* a path that overlaps a claimed vertex is rejected whole *)
+  check_bool "overlap rejected" true
+    (match
+       Occupancy.reserve_path occ (Path.of_vertices grid5 [ vid 2 0; vid 1 0 ])
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false);
+  check_accounting "after rejected reserve" occ
+    [ vid 0 0; vid 1 0; vid 5 5; vid 5 4; vid 4 4 ];
   Occupancy.release_path occ p;
-  check_int "released" 0 (Occupancy.occupied_count occ);
+  check_accounting "released" occ [ vid 5 5; vid 5 4; vid 4 4 ];
   check_bool "double release" true
     (match Occupancy.release_path occ p with
     | exception Invalid_argument _ -> true
     | _ -> false);
+  check_accounting "after rejected release" occ [ vid 5 5; vid 5 4; vid 4 4 ];
   Occupancy.reserve_path occ p;
   Occupancy.clear occ;
-  check_int "cleared" 0 (Occupancy.occupied_count occ)
+  check_accounting "cleared" occ [];
+  (* the snapshot is a copy: later claims do not show in it *)
+  let before = Occupancy.snapshot occ in
+  Occupancy.reserve_path occ q;
+  check_int "snapshot is a copy" 0 (Qec_util.Bitset.cardinal before);
+  check_accounting "reserved after clear" occ [ vid 5 5; vid 5 4; vid 4 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Placement                                                            *)
@@ -355,6 +409,7 @@ let () =
           Alcotest.test_case "valid" `Quick test_path_valid;
           Alcotest.test_case "single vertex" `Quick test_path_single_vertex;
           Alcotest.test_case "invalid" `Quick test_path_invalid;
+          Alcotest.test_case "wrap and range" `Quick test_path_wrap_and_range;
           Alcotest.test_case "invalid long" `Quick test_path_invalid_long;
           QCheck_alcotest.to_alcotest prop_path_random_walks;
           Alcotest.test_case "disjoint" `Quick test_path_disjoint;

@@ -180,7 +180,13 @@ let test_drift_missing_metric_fails () =
 
 let test_profile_report () =
   let open Qec_obs.Profile in
-  let spec = { Qec_engine.Spec.default with circuit = "qft9" } in
+  let spec =
+    {
+      Qec_engine.Spec.default with
+      circuit = "qft9";
+      outputs = { trace = false; reliability = false; certificate = true };
+    }
+  in
   let p, _trace = run ~jobs:1 ~repeat:2 [ spec ] in
   Alcotest.(check int) "runs" 2 p.runs;
   Alcotest.(check int) "jobs_ok" 1 p.jobs_ok;
@@ -202,10 +208,42 @@ let test_profile_report () =
   (match J.member "schema" j with
   | Some (J.String "autobraid-profile/v1") -> ()
   | _ -> Alcotest.fail "bad schema tag");
-  match J.member "phases" j with
+  (match J.member "phases" j with
   | Some (J.List l) ->
     Alcotest.(check int) "json phases" (List.length p.phases) (List.length l)
-  | _ -> Alcotest.fail "report has no phases list"
+  | _ -> Alcotest.fail "report has no phases list");
+  (* Timers: medians across the runs, sorted by name. qft9 routes in
+     every round and is certified once per run. *)
+  let timers = List.map (fun r -> r.timer) p.timers in
+  Alcotest.(check (list string)) "timers sorted" (List.sort compare timers)
+    timers;
+  let timer name =
+    match List.find_opt (fun r -> r.timer = name) p.timers with
+    | Some r -> r
+    | None -> Alcotest.fail ("no timer " ^ name)
+  in
+  Alcotest.(check bool) "first pass timed" true
+    ((timer "stack_finder.first_pass").calls >= 1.);
+  Alcotest.(check (float 0.)) "certified once per run" 1.
+    (timer "certifier.certify").calls;
+  List.iter
+    (fun r -> Alcotest.(check bool) (r.timer ^ " seconds") true (r.seconds >= 0.))
+    p.timers;
+  match J.member "timers" j with
+  | Some (J.List l) ->
+    Alcotest.(check int) "json timers" (List.length p.timers) (List.length l)
+  | _ -> Alcotest.fail "report has no timers list"
+
+(* Rendering a job's result record is timed as [export.job_json]. *)
+let test_job_json_timer () =
+  let spec = { Qec_engine.Spec.default with circuit = "qft9" } in
+  let jobs = Qec_engine.Engine.run_batch ~jobs:1 [ spec ] in
+  let c = Col.create () in
+  Tel.with_sink (Col.sink c) (fun () ->
+      ignore (Qec_engine.Engine.jobs_to_jsonl jobs));
+  match List.find_opt (fun (n, _, _) -> n = "export.job_json") (Col.timers c) with
+  | Some (_, calls, _) -> Alcotest.(check int) "one call per job" 1 calls
+  | None -> Alcotest.fail "no export.job_json timer"
 
 let () =
   Alcotest.run "obs"
@@ -232,5 +270,8 @@ let () =
             test_drift_missing_metric_fails;
         ] );
       ( "profile",
-        [ Alcotest.test_case "report schema" `Quick test_profile_report ] );
+        [
+          Alcotest.test_case "report schema" `Quick test_profile_report;
+          Alcotest.test_case "job json timer" `Quick test_job_json_timer;
+        ] );
     ]

@@ -200,6 +200,81 @@ let prop_retry_no_worse =
       let without = SF.find ~retry:false router occ2 p (tasks k) in
       List.length with_retry.SF.routed >= List.length without.SF.routed)
 
+(* The failed-first retry stops once its failures reach the first
+   pass's count. Against an in-test copy of the retry run to the end,
+   [find] must return the same outcome and leave the same occupancy, and
+   search exactly up to the cutoff: one route per task in the first pass
+   (no confinement, so no fallbacks), then the retry's tasks up to and
+   including the one whose failure reaches the count. A random set of
+   foreign reservations makes retries common and must survive the
+   rollback. *)
+let find_unbounded router occ placement tasks =
+  let order = SF.planned_order placement tasks in
+  let routed, failed = SF.route_in_order router occ placement order in
+  if failed = [] then (routed, failed, List.length order)
+  else begin
+    List.iter (fun (_, p) -> Occupancy.release_path occ p) routed;
+    let retry_order = failed @ List.map fst routed in
+    let routed', failed' = SF.route_in_order router occ placement retry_order in
+    (* the searches a retry that stops at the cutoff makes *)
+    let cutoff =
+      let rec count i n_failed = function
+        | [] -> i
+        | (t : Task.t) :: rest ->
+          let n_failed =
+            if List.exists (fun (u : Task.t) -> u.id = t.id) failed' then
+              n_failed + 1
+            else n_failed
+          in
+          if n_failed >= List.length failed then i + 1
+          else count (i + 1) n_failed rest
+      in
+      count 0 0 retry_order
+    in
+    let searches = List.length order + cutoff in
+    if List.length routed' > List.length routed then (routed', failed', searches)
+    else begin
+      List.iter (fun (_, p) -> Occupancy.release_path occ p) routed';
+      List.iter (fun (_, p) -> Occupancy.reserve_path occ p) routed;
+      (routed, failed, searches)
+    end
+  end
+
+let prop_retry_cutoff_exact =
+  QCheck.Test.make ~name:"retry with cutoff = retry run to the end" ~count:300
+    (QCheck.make
+       QCheck.Gen.(pair any_gen (list_size (int_range 0 25) (int_bound 80))))
+    (fun ((k, coords), blocked) ->
+      let distinct = List.sort_uniq compare coords in
+      QCheck.assume (List.length distinct = 2 * k);
+      let p = placement_at 8 coords in
+      let grid = Placement.grid p in
+      let router = Router.create grid in
+      let occupancy () =
+        let occ = Occupancy.create grid in
+        List.iter
+          (fun v ->
+            if Occupancy.is_free occ v then
+              Occupancy.reserve_path occ (Path.of_vertices grid [ v ]))
+          blocked;
+        occ
+      in
+      let occ1 = occupancy () and occ2 = occupancy () in
+      let ts = tasks k in
+      let c = Qec_telemetry.Collector.create () in
+      let got =
+        Qec_telemetry.Telemetry.with_sink (Qec_telemetry.Collector.sink c)
+          (fun () -> SF.find router occ1 p ts)
+      in
+      let routed, failed, searches = find_unbounded router occ2 p ts in
+      let ids = List.map (fun (t : Task.t) -> t.id) in
+      let paths = List.map (fun ((t : Task.t), q) -> (t.id, Path.vertices q)) in
+      paths got.SF.routed = paths routed
+      && ids got.SF.failed = ids failed
+      && Qec_util.Bitset.to_list (Occupancy.snapshot occ1)
+         = Qec_util.Bitset.to_list (Occupancy.snapshot occ2)
+      && Qec_telemetry.Collector.counter c "router.routes" = searches)
+
 (* Differential: the precomputed-area planned_order must emit exactly the
    ordering of the pre-rewrite reference (which re-derives every box
    inside the comparators), with and without a lookahead priority. *)
@@ -328,6 +403,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_theorem2;
           QCheck_alcotest.to_alcotest prop_routed_paths_safe;
           QCheck_alcotest.to_alcotest prop_retry_no_worse;
+          QCheck_alcotest.to_alcotest prop_retry_cutoff_exact;
         ] );
       ( "differential",
         [

@@ -144,89 +144,6 @@ let prop_heap_sorts =
       let out = drain [] in
       out = List.sort compare prios)
 
-(* Int_pq, the bucket queue, must pop exactly what the polymorphic heap
-   pops — FIFO among equal priorities — under any interleaving of pushes,
-   pops and clears. Random priorities regularly land below the cursor a
-   pop left behind (a non-monotone sequence); values are push indices, so
-   a misordered tie shows. *)
-type pq_op = Push of int | Pop | Clear
-
-let pq_max_priority = 40
-
-let print_pq_op = function
-  | Push p -> Printf.sprintf "Push %d" p
-  | Pop -> "Pop"
-  | Clear -> "Clear"
-
-let prop_int_pq_matches_heap =
-  QCheck.Test.make ~name:"Int_pq pops exactly what Heap pops" ~count:500
-    (QCheck.make ~print:(QCheck.Print.list print_pq_op)
-       QCheck.Gen.(
-         list_size (int_range 1 200)
-           (frequency
-              [
-                (5, map (fun p -> Push p) (int_bound pq_max_priority));
-                (4, return Pop);
-                (1, return Clear);
-              ])))
-    (fun ops ->
-      let h = Heap.create () in
-      let q =
-        Heap.Int_pq.create ~max_priority:pq_max_priority
-          ~capacity:(List.length ops)
-      in
-      let pushed = ref 0 in
-      List.for_all
-        (fun op ->
-          (match op with
-          | Push p ->
-            Heap.push h ~priority:p !pushed;
-            Heap.Int_pq.push q ~priority:p !pushed;
-            incr pushed;
-            true
-          | Pop ->
-            Option.value ~default:(-1) (Heap.pop_min h) = Heap.Int_pq.pop_min q
-          | Clear ->
-            Heap.clear h;
-            Heap.Int_pq.clear q;
-            true)
-          && Heap.Int_pq.length q = Heap.length h)
-        ops)
-
-let test_int_pq_push_below_cursor () =
-  let q = Heap.Int_pq.create ~max_priority:10 ~capacity:8 in
-  check_int "empty" (-1) (Heap.Int_pq.pop_min q);
-  Heap.Int_pq.push q ~priority:7 0;
-  Heap.Int_pq.push q ~priority:9 1;
-  check_int "min" 0 (Heap.Int_pq.pop_min q);
-  (* the cursor now sits at 7; pushes below it must come out first *)
-  Heap.Int_pq.push q ~priority:2 2;
-  Heap.Int_pq.push q ~priority:2 3;
-  Heap.Int_pq.push q ~priority:0 4;
-  Alcotest.(check (list int)) "order" [ 4; 2; 3; 1; -1 ]
-    (List.init 5 (fun _ -> Heap.Int_pq.pop_min q));
-  check_bool "empty again" true (Heap.Int_pq.is_empty q)
-
-let test_int_pq_bounds () =
-  let raises f =
-    match f () with exception Invalid_argument _ -> true | _ -> false
-  in
-  let q = Heap.Int_pq.create ~max_priority:5 ~capacity:2 in
-  check_bool "priority above max" true
-    (raises (fun () -> Heap.Int_pq.push q ~priority:6 0));
-  check_bool "negative priority" true
-    (raises (fun () -> Heap.Int_pq.push q ~priority:(-1) 0));
-  check_int "rejected pushes leave it empty" 0 (Heap.Int_pq.length q);
-  Heap.Int_pq.push q ~priority:5 0;
-  Heap.Int_pq.push q ~priority:0 1;
-  check_bool "capacity" true
-    (raises (fun () -> Heap.Int_pq.push q ~priority:1 2));
-  (* clear frees every slot, whatever was popped *)
-  Heap.Int_pq.clear q;
-  Heap.Int_pq.push q ~priority:3 7;
-  Heap.Int_pq.push q ~priority:3 8;
-  check_int "after clear" 7 (Heap.Int_pq.pop_min q)
-
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                               *)
 
@@ -530,10 +447,6 @@ let () =
           Alcotest.test_case "basic order" `Quick test_heap_basic;
           Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
           Alcotest.test_case "clear" `Quick test_heap_clear;
-          QCheck_alcotest.to_alcotest prop_int_pq_matches_heap;
-          Alcotest.test_case "int_pq push below cursor" `Quick
-            test_int_pq_push_below_cursor;
-          Alcotest.test_case "int_pq bounds" `Quick test_int_pq_bounds;
           QCheck_alcotest.to_alcotest prop_heap_sorts;
         ] );
       ( "bitset",
