@@ -43,7 +43,13 @@ lint: build
 	done
 
 # Cross-backend smoke: both communication backends must still run end to
-# end and emit the machine-readable snapshot with sane keys.
+# end and emit the machine-readable snapshot with sane keys. Then the
+# dispatcher's error paths, which compile nothing: an unknown section exits
+# 2 naming every section, and a --check file whose section has no snapshot
+# exits 1.
+BENCH_SECTIONS := table1 table2 fig16 fig17 fig18 compile-time ablation \
+	planar backends scale scale-smoke engine prop verify serve micro all
+
 bench-smoke: build
 	@out=$$(mktemp); \
 	./_build/default/bench/main.exe backends --json "$$out" >/dev/null || exit 1; \
@@ -51,6 +57,15 @@ bench-smoke: build
 	grep -q '"braid"' "$$out" || { echo "bench-smoke: missing braid outcome"; exit 1; }; \
 	grep -q '"surgery"' "$$out" || { echo "bench-smoke: missing surgery outcome"; exit 1; }; \
 	grep -q '"merge_rounds"' "$$out" || { echo "bench-smoke: missing surgery stats"; exit 1; }; \
+	./_build/default/bench/main.exe no-such-section > /dev/null 2> "$$out"; \
+	[ $$? -eq 2 ] || { echo "bench-smoke: unknown section should exit 2"; exit 1; }; \
+	for s in $(BENCH_SECTIONS); do \
+		grep -Eq "[ |]$$s[|)]" "$$out" \
+			|| { echo "bench-smoke: unknown-section message omits $$s"; cat "$$out"; exit 1; }; \
+	done; \
+	echo '{"section": "table1"}' > "$$out"; \
+	./_build/default/bench/main.exe --check "$$out" > /dev/null; \
+	[ $$? -eq 1 ] || { echo "bench-smoke: --check of an ungated section should exit 1"; exit 1; }; \
 	rm -f "$$out"; \
 	echo "bench-smoke: OK"
 

@@ -13,19 +13,24 @@
        BENCH_scale.json --tolerance 0.02    # drift gate vs committed JSON
 
    Sections: table1 table2 fig16 fig17 fig18 compile-time ablation planar
-   backends scale scale-smoke engine prop micro all.
+   backends scale scale-smoke engine prop verify serve micro all (every
+   section but scale and scale-smoke). Each is one entry of [sections]:
+   name, title, runner, and for the sections with a snapshot (backends
+   scale engine prop verify serve) a JSON projection, which `--json FILE`
+   writes (in `all`, for the first such section: backends).
 
    `scale` is the paper-size Table-2 sweep (QFT-100..400, adder, RevLib)
-   of braid vs the greedy baseline — minutes of wall time, gated by
-   `make bench-scale`. `scale-smoke` re-runs only the QFT-100 point and
-   exact-checks it against the committed BENCH_scale.json inside a wall
-   budget (AUTOBRAID_SCALE_BUDGET_S, default 120 s) — that is the CI
-   (`make check`) entry point.
+   of braid vs the greedy baseline, gated by `make bench-scale`.
+   `scale-smoke`, the CI (`make check`) entry point, runs the scale runner
+   on QFT-100 and Qec_obs.Drift-checks that entry against the committed
+   BENCH_scale.json (every cycle key exact, in either direction) inside a
+   wall budget (AUTOBRAID_SCALE_BUDGET_S, default 120 s).
 
    `--check FILE` (repeatable) re-measures the section named inside FILE
    and exits 1 if any gated metric regresses past `--tolerance` (cycle
    counts, default 2%) or `--wall-tolerance` (host timings, default
-   200%) — see Qec_obs.Drift for the gating policy.
+   200%) — see Qec_obs.Drift for the gating policy — or if that section
+   has no snapshot. An unknown section exits 2.
 
    Absolute numbers differ from the paper (different host, regenerated
    benchmark netlists, re-implemented baseline); the claims under test are
@@ -33,25 +38,70 @@
 
 module S = Autobraid.Scheduler
 module IL = Autobraid.Initial_layout
+module CB = Autobraid.Comm_backend
 module GP = Gp_baseline
 module C = Qec_circuit.Circuit
 module B = Qec_benchmarks
+module J = Qec_report.Json
 module TP = Qec_util.Tableprint
 module T = Qec_surface.Timing
 
+let () = Qec_engine.Engine.ensure_backends ()
 let timing33 = T.make ~d:T.default_d ()
-
 let sp_options = { S.default_options with variant = S.Sp }
+
+let best_p ?grid_points timing c =
+  S.run_best_p ?grid_points ~jobs:(Qec_util.Parallel.default_jobs ()) timing c
 
 (* autobraid-full with the paper's p sweep, trimmed for compile time. *)
 let run_full ?(grid_points = [ 0.0; 0.2; 0.4 ]) timing c =
-  fst
-    (S.run_best_p ~grid_points
-       ~jobs:(Qec_util.Parallel.default_jobs ())
-       timing c)
+  fst (best_p ~grid_points timing c)
+
+let us r = S.time_us timing33 r
+
+let cycles_ratio (a : S.result) (b : S.result) =
+  float_of_int a.S.total_cycles /. float_of_int b.S.total_cycles
+
+let times v = Printf.sprintf "%.2fx" v
+
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 let header title =
   Printf.printf "\n%s\n%s\n\n" title (String.make (String.length title) '=')
+
+(* One text table. Each column is (header, alignment, cell of a row), so a
+   column's header and its cell are written once. A rule separates
+   neighbouring rows whose [group] differs; [closed] adds one after the
+   last row. *)
+let left h cell = (h, TP.Left, cell)
+let right h cell = (h, TP.Right, cell)
+
+let print_table ?group ?(closed = false) columns rows =
+  let t = TP.create ~headers:(List.map (fun (h, a, _) -> (h, a)) columns) in
+  ignore
+    (List.fold_left
+       (fun prev row ->
+         (match (group, prev) with
+         | Some g, Some p when g p <> g row -> TP.add_separator t
+         | _ -> ());
+         TP.add_row t (List.map (fun (_, _, cell) -> cell row) columns);
+         Some row)
+       None rows);
+  if closed then TP.add_separator t;
+  TP.print t
+
+(* The two-column tables of the prop and verify sections. *)
+let print_metrics rows = print_table [ left "metric" fst; right "value" snd ] rows
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_json path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (J.to_string ~indent:true json ^ "\n"));
+  Printf.printf "\n[wrote %s]\n" path
 
 (* Every section runs under an in-memory collector and closes with a
    per-phase self-time profile, so BENCH_*.json trajectories can attribute
@@ -65,16 +115,6 @@ let profiled name f =
   Printf.printf "\n[%s: per-phase self-time]\n" name;
   Qec_telemetry.Collector.print_phases c;
   result
-
-let us r = S.time_us timing33 r
-let cp_us r = S.critical_path_us timing33 r
-
-let write_json path json =
-  let oc = open_out path in
-  output_string oc (Qec_report.Json.to_string ~indent:true json);
-  output_string oc "\n";
-  close_out oc;
-  Printf.printf "\n[wrote %s]\n" path
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: impact of LLG-driven initial-layout optimization            *)
@@ -93,94 +133,73 @@ let table1_benchmarks ~full =
     ("Sqrt8", B.Building_blocks.by_name "sqrt8_260");
   ]
 
-let table1 ~full () =
-  header "Table 1: Impact of LLGs' sizes (initial-layout optimization)";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("Benchmark", TP.Left);
-          ("#LLG>3 after", TP.Right);
-          ("time after (us)", TP.Right);
-          ("#LLG>3 before", TP.Right);
-          ("time before (us)", TP.Right);
-          ("Speedup", TP.Right);
-        ]
+type llg_row = {
+  bench : string;
+  llg_after : int;
+  after : S.result;
+  llg_before : int;
+  before : S.result;
+}
+
+let table1 ~full =
+  let row (bench, circuit) =
+    let lowered = Qec_circuit.Decompose.to_scheduler_gates circuit in
+    let n = C.num_qubits lowered in
+    let grid =
+      Qec_lattice.Grid.create
+        (max 1 (Qec_surface.Resources.lattice_side ~num_logical:n))
+    in
+    let census method_ =
+      IL.oversize_census lowered (IL.place ~method_ lowered grid)
+    in
+    let run_with initial =
+      S.run ~options:{ sp_options with initial } timing33 lowered
+    in
+    let before = run_with IL.Bisected in
+    let after = run_with IL.Annealed in
+    let llg_after = census IL.Annealed in
+    { bench; llg_after; after; llg_before = census IL.Bisected; before }
   in
-  List.iter
-    (fun (name, circuit) ->
-      let lowered = Qec_circuit.Decompose.to_scheduler_gates circuit in
-      let n = C.num_qubits lowered in
-      let grid =
-        Qec_lattice.Grid.create
-          (max 1 (Qec_surface.Resources.lattice_side ~num_logical:n))
-      in
-      let census method_ =
-        IL.oversize_census lowered (IL.place ~method_ lowered grid)
-      in
-      let run_with initial =
-        S.run ~options:{ sp_options with initial } timing33 lowered
-      in
-      let before = run_with IL.Bisected in
-      let after = run_with IL.Annealed in
-      TP.add_row t
-        [
-          name;
-          string_of_int (census IL.Annealed);
-          TP.si_cell (us after);
-          string_of_int (census IL.Bisected);
-          TP.si_cell (us before);
-          Printf.sprintf "%.2f"
-            (float_of_int before.S.total_cycles
-            /. float_of_int after.S.total_cycles);
-        ])
-    (table1_benchmarks ~full);
-  TP.print t;
+  print_table
+    [
+      left "Benchmark" (fun r -> r.bench);
+      right "#LLG>3 after" (fun r -> string_of_int r.llg_after);
+      right "time after (us)" (fun r -> TP.si_cell (us r.after));
+      right "#LLG>3 before" (fun r -> string_of_int r.llg_before);
+      right "time before (us)" (fun r -> TP.si_cell (us r.before));
+      right "Speedup" (fun r ->
+          Printf.sprintf "%.2f" (cycles_ratio r.before r.after));
+    ]
+    (List.map row (table1_benchmarks ~full));
   print_endline
     "(before = plain bisection; after = + degree-2 snake + LLG annealing)"
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: overview — CP vs baseline vs autobraid-full                 *)
 
-type t2_row = { category : string; label : string; circuit : C.t }
-
 let table2_rows ~full =
-  let bb name label = { category = "BuildingBlocks"; label; circuit = B.Building_blocks.by_name name } in
-  let app label circuit = { category = "RealWorld"; label; circuit } in
+  let bb name = ("BuildingBlocks", name, B.Building_blocks.by_name name) in
+  let app label circuit = ("RealWorld", label, circuit) in
+  let if_full rows = if full then rows else [] in
   List.concat
     [
+      List.map bb
+        [
+          "4gt11_8"; "4gt5_75"; "alu-v0_26"; "rd32-v0"; "sqrt8_260";
+          "squar5_261"; "squar7"; "urf2_277"; "urf5_280";
+        ];
+      if_full [ bb "urf1_278"; bb "urf5_158" ];
+      List.map (fun n -> app (Printf.sprintf "QFT-%d" n) (B.Qft.circuit n))
+        (if full then [ 50; 100; 200; 400; 500 ] else [ 50; 100; 200 ]);
+      List.map (fun n -> app (Printf.sprintf "BV-%d" n) (B.Bv.circuit n))
+        [ 100; 150; 200 ];
+      List.map (fun n -> app (Printf.sprintf "CC-%d" n) (B.Cc.circuit n))
+        [ 100; 200; 300 ];
       [
-        bb "4gt11_8" "4gt11_8";
-        bb "4gt5_75" "4gt5_75";
-        bb "alu-v0_26" "alu-v0_26";
-        bb "rd32-v0" "rd32-v0";
-        bb "sqrt8_260" "sqrt8_260";
-        bb "squar5_261" "squar5_261";
-        bb "squar7" "squar7";
-        bb "urf2_277" "urf2_277";
-        bb "urf5_280" "urf5_280";
-      ];
-      (if full then [ bb "urf1_278" "urf1_278"; bb "urf5_158" "urf5_158" ]
-       else []);
-      [
-        app "QFT-50" (B.Qft.circuit 50);
-        app "QFT-100" (B.Qft.circuit 100);
-        app "QFT-200" (B.Qft.circuit 200);
-      ];
-      (if full then
-         [ app "QFT-400" (B.Qft.circuit 400); app "QFT-500" (B.Qft.circuit 500) ]
-       else []);
-      [
-        app "BV-100" (B.Bv.circuit 100);
-        app "BV-150" (B.Bv.circuit 150);
-        app "BV-200" (B.Bv.circuit 200);
-        app "CC-100" (B.Cc.circuit 100);
-        app "CC-200" (B.Cc.circuit 200);
-        app "CC-300" (B.Cc.circuit 300);
         app "IM-10" (B.Ising.circuit ~steps:13 10);
         app "IM-500" (B.Ising.circuit ~steps:3 500);
       ];
-      (if full then [ app "IM-1000" (B.Ising.circuit ~steps:3 1000) ] else []);
+      if_full [ app "IM-1000" (B.Ising.circuit ~steps:3 1000) ];
       [
         app "BWT-127" (B.Bwt.circuit ~height:6 ());
         app "BWT-255" (B.Bwt.circuit ~height:7 ());
@@ -195,49 +214,30 @@ let table2_rows ~full =
        else [ app "Shor-99" (B.Shor.circuit ~multipliers:40 ~bits:48 ()) ]);
     ]
 
-let table2 ~full () =
-  header "Table 2: Overview of experiment results (d = 33)";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("Type", TP.Left);
-          ("Name", TP.Left);
-          ("#qubit", TP.Right);
-          ("#gate", TP.Right);
-          ("CP (us)", TP.Right);
-          ("GP w initM (us)", TP.Right);
-          ("AutoBraid (us)", TP.Right);
-          ("Speedup", TP.Right);
-          ("vs CP", TP.Right);
-        ]
+let table2 ~full =
+  let row (category, label, circuit) =
+    (category, label, GP.run timing33 circuit, run_full timing33 circuit)
   in
-  let last_category = ref "" in
-  List.iter
-    (fun { category; label; circuit } ->
-      if category <> !last_category && !last_category <> "" then
-        TP.add_separator t;
-      last_category := category;
-      let base = GP.run timing33 circuit in
-      let auto = run_full timing33 circuit in
-      TP.add_row t
-        [
-          category;
-          label;
-          string_of_int auto.S.num_qubits;
-          TP.si_cell (float_of_int auto.S.num_gates);
-          TP.si_cell (cp_us auto);
-          TP.si_cell (us base);
-          TP.si_cell (us auto);
+  let auto (_, _, _, a) = a in
+  print_table
+    ~group:(fun (category, _, _, _) -> category)
+    [
+      left "Type" (fun (category, _, _, _) -> category);
+      left "Name" (fun (_, label, _, _) -> label);
+      right "#qubit" (fun r -> string_of_int (auto r).S.num_qubits);
+      right "#gate" (fun r -> TP.si_cell (float_of_int (auto r).S.num_gates));
+      right "CP (us)" (fun r ->
+          TP.si_cell (S.critical_path_us timing33 (auto r)));
+      right "GP w initM (us)" (fun (_, _, base, _) -> TP.si_cell (us base));
+      right "AutoBraid (us)" (fun r -> TP.si_cell (us (auto r)));
+      right "Speedup" (fun (_, _, base, auto) ->
+          Printf.sprintf "%.2f" (cycles_ratio base auto));
+      right "vs CP" (fun r ->
           Printf.sprintf "%.2f"
-            (float_of_int base.S.total_cycles
-            /. float_of_int auto.S.total_cycles);
-          Printf.sprintf "%.2f"
-            (float_of_int auto.S.total_cycles
-            /. float_of_int (max 1 auto.S.critical_path_cycles));
-        ])
-    (table2_rows ~full);
-  TP.print t
+            (float_of_int (auto r).S.total_cycles
+            /. float_of_int (max 1 (auto r).S.critical_path_cycles)));
+    ]
+    (List.map row (table2_rows ~full))
 
 (* ------------------------------------------------------------------ *)
 (* Figs. 16 & 17: scalability sweep over computation size 1/P_L         *)
@@ -265,346 +265,246 @@ let sweep_families ~full =
       if full then [ 60; 100; 200; 300 ] else [ 60; 100; 160; 200 ] );
   ]
 
-let run_sweep ~full () =
-  List.concat_map
-    (fun (family, gen, sizes) ->
-      List.map
-        (fun n ->
-          let circuit = gen n in
-          let lowered = Qec_circuit.Decompose.to_scheduler_gates circuit in
-          (* "circuit size is inversely proportional to P_L": target one
-             logical fault over the circuit's logical volume. *)
-          let volume =
-            float_of_int (C.length lowered) *. float_of_int (C.num_qubits lowered)
-          in
-          let d = Qec_surface.Error_model.distance_for_volume ~volume () in
-          let timing = T.make ~d () in
-          let base_r = GP.run timing circuit in
-          let sp_r = S.run ~options:sp_options timing circuit in
-          let full_r = run_full ~grid_points:[ 0.0; 0.3 ] timing circuit in
-          { family; n; inv_pl = volume; d; base_r; sp_r; full_r })
-        sizes)
-    (sweep_families ~full)
-
-let fig16 points =
-  header "Fig. 16: execution time (s) vs computation size 1/P_L";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("family", TP.Left);
-          ("n", TP.Right);
-          ("1/P_L", TP.Right);
-          ("d", TP.Right);
-          ("baseline (s)", TP.Right);
-          ("autobraid-sp (s)", TP.Right);
-          ("autobraid-full (s)", TP.Right);
-          ("CP (s)", TP.Right);
-        ]
+(* "circuit size is inversely proportional to P_L": target one logical
+   fault over the circuit's logical volume. *)
+let volume_and_distance circuit =
+  let lowered = Qec_circuit.Decompose.to_scheduler_gates circuit in
+  let volume =
+    float_of_int (C.length lowered) *. float_of_int (C.num_qubits lowered)
   in
-  let last = ref "" in
-  List.iter
-    (fun p ->
-      if p.family <> !last && !last <> "" then TP.add_separator t;
-      last := p.family;
-      let timing = T.make ~d:p.d () in
-      let sec r = T.seconds_of_cycles timing r.S.total_cycles in
-      let cp_sec r = T.seconds_of_cycles timing r.S.critical_path_cycles in
-      TP.add_row t
-        [
-          p.family;
-          string_of_int p.n;
-          Printf.sprintf "%.2e" p.inv_pl;
-          string_of_int p.d;
-          Printf.sprintf "%.4f" (sec p.base_r);
-          Printf.sprintf "%.4f" (sec p.sp_r);
-          Printf.sprintf "%.4f" (sec p.full_r);
-          Printf.sprintf "%.4f" (cp_sec p.full_r);
-        ])
-    points;
-  TP.print t
+  (volume, Qec_surface.Error_model.distance_for_volume ~volume ())
 
-let fig17 points =
-  header "Fig. 17: routing-resource utilization (%) vs computation size";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("family", TP.Left);
-          ("n", TP.Right);
-          ("1/P_L", TP.Right);
-          ("baseline avg%", TP.Right);
-          ("autobraid avg%", TP.Right);
-          ("baseline peak%", TP.Right);
-          ("autobraid peak%", TP.Right);
-        ]
+(* Figs. 16 and 17 read one sweep, so `all` runs it once. *)
+let sweep =
+  let memo = ref None in
+  fun ~full ->
+    match !memo with
+    | Some points -> points
+    | None ->
+      let point gen family n =
+        let circuit = gen n in
+        let inv_pl, d = volume_and_distance circuit in
+        let timing = T.make ~d () in
+        let base_r = GP.run timing circuit in
+        let sp_r = S.run ~options:sp_options timing circuit in
+        let full_r = run_full ~grid_points:[ 0.0; 0.3 ] timing circuit in
+        { family; n; inv_pl; d; base_r; sp_r; full_r }
+      in
+      let points =
+        List.concat_map
+          (fun (family, gen, sizes) -> List.map (point gen family) sizes)
+          (sweep_families ~full)
+      in
+      memo := Some points;
+      points
+
+let sweep_table ~full columns =
+  print_table
+    ~group:(fun p -> p.family)
+    (left "family" (fun p -> p.family)
+    :: right "n" (fun p -> string_of_int p.n)
+    :: right "1/P_L" (fun p -> Printf.sprintf "%.2e" p.inv_pl)
+    :: columns)
+    (sweep ~full)
+
+let fig16 ~full =
+  let sec p cycles =
+    Printf.sprintf "%.4f" (T.seconds_of_cycles (T.make ~d:p.d ()) cycles)
   in
-  let last = ref "" in
-  List.iter
-    (fun p ->
-      if p.family <> !last && !last <> "" then TP.add_separator t;
-      last := p.family;
-      let pct v = Printf.sprintf "%.1f" (100. *. v) in
-      TP.add_row t
-        [
-          p.family;
-          string_of_int p.n;
-          Printf.sprintf "%.2e" p.inv_pl;
-          pct p.base_r.S.avg_utilization;
-          pct p.full_r.S.avg_utilization;
-          pct p.base_r.S.peak_utilization;
-          pct p.full_r.S.peak_utilization;
-        ])
-    points;
-  TP.print t
+  sweep_table ~full
+    [
+      right "d" (fun p -> string_of_int p.d);
+      right "baseline (s)" (fun p -> sec p p.base_r.S.total_cycles);
+      right "autobraid-sp (s)" (fun p -> sec p p.sp_r.S.total_cycles);
+      right "autobraid-full (s)" (fun p -> sec p p.full_r.S.total_cycles);
+      right "CP (s)" (fun p -> sec p p.full_r.S.critical_path_cycles);
+    ]
+
+let fig17 ~full =
+  let pct v = Printf.sprintf "%.1f" (100. *. v) in
+  sweep_table ~full
+    [
+      right "baseline avg%" (fun p -> pct p.base_r.S.avg_utilization);
+      right "autobraid avg%" (fun p -> pct p.full_r.S.avg_utilization);
+      right "baseline peak%" (fun p -> pct p.base_r.S.peak_utilization);
+      right "autobraid peak%" (fun p -> pct p.full_r.S.peak_utilization);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 18: p-sensitivity                                               *)
 
-let fig18 ~full () =
-  header "Fig. 18: p-sensitivity (time normalized to p = 0)";
+let fig18 ~full =
   let cases =
     if full then
       [ ("QFT-1000", B.Qft.circuit 1000); ("QAOA-1000", B.Qaoa.circuit 1000) ]
     else [ ("QFT-100", B.Qft.circuit 100); ("QAOA-100", B.Qaoa.circuit 100) ]
   in
-  let t =
-    TP.create
-      ~headers:
-        ([ ("p", TP.Right) ]
-        @ List.map (fun (name, _) -> (name, TP.Right)) cases)
-  in
-  let curves =
-    List.map
-      (fun (_, c) ->
-        snd
-          (S.run_best_p
-             ~jobs:(Qec_util.Parallel.default_jobs ())
-             timing33 c))
-      cases
-  in
-  let ps = List.map fst (List.hd curves) in
-  List.iteri
-    (fun i p ->
-      let cells =
-        List.map
-          (fun curve ->
-            let _, first = List.hd curve in
-            let _, r = List.nth curve i in
-            Printf.sprintf "%.3f"
-              (float_of_int r.S.total_cycles
-              /. float_of_int first.S.total_cycles))
-          curves
-      in
-      TP.add_row t (Printf.sprintf "%.1f" p :: cells))
-    ps;
-  TP.print t
+  let curves = List.map (fun (_, c) -> snd (best_p timing33 c)) cases in
+  (* row i: the i-th threshold, each case normalized to its p = 0 run *)
+  print_table
+    (right "p" (fun (_, p) -> Printf.sprintf "%.1f" p)
+    :: List.map2
+         (fun (name, _) curve ->
+           right name (fun (i, _) ->
+               Printf.sprintf "%.3f"
+                 (cycles_ratio (snd (List.nth curve i)) (snd (List.hd curve)))))
+         cases curves)
+    (List.mapi (fun i (p, _) -> (i, p)) (List.hd curves))
 
 (* ------------------------------------------------------------------ *)
 (* Compilation-time analysis (§4.2)                                     *)
 
-let compile_time () =
-  header "Compilation time vs physical execution time";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("benchmark", TP.Left);
-          ("compile (s)", TP.Right);
-          ("execution (s)", TP.Right);
-          ("ratio", TP.Right);
-        ]
+let compile_time ~full:_ =
+  let row (name, c) =
+    let timing = T.make ~d:(snd (volume_and_distance c)) () in
+    let r = S.run timing c in
+    (name, r.S.compile_time_s, T.seconds_of_cycles timing r.S.total_cycles)
   in
-  List.iter
-    (fun (name, c) ->
-      let lowered = Qec_circuit.Decompose.to_scheduler_gates c in
-      let volume =
-        float_of_int (C.length lowered) *. float_of_int (C.num_qubits lowered)
-      in
-      let d = Qec_surface.Error_model.distance_for_volume ~volume () in
-      let timing = T.make ~d () in
-      let r = S.run timing c in
-      let exec_s = T.seconds_of_cycles timing r.S.total_cycles in
-      TP.add_row t
-        [
-          name;
-          Printf.sprintf "%.3f" r.S.compile_time_s;
-          Printf.sprintf "%.3f" exec_s;
-          Printf.sprintf "%.1f%%" (100. *. r.S.compile_time_s /. exec_s);
-        ])
+  print_table
     [
-      ("qft100", B.Qft.circuit 100);
-      ("bv100", B.Bv.circuit 100);
-      ("im200", B.Ising.circuit ~steps:3 200);
-      ("qaoa100", B.Qaoa.circuit 100);
-      ("urf2_277", B.Building_blocks.by_name "urf2_277");
-    ];
-  TP.print t;
+      left "benchmark" (fun (name, _, _) -> name);
+      right "compile (s)" (fun (_, compile, _) -> Printf.sprintf "%.3f" compile);
+      right "execution (s)" (fun (_, _, exec) -> Printf.sprintf "%.3f" exec);
+      right "ratio" (fun (_, compile, exec) ->
+          Printf.sprintf "%.1f%%" (100. *. compile /. exec));
+    ]
+    (List.map row
+       [
+         ("qft100", B.Qft.circuit 100);
+         ("bv100", B.Bv.circuit 100);
+         ("im200", B.Ising.circuit ~steps:3 200);
+         ("qaoa100", B.Qaoa.circuit 100);
+         ("urf2_277", B.Building_blocks.by_name "urf2_277");
+       ]);
   print_endline
     "(the paper reports ~1-2%; ratios depend on the host CPU and d)"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (design choices called out in DESIGN.md)                   *)
 
-let ablation () =
-  header "Ablations";
-  let t =
-    TP.create
-      ~headers:
+let ablation ~full:_ =
+  let qft = B.Qft.circuit 100 and qaoa = B.Qaoa.circuit 100 in
+  let sp ?(c = qft) f = S.run ~options:(f sp_options) timing33 c in
+  let swap strat =
+    S.run
+      ~options:
+        { S.default_options with threshold_p = 0.6; swap_strategy = Some strat }
+      timing33 qft
+  in
+  let blocks =
+    [
+      ( "baseline router (qft100)",
         [
-          ("study", TP.Left);
-          ("configuration", TP.Left);
-          ("time (us)", TP.Right);
-          ("vs best", TP.Right);
-        ]
-  in
-  let block study rows =
-    let best =
-      List.fold_left (fun acc (_, r) -> min acc r.S.total_cycles) max_int rows
-    in
-    List.iteri
-      (fun i (cfg, r) ->
-        TP.add_row t
+          ("dimension-ordered (paper)", GP.run timing33 qft);
+          ( "A* (detouring)",
+            GP.run ~options:{ GP.default_options with router = GP.Astar }
+              timing33 qft );
+        ] );
+      ( "initial placement (qaoa100, sp)",
+        List.map
+          (fun (name, m) -> (name, sp ~c:qaoa (fun o -> { o with initial = m })))
           [
-            (if i = 0 then study else "");
-            cfg;
-            TP.si_cell (us r);
-            Printf.sprintf "%.2fx"
-              (float_of_int r.S.total_cycles /. float_of_int best);
-          ])
-      rows;
-    TP.add_separator t
+            ("identity", IL.Identity);
+            ("metis (bisection)", IL.Partitioned);
+            ("metis + LLG anneal", IL.Annealed);
+          ] );
+      ( "retry pass (qft100, sp)",
+        [
+          ("retry on (default)", sp Fun.id);
+          ("retry off (bare Fig. 13)", sp (fun o -> { o with retry = false }));
+        ] );
+      ( "LLG confinement (qft100, sp)",
+        [
+          ("confined (default)", sp Fun.id);
+          ("unconfined", sp (fun o -> { o with confine_llg = false }));
+        ] );
+      ( "path compaction (qft100, sp)",
+        [
+          ("off (default)", sp Fun.id);
+          ("on (rip-up & reroute)", sp (fun o -> { o with compaction = true }));
+        ] );
+      ( "CP lookahead (qaoa100, sp)",
+        [
+          ("off (default)", sp ~c:qaoa Fun.id);
+          ( "on (tallest chain first)",
+            sp ~c:qaoa (fun o -> { o with lookahead = true }) );
+        ] );
+      ( "swap strategy (qft100, p=0.6)",
+        [
+          ("odd-even (Maslov)", swap Autobraid.Layout_opt.Odd_even);
+          ("greedy pairs", swap Autobraid.Layout_opt.Greedy);
+        ] );
+    ]
   in
-  (* 1. Baseline router: dimension-ordered (braidflash) vs A* *)
-  let qft = B.Qft.circuit 100 in
-  block "baseline router (qft100)"
-    [
-      ("dimension-ordered (paper)", GP.run timing33 qft);
-      ( "A* (detouring)",
-        GP.run ~options:{ GP.default_options with router = GP.Astar } timing33
-          qft );
-    ];
-  (* 2. Initial placement on autobraid-sp *)
-  let qaoa = B.Qaoa.circuit 100 in
-  block "initial placement (qaoa100, sp)"
-    (List.map
-       (fun (name, m) ->
-         (name, S.run ~options:{ sp_options with initial = m } timing33 qaoa))
-       [
-         ("identity", IL.Identity);
-         ("metis (bisection)", IL.Partitioned);
-         ("metis + LLG anneal", IL.Annealed);
-       ]);
-  (* 3. Failed-first retry pass *)
-  block "retry pass (qft100, sp)"
-    [
-      ("retry on (default)", S.run ~options:sp_options timing33 qft);
-      ( "retry off (bare Fig. 13)",
-        S.run ~options:{ sp_options with retry = false } timing33 qft );
-    ];
-  (* 4. LLG confinement (Theorems 1-2) *)
-  block "LLG confinement (qft100, sp)"
-    [
-      ("confined (default)", S.run ~options:sp_options timing33 qft);
-      ( "unconfined",
-        S.run ~options:{ sp_options with confine_llg = false } timing33 qft );
-    ];
-  (* 5. Topological path compaction *)
-  block "path compaction (qft100, sp)"
-    [
-      ("off (default)", S.run ~options:sp_options timing33 qft);
-      ( "on (rip-up & reroute)",
-        S.run ~options:{ sp_options with compaction = true } timing33 qft );
-    ];
-  (* 6. Critical-path lookahead *)
-  block "CP lookahead (qaoa100, sp)"
-    [
-      ("off (default)", S.run ~options:sp_options timing33 qaoa);
-      ( "on (tallest chain first)",
-        S.run ~options:{ sp_options with lookahead = true } timing33 qaoa );
-    ];
-  (* 7. Swap strategy under heavy threshold *)
-  let opts strat =
-    {
-      S.default_options with
-      threshold_p = 0.6;
-      swap_strategy = Some strat;
-    }
+  (* one row per configuration: study, first of its block?, configuration,
+     run, best cycles of the block *)
+  let rows (study, runs) =
+    let best =
+      List.fold_left (fun acc (_, r) -> min acc r.S.total_cycles) max_int runs
+    in
+    List.mapi (fun i (cfg, r) -> (study, i = 0, cfg, r, best)) runs
   in
-  block "swap strategy (qft100, p=0.6)"
+  print_table ~closed:true
+    ~group:(fun (study, _, _, _, _) -> study)
     [
-      ("odd-even (Maslov)", S.run ~options:(opts Autobraid.Layout_opt.Odd_even) timing33 qft);
-      ("greedy pairs", S.run ~options:(opts Autobraid.Layout_opt.Greedy) timing33 qft);
-    ];
-  TP.print t
+      left "study" (fun (study, first, _, _, _) -> if first then study else "");
+      left "configuration" (fun (_, _, cfg, _, _) -> cfg);
+      right "time (us)" (fun (_, _, _, r, _) -> TP.si_cell (us r));
+      right "vs best" (fun (_, _, _, r, best) ->
+          times (float_of_int r.S.total_cycles /. float_of_int best));
+    ]
+    (List.concat_map rows blocks)
 
 (* ------------------------------------------------------------------ *)
 (* Planar vs double-defect (the paper's closing discussion, vs MICRO'17) *)
 
-let planar () =
-  header "Planar (teleportation) vs double-defect (braiding) - section 5 discussion";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("benchmark", TP.Left);
-          ("scheme", TP.Left);
-          ("time (us)", TP.Right);
-          ("vs planar-stack", TP.Right);
-          ("physical qubits", TP.Right);
-        ]
+let planar ~full:_ =
+  let module Tp = Qec_planar.Teleport in
+  let rows (name, c) =
+    let auto = run_full ~grid_points:[ 0.0; 0.3 ] timing33 c in
+    let tele_stack = Tp.run timing33 c in
+    let n = auto.S.num_qubits in
+    let braid_qubits =
+      Qec_surface.Resources.total_physical_qubits ~num_logical:n ~d:T.default_d
+    in
+    let planar_qubits = Tp.physical_qubits ~num_logical:n ~d:T.default_d () in
+    List.map
+      (fun (scheme, r, qubits) -> (name, scheme, r, tele_stack, qubits))
+      [
+        ("braiding, GP baseline", GP.run timing33 c, braid_qubits);
+        ("braiding, autobraid", auto, braid_qubits);
+        ( "planar, greedy order",
+          Tp.run
+            ~options:{ Tp.default_options with ordering = Tp.Greedy_shortest }
+            timing33 c,
+          planar_qubits );
+        ("planar, stack order", tele_stack, planar_qubits);
+      ]
   in
-  List.iter
-    (fun (name, c) ->
-      let base = GP.run timing33 c in
-      let auto = run_full ~grid_points:[ 0.0; 0.3 ] timing33 c in
-      let tele_greedy =
-        Qec_planar.Teleport.run
-          ~options:
-            { Qec_planar.Teleport.default_options with
-              ordering = Qec_planar.Teleport.Greedy_shortest }
-          timing33 c
-      in
-      let tele_stack = Qec_planar.Teleport.run timing33 c in
-      let n = auto.S.num_qubits in
-      let braid_qubits =
-        Qec_surface.Resources.total_physical_qubits ~num_logical:n
-          ~d:T.default_d
-      in
-      let planar_qubits =
-        Qec_planar.Teleport.physical_qubits ~num_logical:n ~d:T.default_d ()
-      in
-      let anchor = float_of_int tele_stack.S.total_cycles in
-      let row scheme (r : S.result) qubits =
-        TP.add_row t
-          [
-            name;
-            scheme;
-            TP.si_cell (us r);
-            Printf.sprintf "%.2fx" (float_of_int r.S.total_cycles /. anchor);
-            TP.si_cell (float_of_int qubits);
-          ]
-      in
-      row "braiding, GP baseline" base braid_qubits;
-      row "braiding, autobraid" auto braid_qubits;
-      row "planar, greedy order" tele_greedy planar_qubits;
-      row "planar, stack order" tele_stack planar_qubits;
-      TP.add_separator t)
+  print_table ~closed:true
+    ~group:(fun (name, _, _, _, _) -> name)
     [
-      ("qft100", B.Qft.circuit 100);
-      ("im200", B.Ising.circuit ~steps:3 200);
-      ("qaoa100", B.Qaoa.circuit 100);
-    ];
-  TP.print t;
+      left "benchmark" (fun (name, _, _, _, _) -> name);
+      left "scheme" (fun (_, scheme, _, _, _) -> scheme);
+      right "time (us)" (fun (_, _, r, _, _) -> TP.si_cell (us r));
+      right "vs planar-stack" (fun (_, _, r, anchor, _) ->
+          times (cycles_ratio r anchor));
+      right "physical qubits" (fun (_, _, _, _, q) ->
+          TP.si_cell (float_of_int q));
+    ]
+    (List.concat_map rows
+       [
+         ("qft100", B.Qft.circuit 100);
+         ("im200", B.Ising.circuit ~steps:3 200);
+         ("qaoa100", B.Qaoa.circuit 100);
+       ]);
   (* Equal-physical-budget comparison: what distance can each code afford
      for 200 logical qubits within the braiding layout's budget? *)
   let n = 200 in
   let budget =
     Qec_surface.Resources.total_physical_qubits ~num_logical:n ~d:T.default_d
   in
-  (match
-     Qec_planar.Teleport.distance_for_budget ~num_logical:n ~budget ()
-   with
+  (match Tp.distance_for_budget ~num_logical:n ~budget () with
   | Some d_planar ->
     Printf.printf
       "\nequal budget (%d physical qubits, %d logical): double-defect d = %d \
@@ -631,316 +531,211 @@ let backend_circuits =
     ("lr24", B.Misc_circuits.longrange 24);
   ]
 
-(* Deterministic per-circuit record: everything here is a pure function
-   of the circuit and seed (wall-clock compile_time_s is deliberately
-   excluded), so BENCH_backends.json is diffable across runs. *)
-let backend_outcome_json (o : Autobraid.Comm_backend.outcome) =
-  let open Qec_report.Json in
-  let r = o.Autobraid.Comm_backend.result in
-  Obj
-    [
-      ("total_cycles", Int r.S.total_cycles);
-      ("rounds", Int r.S.rounds);
-      ("comm_rounds", Int r.S.braid_rounds);
-      ("swap_layers", Int r.S.swap_layers);
-      ("swaps_inserted", Int r.S.swaps_inserted);
-      ("critical_path_cycles", Int r.S.critical_path_cycles);
-      ("avg_utilization", Float r.S.avg_utilization);
-      ("peak_utilization", Float r.S.peak_utilization);
-      ( "backend_stats",
-        Obj (List.map (fun (k, v) -> (k, Float v)) o.Autobraid.Comm_backend.stats)
-      );
-    ]
+type backend_row = {
+  circuit : string;
+  braid : CB.outcome;
+  surgery : CB.outcome;
+  lookahead : CB.outcome;
+}
 
-(* One backends-style comparison section: run every circuit through braid
-   and surgery, print the side-by-side table, and return (optionally
-   writing) the machine-readable snapshot keyed by [section] — the same
-   shape `--check` gates against. *)
-let backends_section ~section ~circuits ~json_out () =
-  header
-    (Printf.sprintf "%s: braiding vs lattice surgery vs lookahead (d = 33)"
-       (String.capitalize_ascii section));
-  let module CB = Autobraid.Comm_backend in
-  let braid = CB.braid () in
-  let surgery = Qec_surgery.Backend.make () in
-  let lookahead = Qec_lookahead.Backend.make () in
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("circuit", TP.Left);
-          ("#qubit", TP.Right);
-          ("#gate", TP.Right);
-          ("braid (us)", TP.Right);
-          ("surgery (us)", TP.Right);
-          ("lookahead (us)", TP.Right);
-          ("braid rounds", TP.Right);
-          ("surgery rounds", TP.Right);
-          ("speedup", TP.Right);
-          ("la speedup", TP.Right);
-        ]
-  in
+let backends ~full:_ =
   let rows =
     List.map
-      (fun (name, circuit) ->
-        let ob = braid.CB.run timing33 circuit in
-        let os = surgery.CB.run timing33 circuit in
-        let ol = lookahead.CB.run timing33 circuit in
-        let rb = ob.CB.result and rs = os.CB.result and rl = ol.CB.result in
-        TP.add_row t
-          [
-            name;
-            string_of_int rb.S.num_qubits;
-            TP.si_cell (float_of_int rb.S.num_gates);
-            TP.si_cell (us rb);
-            TP.si_cell (us rs);
-            TP.si_cell (us rl);
-            string_of_int rb.S.rounds;
-            string_of_int rs.S.rounds;
-            Printf.sprintf "%.2fx"
-              (float_of_int rb.S.total_cycles /. float_of_int rs.S.total_cycles);
-            Printf.sprintf "%.2fx"
-              (float_of_int rb.S.total_cycles /. float_of_int rl.S.total_cycles);
-          ];
-        (name, ob, os, ol))
-      circuits
+      (fun (circuit, c) ->
+        let run name = (CB.by_name name).CB.run timing33 c in
+        let braid = run "braid" and surgery = run "surgery" in
+        { circuit; braid; surgery; lookahead = run "lookahead" })
+      backend_circuits
   in
-  TP.print t;
+  let res (o : CB.outcome) = o.CB.result in
+  print_table
+    [
+      left "circuit" (fun r -> r.circuit);
+      right "#qubit" (fun r -> string_of_int (res r.braid).S.num_qubits);
+      right "#gate" (fun r ->
+          TP.si_cell (float_of_int (res r.braid).S.num_gates));
+      right "braid (us)" (fun r -> TP.si_cell (us (res r.braid)));
+      right "surgery (us)" (fun r -> TP.si_cell (us (res r.surgery)));
+      right "lookahead (us)" (fun r -> TP.si_cell (us (res r.lookahead)));
+      right "braid rounds" (fun r -> string_of_int (res r.braid).S.rounds);
+      right "surgery rounds" (fun r -> string_of_int (res r.surgery).S.rounds);
+      right "speedup" (fun r ->
+          times (cycles_ratio (res r.braid) (res r.surgery)));
+      right "la speedup" (fun r ->
+          times (cycles_ratio (res r.braid) (res r.lookahead)));
+    ]
+    rows;
   print_endline
     "(same gate set each way; surgery holds corridors for d cycles and \
      pipelines splits; lookahead races a candidate-ordering portfolio \
      against the greedy round and is never worse than braid)";
-  let json =
-    let open Qec_report.Json in
-    Obj
-      [
-        ("section", String section);
-        ("d", Int T.default_d);
-        ( "circuits",
-          List
-            (List.map
-               (fun (name, ob, os, ol) ->
-                 let rb = ob.CB.result in
-                 Obj
-                   [
-                     ("name", String name);
-                     ("num_qubits", Int rb.S.num_qubits);
-                     ("num_gates", Int rb.S.num_gates);
-                     ("braid", backend_outcome_json ob);
-                     ("surgery", backend_outcome_json os);
-                     ("lookahead", backend_outcome_json ol);
-                     ( "speedup",
-                       Float
-                         (float_of_int ob.CB.result.S.total_cycles
-                         /. float_of_int os.CB.result.S.total_cycles) );
-                     ( "lookahead_speedup",
-                       Float
-                         (float_of_int ob.CB.result.S.total_cycles
-                         /. float_of_int ol.CB.result.S.total_cycles) );
-                   ])
-               rows) );
-      ]
-  in
-  Option.iter (fun path -> write_json path json) json_out;
-  json
+  rows
 
-let backends ~json_out () =
-  ignore
-    (backends_section ~section:"backends" ~circuits:backend_circuits ~json_out
-       ())
-
-(* The paper-scale sweep (Table 2 headline): autobraid's braiding
-   scheduler against the greedy MICRO'17 baseline over QFT-100..400, a
-   Shor-style ripple-carry adder, and a large RevLib netlist. Cycle
-   counts and the braid_vs_greedy_speedup ratios are deterministic and
-   gate at cycle tolerance; the per-circuit *_wall_s keys gate loose.
-   Committed as BENCH_scale.json; regenerated/gated by `make bench-scale`
-   (too slow for `make check`, which runs the scale-smoke point below). *)
-let scale_circuits () =
+(* The cycle keys of one run: the scale section's whole record per side,
+   the head of the backends section's. *)
+let result_keys (r : S.result) =
   [
-    ("qft100", B.Qft.circuit 100);
-    ("qft200", B.Qft.circuit 200);
-    ("qft300", B.Qft.circuit 300);
-    ("qft400", B.Qft.circuit 400);
-    ("adder64", B.Arith.cuccaro_adder 64);
-    ("urf2_277", B.Building_blocks.by_name "urf2_277");
+    ("total_cycles", J.Int r.S.total_cycles);
+    ("rounds", J.Int r.S.rounds);
+    ("comm_rounds", J.Int r.S.braid_rounds);
+    ("swap_layers", J.Int r.S.swap_layers);
+    ("swaps_inserted", J.Int r.S.swaps_inserted);
+    ("critical_path_cycles", J.Int r.S.critical_path_cycles);
   ]
 
-(* Deterministic result record for the scale sweep (wall time is reported
-   separately under explicitly-named *_wall_s keys). *)
-let scale_result_json (r : S.result) =
-  let open Qec_report.Json in
-  Obj
-    [
-      ("total_cycles", Int r.S.total_cycles);
-      ("rounds", Int r.S.rounds);
-      ("comm_rounds", Int r.S.braid_rounds);
-      ("swap_layers", Int r.S.swap_layers);
-      ("swaps_inserted", Int r.S.swaps_inserted);
-      ("critical_path_cycles", Int r.S.critical_path_cycles);
+(* Deterministic per-circuit record: everything here is a pure function
+   of the circuit and seed (wall-clock compile_time_s is deliberately
+   excluded), so BENCH_backends.json is diffable across runs. *)
+let outcome_json (o : CB.outcome) =
+  let r = o.CB.result in
+  J.Obj
+    (result_keys r
+    @ [
+        ("avg_utilization", J.Float r.S.avg_utilization);
+        ("peak_utilization", J.Float r.S.peak_utilization);
+        ( "backend_stats",
+          J.Obj (List.map (fun (k, v) -> (k, J.Float v)) o.CB.stats) );
+      ])
+
+let backends_json rows =
+  let entry r =
+    let rb = r.braid.CB.result in
+    J.Obj
+      [
+        ("name", J.String r.circuit);
+        ("num_qubits", J.Int rb.S.num_qubits);
+        ("num_gates", J.Int rb.S.num_gates);
+        ("braid", outcome_json r.braid);
+        ("surgery", outcome_json r.surgery);
+        ("lookahead", outcome_json r.lookahead);
+        ("speedup", J.Float (cycles_ratio rb r.surgery.CB.result));
+        ("lookahead_speedup", J.Float (cycles_ratio rb r.lookahead.CB.result));
+      ]
+  in
+  [ ("d", J.Int T.default_d); ("circuits", J.List (List.map entry rows)) ]
+
+(* ------------------------------------------------------------------ *)
+(* Scale: the paper-scale sweep (Table 2 headline)                      *)
+
+(* Autobraid's braiding scheduler against the greedy MICRO'17 baseline
+   over QFT-100..400, a Shor-style ripple-carry adder, and a large RevLib
+   netlist. Cycle counts and the braid_vs_greedy_speedup ratios are
+   deterministic and gate at cycle tolerance; the per-circuit *_wall_s
+   keys gate loose. Committed as BENCH_scale.json; regenerated/gated by
+   `make bench-scale` (too slow for `make check`, which runs scale-smoke). *)
+let scale_circuits () =
+  List.map (fun n -> (Printf.sprintf "qft%d" n, B.Qft.circuit n)) [ 100; 200; 300; 400 ]
+  @ [
+      ("adder64", B.Arith.cuccaro_adder 64);
+      ("urf2_277", B.Building_blocks.by_name "urf2_277");
     ]
 
-let scale_section ~section ~json_out () =
-  header "Scale: braiding vs the greedy baseline at paper size (d = 33)";
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("circuit", TP.Left);
-          ("#qubit", TP.Right);
-          ("#gate", TP.Right);
-          ("braid cycles", TP.Right);
-          ("greedy cycles", TP.Right);
-          ("braid rounds", TP.Right);
-          ("greedy rounds", TP.Right);
-          ("braid wall (s)", TP.Right);
-          ("greedy wall (s)", TP.Right);
-          ("speedup", TP.Right);
-        ]
-  in
+type scale_row = {
+  name : string;
+  rb : S.result;
+  rg : S.result;
+  braid_wall : float;
+  greedy_wall : float;
+}
+
+(* The scale runner: measure the circuits, then print their table. *)
+let scale_run circuits =
   let rows =
     List.map
       (fun (name, circuit) ->
-        let t0 = Unix.gettimeofday () in
-        let rb = S.run timing33 circuit in
-        let braid_wall = Unix.gettimeofday () -. t0 in
-        let t1 = Unix.gettimeofday () in
-        let rg = GP.run timing33 circuit in
-        let greedy_wall = Unix.gettimeofday () -. t1 in
-        let speedup =
-          float_of_int rg.S.total_cycles /. float_of_int rb.S.total_cycles
-        in
-        TP.add_row t
-          [
-            name;
-            string_of_int rb.S.num_qubits;
-            TP.si_cell (float_of_int rb.S.num_gates);
-            TP.si_cell (float_of_int rb.S.total_cycles);
-            TP.si_cell (float_of_int rg.S.total_cycles);
-            string_of_int rb.S.rounds;
-            string_of_int rg.S.rounds;
-            Printf.sprintf "%.1f" braid_wall;
-            Printf.sprintf "%.1f" greedy_wall;
-            Printf.sprintf "%.2fx" speedup;
-          ];
-        (name, rb, rg, braid_wall, greedy_wall, speedup))
-      (scale_circuits ())
+        let rb, braid_wall = timed (fun () -> S.run timing33 circuit) in
+        let rg, greedy_wall = timed (fun () -> GP.run timing33 circuit) in
+        { name; rb; rg; braid_wall; greedy_wall })
+      circuits
   in
-  TP.print t;
+  let int_si v = TP.si_cell (float_of_int v) in
+  let wall v = Printf.sprintf "%.1f" v in
+  print_table
+    [
+      left "circuit" (fun r -> r.name);
+      right "#qubit" (fun r -> string_of_int r.rb.S.num_qubits);
+      right "#gate" (fun r -> int_si r.rb.S.num_gates);
+      right "braid cycles" (fun r -> int_si r.rb.S.total_cycles);
+      right "greedy cycles" (fun r -> int_si r.rg.S.total_cycles);
+      right "braid rounds" (fun r -> string_of_int r.rb.S.rounds);
+      right "greedy rounds" (fun r -> string_of_int r.rg.S.rounds);
+      right "braid wall (s)" (fun r -> wall r.braid_wall);
+      right "greedy wall (s)" (fun r -> wall r.greedy_wall);
+      right "speedup" (fun r -> times (cycles_ratio r.rg r.rb));
+    ]
+    rows;
   print_endline
     "(braid_vs_greedy_speedup = greedy cycles / braid cycles; the greedy \
      baseline is the MICRO'17 braidflash model — dimension-ordered routes, \
      no interference stack, no layout optimizer)";
-  let json =
-    let open Qec_report.Json in
-    Obj
-      [
-        ("section", String section);
-        ("d", Int T.default_d);
-        ( "circuits",
-          List
-            (List.map
-               (fun (name, rb, rg, bw, gw, speedup) ->
-                 Obj
-                   [
-                     ("name", String name);
-                     ("num_qubits", Int rb.S.num_qubits);
-                     ("num_gates", Int rb.S.num_gates);
-                     ("braid", scale_result_json rb);
-                     ("greedy", scale_result_json rg);
-                     ("braid_vs_greedy_speedup", Float speedup);
-                     ("braid_wall_s", Float bw);
-                     ("greedy_wall_s", Float gw);
-                   ])
-               rows) );
-        ( "wall",
-          Obj
-            (List.map
-               (fun (name, _, _, bw, gw, _) ->
-                 (name ^ "_wall_s", Float (bw +. gw)))
-               rows) );
-      ]
-  in
-  Option.iter (fun path -> write_json path json) json_out;
-  json
+  rows
 
-let scale ~json_out () = ignore (scale_section ~section:"scale" ~json_out ())
+(* Deterministic cycle keys per side; wall time sits under explicitly
+   named *_wall_s keys. *)
+let scale_entry_json r =
+  J.Obj
+    [
+      ("name", J.String r.name);
+      ("num_qubits", J.Int r.rb.S.num_qubits);
+      ("num_gates", J.Int r.rb.S.num_gates);
+      ("braid", J.Obj (result_keys r.rb));
+      ("greedy", J.Obj (result_keys r.rg));
+      ("braid_vs_greedy_speedup", J.Float (cycles_ratio r.rg r.rb));
+      ("braid_wall_s", J.Float r.braid_wall);
+      ("greedy_wall_s", J.Float r.greedy_wall);
+    ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+let scale_wall r = r.braid_wall +. r.greedy_wall
 
-(* CI smoke for the paper sweep: the QFT-100 point only, braid + greedy,
-   checked exactly against the committed BENCH_scale.json entry (cycle
-   counts are deterministic) and against a wall budget. `make scale-smoke`
-   wires this into `make check`; the full sweep stays behind
-   `make bench-scale`. The budget is overridable for slow hosts via
-   AUTOBRAID_SCALE_BUDGET_S. *)
-let scale_smoke () =
-  header "Scale smoke: qft100, braid vs greedy (d = 33)";
+let scale_json rows =
+  let wall r = (r.name ^ "_wall_s", J.Float (scale_wall r)) in
+  [
+    ("d", J.Int T.default_d);
+    ("circuits", J.List (List.map scale_entry_json rows));
+    ("wall", J.Obj (List.map wall rows));
+  ]
+
+(* CI smoke for the paper sweep: the scale runner on QFT-100, its entry
+   drift-checked against the committed BENCH_scale.json entry with zero
+   cycle tolerance in either direction (cycle counts are deterministic,
+   so any change fails; wall keys are not compared), inside a wall budget
+   that slow hosts may raise through AUTOBRAID_SCALE_BUDGET_S. *)
+let scale_smoke ~full:_ =
+  let module D = Qec_obs.Drift in
   let budget =
-    match
-      Option.bind
-        (Sys.getenv_opt "AUTOBRAID_SCALE_BUDGET_S")
-        float_of_string_opt
-    with
-    | Some b -> b
-    | None -> 120.
+    Option.bind (Sys.getenv_opt "AUTOBRAID_SCALE_BUDGET_S") float_of_string_opt
+    |> Option.value ~default:120.
   in
-  let t0 = Unix.gettimeofday () in
-  let circuit = B.Qft.circuit 100 in
-  let rb = S.run timing33 circuit in
-  let rg = GP.run timing33 circuit in
-  let wall = Unix.gettimeofday () -. t0 in
-  let speedup =
-    float_of_int rg.S.total_cycles /. float_of_int rb.S.total_cycles
+  let row = List.hd (scale_run [ ("qft100", B.Qft.circuit 100) ]) in
+  let wall = scale_wall row and current = scale_entry_json row in
+  Printf.printf "\nqft100: wall %.1f s (budget %.0f s)\n" wall budget;
+  let exact ~baseline ~current =
+    D.check ~tolerance:0. ~wall_tolerance:infinity ~baseline ~current
   in
-  Printf.printf
-    "qft100: braid %d cycles (%d rounds), greedy %d cycles (%d rounds), \
-     speedup %.2fx, wall %.1f s (budget %.0f s)\n"
-    rb.S.total_cycles rb.S.rounds rg.S.total_cycles rg.S.rounds speedup wall
-    budget;
-  let failures = ref [] in
-  let failf fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  if wall > budget then
-    failf "wall %.1f s blew the %.0f s budget" wall budget;
-  (let module J = Qec_report.Json in
-   match J.of_string (read_file "BENCH_scale.json") with
-   | exception Sys_error msg -> failf "BENCH_scale.json unreadable: %s" msg
-   | Error msg -> failf "BENCH_scale.json unparsable: %s" msg
-   | Ok baseline -> (
-     let entry =
-       match J.member "circuits" baseline with
-       | Some (J.List entries) ->
-         List.find_opt
-           (fun e -> J.member "name" e = Some (J.String "qft100"))
-           entries
-       | _ -> None
-     in
-     match entry with
-     | None -> failf "BENCH_scale.json has no qft100 entry"
-     | Some e ->
-       let committed side =
-         match
-           Option.bind (J.member side e) (J.member "total_cycles")
-         with
-         | Some (J.Int n) -> Some n
-         | _ -> None
-       in
-       let expect side current =
-         match committed side with
-         | None -> failf "BENCH_scale.json qft100 lacks %s.total_cycles" side
-         | Some n ->
-           if n <> current then
-             failf "%s cycles diverged from BENCH_scale.json: %d <> %d" side
-               current n
-       in
-       expect "braid" rb.S.total_cycles;
-       expect "greedy" rg.S.total_cycles));
-  match !failures with
+  let failures =
+    (if wall > budget then
+       [ Printf.sprintf "wall %.1f s blew the %.0f s budget" wall budget ]
+     else [])
+    @
+    match J.of_string (read_file "BENCH_scale.json") with
+    | exception Sys_error msg -> [ "BENCH_scale.json unreadable: " ^ msg ]
+    | Error msg -> [ "BENCH_scale.json unparsable: " ^ msg ]
+    | Ok committed -> (
+      let named e = J.member "name" e = Some (J.String "qft100") in
+      match J.member "circuits" committed with
+      | Some (J.List entries) when List.exists named entries ->
+        let baseline = List.find named entries in
+        let o = exact ~baseline ~current
+        and back = exact ~baseline:current ~current:baseline in
+        List.map
+          (fun f -> "diverged from BENCH_scale.json: " ^ D.pp_finding f)
+          (o.D.regressions @ o.D.improvements)
+        @ List.map
+            (fun p -> "key on one side only: qft100." ^ p)
+            (o.D.missing @ back.D.missing)
+      | _ -> [ "BENCH_scale.json has no qft100 entry" ])
+  in
+  match failures with
   | [] -> print_endline "scale-smoke: OK"
   | fs ->
     List.iter (fun m -> Printf.printf "scale-smoke FAIL: %s\n" m) fs;
@@ -969,132 +764,82 @@ let engine_specs =
     spec "qft20";
   ]
 
-let engine_section ~json_out () =
-  header "Engine: cached multicore batch compilation";
+let engine ~full:_ =
+  let module PC = Qec_engine.Placement_cache in
+  let module E = Qec_engine.Engine in
   let jobs = Qec_util.Parallel.default_jobs () in
   let dir = Filename.temp_file "autobraid_bench_cache" "" in
   Sys.remove dir;
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let module PC = Qec_engine.Placement_cache in
-  let module E = Qec_engine.Engine in
   let cold_cache = PC.create ~dir () in
-  let cold_jobs, cold_s =
-    time (fun () -> E.run_batch ~jobs ~cache:cold_cache engine_specs)
-  in
-  let warm_jobs, warm_memory_s =
-    time (fun () -> E.run_batch ~jobs ~cache:cold_cache engine_specs)
-  in
-  let disk_jobs, warm_disk_s =
-    time (fun () -> E.run_batch ~jobs ~cache:(PC.create ~dir ()) engine_specs)
-  in
-  Array.iter
-    (fun f -> Sys.remove (Filename.concat dir f))
-    (Sys.readdir dir);
+  let batch cache = timed (fun () -> E.run_batch ~jobs ~cache engine_specs) in
+  let cold_jobs, cold_s = batch cold_cache in
+  let warm_jobs, warm_memory_s = batch cold_cache in
+  let disk_jobs, warm_disk_s = batch (PC.create ~dir ()) in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;
-  let identical =
-    E.jobs_to_jsonl cold_jobs = E.jobs_to_jsonl warm_jobs
-    && E.jobs_to_jsonl cold_jobs = E.jobs_to_jsonl disk_jobs
-  in
+  let jsonl = List.map E.jobs_to_jsonl [ cold_jobs; warm_jobs; disk_jobs ] in
+  let identical = List.for_all (( = ) (List.hd jsonl)) jsonl in
   if not identical then failwith "engine bench: cached results diverged";
-  let k = PC.counters cold_cache in
-  let t =
-    TP.create
-      ~headers:
-        [
-          ("pass", TP.Left);
-          ("wall (s)", TP.Right);
-          ("speedup", TP.Right);
-        ]
-  in
-  TP.add_row t [ "cold (anneal all)"; Printf.sprintf "%.3f" cold_s; "1.00x" ];
-  TP.add_row t
+  let placements = (PC.counters cold_cache).PC.misses in
+  print_table
     [
-      "warm (memory)";
-      Printf.sprintf "%.3f" warm_memory_s;
-      Printf.sprintf "%.2fx" (cold_s /. warm_memory_s);
-    ];
-  TP.add_row t
+      left "pass" fst;
+      right "wall (s)" (fun (_, s) -> Printf.sprintf "%.3f" s);
+      right "speedup" (fun (_, s) -> times (cold_s /. s));
+    ]
     [
-      "warm (disk)";
-      Printf.sprintf "%.3f" warm_disk_s;
-      Printf.sprintf "%.2fx" (cold_s /. warm_disk_s);
+      ("cold (anneal all)", cold_s);
+      ("warm (memory)", warm_memory_s);
+      ("warm (disk)", warm_disk_s);
     ];
-  TP.print t;
   Printf.printf
     "(%d specs on %d workers; cold pass: %d annealed placements, warm \
      passes replay them; all three passes byte-identical)\n"
-    (List.length engine_specs) jobs k.PC.misses;
-  let json =
-    let open Qec_report.Json in
-    Obj
-      [
-        ("section", String "engine");
-        ("jobs", Int jobs);
-        ("specs", Int (List.length engine_specs));
-        ("cold_s", Float cold_s);
-        ("warm_memory_s", Float warm_memory_s);
-        ("warm_disk_s", Float warm_disk_s);
-        ("speedup_memory", Float (cold_s /. warm_memory_s));
-        ("speedup_disk", Float (cold_s /. warm_disk_s));
-        ("placements_computed", Int k.PC.misses);
-        ("results_identical", Bool identical);
-      ]
-  in
-  Option.iter (fun path -> write_json path json) json_out;
-  json
-
-let engine ~json_out () = ignore (engine_section ~json_out ())
+    (List.length engine_specs) jobs placements;
+  [
+    ("jobs", J.Int jobs);
+    ("specs", J.Int (List.length engine_specs));
+    ("cold_s", J.Float cold_s);
+    ("warm_memory_s", J.Float warm_memory_s);
+    ("warm_disk_s", J.Float warm_disk_s);
+    ("speedup_memory", J.Float (cold_s /. warm_memory_s));
+    ("speedup_disk", J.Float (cold_s /. warm_disk_s));
+    ("placements_computed", J.Int placements);
+    ("results_identical", J.Bool identical);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Property-fuzzer throughput: how much generative coverage one CI
    minute buys. Fixed seed, so the numbers are comparable run to run. *)
 
-let prop_section ~json_out () =
-  header "Property-fuzzer throughput (fixed seed, full registry)";
+let prop ~full:_ =
   let module R = Qec_prop.Runner in
   let count = 100 in
-  let t0 = Unix.gettimeofday () in
-  let report = R.run ~seed:42 ~count () in
-  let wall = Unix.gettimeofday () -. t0 in
+  let report, wall = timed (fun () -> R.run ~seed:42 ~count ()) in
   if report.R.failures <> [] then
     failwith "prop bench: fixed-seed corpus has failures";
-  let t =
-    TP.create
-      ~headers:
-        [ ("metric", TP.Left); ("value", TP.Right) ]
-  in
-  TP.add_row t [ "cases"; string_of_int report.R.cases ];
-  TP.add_row t [ "properties"; string_of_int (List.length report.R.properties) ];
-  TP.add_row t [ "checks"; string_of_int report.R.checks ];
-  TP.add_row t [ "wall (s)"; Printf.sprintf "%.2f" wall ];
-  TP.add_row t
-    [ "checks/s"; Printf.sprintf "%.0f" (float_of_int report.R.checks /. wall) ];
-  TP.print t;
+  let properties = List.length report.R.properties in
+  let checks_per_s = float_of_int report.R.checks /. wall in
+  print_metrics
+    [
+      ("cases", string_of_int report.R.cases);
+      ("properties", string_of_int properties);
+      ("checks", string_of_int report.R.checks);
+      ("wall (s)", Printf.sprintf "%.2f" wall);
+      ("checks/s", Printf.sprintf "%.0f" checks_per_s);
+    ];
   Printf.printf
     "(every check schedules at least one backend end to end; the CI smoke \
      run covers %d cases per property)\n"
     count;
-  let json =
-    let open Qec_report.Json in
-    Obj
-      [
-        ("section", String "prop");
-        ("seed", Int report.R.seed);
-        ("cases", Int report.R.cases);
-        ("properties", Int (List.length report.R.properties));
-        ("checks", Int report.R.checks);
-        ("wall_s", Float wall);
-        ("checks_per_s", Float (float_of_int report.R.checks /. wall));
-      ]
-  in
-  Option.iter (fun path -> write_json path json) json_out;
-  json
-
-let prop ~json_out () = ignore (prop_section ~json_out ())
+  [
+    ("seed", J.Int report.R.seed);
+    ("cases", J.Int report.R.cases);
+    ("properties", J.Int properties);
+    ("checks", J.Int report.R.checks);
+    ("wall_s", J.Float wall);
+    ("checks_per_s", J.Float checks_per_s);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Verify: certifier throughput and the mutation corpus's kill rate.
@@ -1103,45 +848,32 @@ let prop ~json_out () = ignore (prop_section ~json_out ())
    (certificates, invariants_checked, mutations_killed) are exact
    functions of the circuit set and Qec_verify's registries. *)
 
-let verify_circuits =
-  [
-    ("qft16", B.Qft.circuit 16);
-    ("qaoa12", B.Qaoa.circuit 12);
-    ("lr16", B.Misc_circuits.longrange 16);
-  ]
-
-let verify_section ~json_out () =
-  header "Verify: independent schedule certification (d = 33)";
-  let module CB = Autobraid.Comm_backend in
+let verify ~full:_ =
   let module V = Qec_verify.Certifier in
   let module M = Qec_verify.Mutate in
-  let braid = CB.braid () in
-  let surgery = Qec_surgery.Backend.make () in
   let outcomes =
     List.concat_map
       (fun (name, circuit) ->
         List.map
-          (fun (backend : CB.t) -> (name, backend.CB.run timing33 circuit))
-          [ braid; surgery ])
-      verify_circuits
+          (fun backend -> (name, (CB.by_name backend).CB.run timing33 circuit))
+          [ "braid"; "surgery" ])
+      [
+        ("qft16", B.Qft.circuit 16);
+        ("qaoa12", B.Qaoa.circuit 12);
+        ("lr16", B.Misc_circuits.longrange 16);
+      ]
   in
-  let t0 = Unix.gettimeofday () in
-  let certs =
-    List.map
-      (fun (name, o) ->
-        let cert =
-          V.certify ~backend:o.CB.backend ~result:o.CB.result timing33
-            o.CB.trace
-        in
-        if not (V.ok cert) then
-          failwith
-            (Printf.sprintf "verify bench: %s (%s): %s" name o.CB.backend
-               (V.to_summary cert));
-        cert)
-      outcomes
+  let certify (name, o) =
+    let cert =
+      V.certify ~backend:o.CB.backend ~result:o.CB.result timing33 o.CB.trace
+    in
+    if not (V.ok cert) then
+      Printf.ksprintf failwith "verify bench: %s (%s): %s" name o.CB.backend
+        (V.to_summary cert)
   in
-  let certify_s = Unix.gettimeofday () -. t0 in
-  let applied = ref 0 and killed = ref 0 in
+  let (), certify_s = timed (fun () -> List.iter certify outcomes) in
+  (* a surviving mutation aborts, so every applied mutation is killed *)
+  let mutations = ref 0 in
   List.iter
     (fun (name, o) ->
       List.iter
@@ -1149,59 +881,36 @@ let verify_section ~json_out () =
           match M.apply kind timing33 o.CB.result o.CB.trace with
           | None -> ()
           | Some (result, trace) ->
-            incr applied;
-            let cert = V.certify ~result timing33 trace in
-            if V.ok cert then
-              failwith
-                (Printf.sprintf
-                   "verify bench: mutation %s survived certification on %s \
-                    (%s)"
-                   (M.name kind) name o.CB.backend)
-            else incr killed)
+            incr mutations;
+            if V.ok (V.certify ~result timing33 trace) then
+              Printf.ksprintf failwith
+                "verify bench: mutation %s survived certification on %s (%s)"
+                (M.name kind) name o.CB.backend)
         M.all)
     outcomes;
-  let schedules = List.length certs in
-  let invariants_checked =
-    schedules * List.length Qec_verify.Invariant.all
-  in
-  let t =
-    TP.create ~headers:[ ("metric", TP.Left); ("value", TP.Right) ] in
-  TP.add_row t [ "schedules certified"; string_of_int schedules ];
-  TP.add_row t [ "invariants checked"; string_of_int invariants_checked ];
-  TP.add_row t
+  let certificates = List.length outcomes and mutations = !mutations in
+  let invariants = certificates * List.length Qec_verify.Invariant.all in
+  let per_s = float_of_int certificates /. certify_s in
+  print_metrics
     [
-      "mutations killed";
-      Printf.sprintf "%d/%d" !killed !applied;
+      ("schedules certified", string_of_int certificates);
+      ("invariants checked", string_of_int invariants);
+      ("mutations killed", Printf.sprintf "%d/%d" mutations mutations);
+      ("certify wall (s)", Printf.sprintf "%.3f" certify_s);
+      ("certificates/s", Printf.sprintf "%.0f" per_s);
     ];
-  TP.add_row t [ "certify wall (s)"; Printf.sprintf "%.3f" certify_s ];
-  TP.add_row t
-    [
-      "certificates/s";
-      Printf.sprintf "%.0f" (float_of_int schedules /. certify_s);
-    ];
-  TP.print t;
   print_endline
     "(certification re-derives every invariant from the trace alone; a \
      surviving mutation or a failed certificate aborts the bench)";
-  let json =
-    let open Qec_report.Json in
-    Obj
-      [
-        ("section", String "verify");
-        ("d", Int T.default_d);
-        ("certificates", Int schedules);
-        ("invariants_checked", Int invariants_checked);
-        ("mutations_applied", Int !applied);
-        ("mutations_killed", Int !killed);
-        ("certify_s", Float certify_s);
-        ( "certificates_per_s",
-          Float (float_of_int schedules /. certify_s) );
-      ]
-  in
-  Option.iter (fun path -> write_json path json) json_out;
-  json
-
-let verify ~json_out () = ignore (verify_section ~json_out ())
+  [
+    ("d", J.Int T.default_d);
+    ("certificates", J.Int certificates);
+    ("invariants_checked", J.Int invariants);
+    ("mutations_applied", J.Int mutations);
+    ("mutations_killed", J.Int mutations);
+    ("certify_s", J.Float certify_s);
+    ("certificates_per_s", J.Float per_s);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Serve: daemon round-trip latency/throughput against an in-process
@@ -1209,25 +918,22 @@ let verify ~json_out () = ignore (verify_section ~json_out ())
    socket + protocol + admission path, so requests/s is an end-to-end
    number, not an engine microbenchmark. *)
 
-let serve_section ~json_out () =
-  header "Serve: daemon round-trips, cold vs warm placement cache";
+type serve_pass = { wall_s : float; p95_s : float }
+
+let serve ~full:_ =
   let module Server = Qec_serve.Server in
-  let module C = Qec_serve.Client in
-  let module P = Qec_serve.Protocol in
+  let module Client = Qec_serve.Client in
   let die fmt = Printf.ksprintf failwith fmt in
   let socket =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "absrvb%d.sock" (Unix.getpid ()))
   in
-  let jobs = min 2 (Qec_util.Parallel.default_jobs ()) in
-  let config = { (Server.default_config ~socket ()) with jobs } in
+  let workers = min 2 (Qec_util.Parallel.default_jobs ()) in
+  let config = { (Server.default_config ~socket ()) with jobs = workers } in
   let daemon = Domain.spawn (fun () -> Server.run config) in
-  let client =
-    match C.connect_retry socket with
-    | Ok c -> c
-    | Error msg -> die "serve bench: %s" msg
-  in
+  let ok = function Ok x -> x | Error msg -> die "serve bench: %s" msg in
+  let client = ok (Client.connect_retry socket) in
   (* distinct (circuit, seed) pairs: every request of the cold pass
      anneals its own placement; the warm pass replays all of them from
      the daemon's shared in-memory cache *)
@@ -1240,96 +946,175 @@ let serve_section ~json_out () =
       [ "qft9"; "bv12" ]
   in
   let request spec =
-    let t0 = Unix.gettimeofday () in
-    match C.compile client spec with
-    | Ok (P.Result _) -> Unix.gettimeofday () -. t0
-    | Ok _ -> die "serve bench: unexpected response"
-    | Error msg -> die "serve bench: %s" msg
+    snd
+      (timed (fun () ->
+           match ok (Client.compile client spec) with
+           | Qec_serve.Protocol.Result _ -> ()
+           | _ -> die "serve bench: unexpected response"))
   in
   let pass () =
-    let t0 = Unix.gettimeofday () in
-    let latencies = List.map request specs in
-    (Unix.gettimeofday () -. t0, latencies)
+    let latencies, wall_s = timed (fun () -> List.map request specs) in
+    { wall_s; p95_s = Qec_util.Stats.percentile 95. latencies }
   in
-  let cold_wall, cold_lat = pass () in
-  let warm_wall, warm_lat = pass () in
-  (match C.shutdown client with
-  | Ok _ -> ()
-  | Error msg -> die "serve bench: shutdown: %s" msg);
-  C.close client;
+  let cold = pass () in
+  let warm = pass () in
+  ignore (ok (Client.shutdown client));
+  Client.close client;
   Domain.join daemon;
-  let p95 latencies =
-    let a = Array.of_list latencies in
-    Array.sort compare a;
-    a.(min (Array.length a - 1)
-         (int_of_float (float_of_int (Array.length a - 1) *. 0.95 +. 0.5)))
-  in
   let n = List.length specs in
-  let requests_per_s = float_of_int n /. warm_wall in
-  let warm_speedup = cold_wall /. warm_wall in
-  let t =
-    TP.create
-      ~headers:
-        [ ("pass", TP.Left); ("wall (s)", TP.Right); ("p95 (ms)", TP.Right) ]
-  in
-  TP.add_row t
+  let requests_per_s = float_of_int n /. warm.wall_s in
+  let warm_speedup = cold.wall_s /. warm.wall_s in
+  print_table
     [
-      "cold (anneal per request)";
-      Printf.sprintf "%.3f" cold_wall;
-      Printf.sprintf "%.2f" (1e3 *. p95 cold_lat);
-    ];
-  TP.add_row t
-    [
-      "warm (shared cache)";
-      Printf.sprintf "%.3f" warm_wall;
-      Printf.sprintf "%.2f" (1e3 *. p95 warm_lat);
-    ];
-  TP.print t;
+      left "pass" fst;
+      right "wall (s)" (fun (_, p) -> Printf.sprintf "%.3f" p.wall_s);
+      right "p95 (ms)" (fun (_, p) -> Printf.sprintf "%.2f" (1e3 *. p.p95_s));
+    ]
+    [ ("cold (anneal per request)", cold); ("warm (shared cache)", warm) ];
   Printf.printf
     "(%d requests per pass over one connection, %d workers; warm pass: \
      %.0f requests/s, %.2fx over cold)\n"
-    n jobs requests_per_s warm_speedup;
-  let json =
-    let open Qec_report.Json in
-    Obj
-      [
-        ("section", String "serve");
-        ("jobs", Int jobs);
-        ("requests", Int (2 * n));
-        ("cold_wall_s", Float cold_wall);
-        ("warm_wall_s", Float warm_wall);
-        ("p95_cold_s", Float (p95 cold_lat));
-        ("p95_warm_s", Float (p95 warm_lat));
-        ("requests_per_s", Float requests_per_s);
-        ("warm_speedup", Float warm_speedup);
-      ]
-  in
-  Option.iter (fun path -> write_json path json) json_out;
-  json
+    n workers requests_per_s warm_speedup;
+  [
+    ("jobs", J.Int workers);
+    ("requests", J.Int (2 * n));
+    ("cold_wall_s", J.Float cold.wall_s);
+    ("warm_wall_s", J.Float warm.wall_s);
+    ("p95_cold_s", J.Float cold.p95_s);
+    ("p95_warm_s", J.Float warm.p95_s);
+    ("requests_per_s", J.Float requests_per_s);
+    ("warm_speedup", J.Float warm_speedup);
+  ]
 
-let serve ~json_out () = ignore (serve_section ~json_out ())
+(* ------------------------------------------------------------------ *)
+(* Bechamel micro-benchmarks: one Test.make per table/figure driver     *)
+
+let micro ~full:_ =
+  let qft16 = B.Qft.circuit 16 and qaoa16 = B.Qaoa.circuit 16 in
+  let im16 = B.Ising.circuit ~steps:4 16 in
+  let grid4 = Qec_lattice.Grid.create 4 in
+  let run ?options c () = ignore (S.run ?options timing33 c) in
+  let cases =
+    [
+      ( "table1:llg-census",
+        fun () ->
+          ignore
+            (IL.oversize_census qft16
+               (IL.place ~method_:IL.Partitioned qft16 grid4)) );
+      ("table2:autobraid-full", run qft16);
+      ("table2:gp-baseline", fun () -> ignore (GP.run timing33 qft16));
+      ("fig16:scalability-point", run ~options:sp_options im16);
+      ("fig17:utilization-point", run ~options:sp_options qaoa16);
+      ( "fig18:p-sweep-point",
+        run ~options:{ S.default_options with threshold_p = 0.5 } qaoa16 );
+    ]
+  in
+  let open Bechamel in
+  let open Toolkit in
+  let test =
+    Test.make_grouped ~name:"autobraid" ~fmt:"%s %s"
+      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases)
+  in
+  let clock = Instance.monotonic_clock in
+  let cfg =
+    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:true ()
+  in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let results =
+    Analyze.merge ols [ clock ]
+      [ Analyze.all ols clock (Benchmark.all cfg [ clock ] test) ]
+  in
+  Bechamel_notty.Unit.add clock (Measure.unit clock);
+  let window =
+    match Notty_unix.winsize Unix.stdout with
+    | Some (w, h) -> { Bechamel_notty.w; h }
+    | None -> { Bechamel_notty.w = 100; h = 1 }
+  in
+  Notty_unix.output_image
+    (Notty_unix.eol
+       (Bechamel_notty.Multiple.image_of_ols_results ~rect:window
+          ~predictor:Measure.run results))
+
+(* ------------------------------------------------------------------ *)
+(* The sections, in usage and `all` order                               *)
+
+type section =
+  | Section : {
+      name : string;
+      title : string;
+      in_all : bool;
+      run : full:bool -> 'a;  (** prints the section *)
+      json : ('a -> (string * J.t) list) option;
+          (** the fields of its snapshot, after ["section"] *)
+    }
+      -> section
+
+let section ?(in_all = true) ?json name title run =
+  Section { name; title; in_all; run; json }
+
+let sections =
+  [
+    section "table1"
+      "Table 1: Impact of LLGs' sizes (initial-layout optimization)" table1;
+    section "table2" "Table 2: Overview of experiment results (d = 33)" table2;
+    section "fig16" "Fig. 16: execution time (s) vs computation size 1/P_L"
+      fig16;
+    section "fig17"
+      "Fig. 17: routing-resource utilization (%) vs computation size" fig17;
+    section "fig18" "Fig. 18: p-sensitivity (time normalized to p = 0)" fig18;
+    section "compile-time" "Compilation time vs physical execution time"
+      compile_time;
+    section "ablation" "Ablations" ablation;
+    section "planar"
+      "Planar (teleportation) vs double-defect (braiding) - section 5 \
+       discussion"
+      planar;
+    section "backends" ~json:backends_json
+      "Backends: braiding vs lattice surgery vs lookahead (d = 33)" backends;
+    section "scale" ~in_all:false ~json:scale_json
+      "Scale: braiding vs the greedy baseline at paper size (d = 33)"
+      (fun ~full:_ -> scale_run (scale_circuits ()));
+    section "scale-smoke" ~in_all:false
+      "Scale smoke: qft100, braid vs greedy (d = 33)" scale_smoke;
+    section "engine" ~json:Fun.id "Engine: cached multicore batch compilation"
+      engine;
+    section "prop" ~json:Fun.id
+      "Property-fuzzer throughput (fixed seed, full registry)" prop;
+    section "verify" ~json:Fun.id
+      "Verify: independent schedule certification (d = 33)" verify;
+    section "serve" ~json:Fun.id
+      "Serve: daemon round-trips, cold vs warm placement cache" serve;
+    section "micro"
+      "Bechamel micro-benchmarks (one per table/figure, reduced size)" micro;
+  ]
+
+let find_section name =
+  List.find_opt (fun (Section s) -> s.name = name) sections
+
+(* Print the section under its title; return its snapshot if it has one. *)
+let measure ~full (Section s) =
+  header s.title;
+  let v = s.run ~full in
+  Option.map (fun json -> J.Obj (("section", J.String s.name) :: json v)) s.json
+
+(* [measure] inside the section's phase profile, writing the snapshot to
+   [json_out] when there is one. *)
+let run_section ~full ~json_out (Section s as sec) =
+  profiled s.name (fun () ->
+      match (measure ~full sec, json_out) with
+      | Some json, Some path -> write_json path json
+      | _ -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Drift gating: `--check BENCH_*.json` re-measures the file's section
    and fails on cycle-count (or wall-time) regressions past tolerance.   *)
 
-(* Re-measure the section a committed snapshot claims to be. Only the
-   json-producing sections can be gated. *)
-let current_for_section = function
-  | "backends" ->
-    Some (backends_section ~section:"backends" ~circuits:backend_circuits
-            ~json_out:None ())
-  | "scale" -> Some (scale_section ~section:"scale" ~json_out:None ())
-  | "engine" -> Some (engine_section ~json_out:None ())
-  | "prop" -> Some (prop_section ~json_out:None ())
-  | "verify" -> Some (verify_section ~json_out:None ())
-  | "serve" -> Some (serve_section ~json_out:None ())
-  | _ -> None
-
-(* Returns true when [path] passes. Prints a verdict either way. *)
+(* Returns true when [path] passes. Prints a verdict either way. Only
+   sections with a snapshot can be gated. *)
 let drift_check ~tolerance ~wall_tolerance path =
   let module D = Qec_obs.Drift in
-  let module J = Qec_report.Json in
   let fail msg =
     Printf.printf "DRIFT FAIL %s: %s\n" path msg;
     false
@@ -1338,24 +1123,20 @@ let drift_check ~tolerance ~wall_tolerance path =
   | Error msg -> fail ("unparsable baseline: " ^ msg)
   | Ok baseline -> (
     match J.member "section" baseline with
-    | Some (J.String section) -> (
-      match current_for_section section with
-      | None -> fail (Printf.sprintf "section %S is not drift-gated" section)
-      | Some current ->
+    | Some (J.String name) -> (
+      (* the lookup runs nothing: a section without a snapshot fails first *)
+      match find_section name with
+      | Some (Section { json = Some _; _ } as gated) ->
+        let current = Option.get (measure ~full:false gated) in
         let o = D.check ~tolerance ~wall_tolerance ~baseline ~current in
-        header (Printf.sprintf "Drift check: %s (section %s)" path section);
+        header (Printf.sprintf "Drift check: %s (section %s)" path name);
         Printf.printf
           "%d gated metrics, tolerance %.0f%% (cycle) / %.0f%% (wall)\n"
           o.D.checked (100. *. tolerance) (100. *. wall_tolerance);
-        List.iter
-          (fun f -> Printf.printf "  REGRESSION %s\n" (D.pp_finding f))
-          o.D.regressions;
-        List.iter
-          (fun p -> Printf.printf "  MISSING %s (baseline metric absent)\n" p)
-          o.D.missing;
-        List.iter
-          (fun f -> Printf.printf "  improved %s\n" (D.pp_finding f))
-          o.D.improvements;
+        let show fmt = List.iter (fun x -> Printf.printf fmt x) in
+        show "  REGRESSION %s\n" (List.map D.pp_finding o.D.regressions);
+        show "  MISSING %s (baseline metric absent)\n" o.D.missing;
+        show "  improved %s\n" (List.map D.pp_finding o.D.improvements);
         if D.passed o then (
           Printf.printf "DRIFT OK %s\n" path;
           true)
@@ -1363,84 +1144,21 @@ let drift_check ~tolerance ~wall_tolerance path =
           fail
             (Printf.sprintf "%d regression(s), %d missing metric(s)"
                (List.length o.D.regressions)
-               (List.length o.D.missing)))
+               (List.length o.D.missing))
+      | _ -> fail (Printf.sprintf "section %S is not drift-gated" name))
     | _ -> fail "baseline has no \"section\" key")
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure driver     *)
-
-let micro () =
-  header "Bechamel micro-benchmarks (one per table/figure, reduced size)";
-  let open Bechamel in
-  let open Toolkit in
-  let qft16 = B.Qft.circuit 16 in
-  let im16 = B.Ising.circuit ~steps:4 16 in
-  let qaoa16 = B.Qaoa.circuit 16 in
-  let grid4 = Qec_lattice.Grid.create 4 in
-  let tests =
-    [
-      Test.make ~name:"table1:llg-census"
-        (Staged.stage (fun () ->
-             IL.oversize_census qft16
-               (IL.place ~method_:IL.Partitioned qft16 grid4)));
-      Test.make ~name:"table2:autobraid-full"
-        (Staged.stage (fun () -> Autobraid.Scheduler.run timing33 qft16));
-      Test.make ~name:"table2:gp-baseline"
-        (Staged.stage (fun () -> GP.run timing33 qft16));
-      Test.make ~name:"fig16:scalability-point"
-        (Staged.stage (fun () -> Autobraid.Scheduler.run ~options:sp_options timing33 im16));
-      Test.make ~name:"fig17:utilization-point"
-        (Staged.stage (fun () ->
-             (Autobraid.Scheduler.run ~options:sp_options timing33 qaoa16).Autobraid.Scheduler.avg_utilization));
-      Test.make ~name:"fig18:p-sweep-point"
-        (Staged.stage (fun () ->
-             Autobraid.Scheduler.run
-               ~options:{ Autobraid.Scheduler.default_options with threshold_p = 0.5 }
-               timing33 qaoa16));
-    ]
-  in
-  let test = Test.make_grouped ~name:"autobraid" ~fmt:"%s %s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let results = Analyze.merge ols Instance.[ monotonic_clock ] [ results ] in
-  let () =
-    Bechamel_notty.Unit.add Instance.monotonic_clock
-      (Measure.unit Instance.monotonic_clock)
-  in
-  let window =
-    match Notty_unix.winsize Unix.stdout with
-    | Some (w, h) -> { Bechamel_notty.w; h }
-    | None -> { Bechamel_notty.w = 100; h = 1 }
-  in
-  let img =
-    Bechamel_notty.Multiple.image_of_ols_results ~rect:window
-      ~predictor:Measure.run results
-  in
-  Notty_unix.output_image (Notty_unix.eol img)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let full = List.mem "--full" args in
-  let rec find_json = function
-    | "--json" :: path :: _ -> Some path
-    | _ :: rest -> find_json rest
-    | [] -> None
-  in
-  let json_out = find_json args in
   let rec find_all flag = function
     | f :: v :: rest when f = flag -> v :: find_all flag rest
     | _ :: rest -> find_all flag rest
     | [] -> []
   in
+  let json_out = List.nth_opt (find_all "--json" args) 0 in
   let find_float flag default =
     match find_all flag args with
     | v :: _ -> (
@@ -1458,67 +1176,43 @@ let () =
   let tolerance = find_float "--tolerance" 0.02 in
   let wall_tolerance = find_float "--wall-tolerance" 2.0 in
   if checks <> [] then begin
-    let t0 = Unix.gettimeofday () in
-    let ok =
-      List.fold_left
-        (fun acc path -> drift_check ~tolerance ~wall_tolerance path && acc)
-        true checks
+    let ok, s =
+      timed (fun () ->
+          List.fold_left
+            (fun acc path -> drift_check ~tolerance ~wall_tolerance path && acc)
+            true checks)
     in
-    Printf.printf "\n[drift check completed in %.1f s]\n"
-      (Unix.gettimeofday () -. t0);
+    Printf.printf "\n[drift check completed in %.1f s]\n" s;
     exit (if ok then 0 else 1)
   end;
-  let sections =
-    let rec strip = function
-      | ("--json" | "--check" | "--tolerance" | "--wall-tolerance")
-        :: _ :: rest ->
-        strip rest
-      | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" ->
-        strip rest
-      | a :: rest -> a :: strip rest
-      | [] -> []
-    in
-    strip args
+  let rec strip = function
+    | ("--json" | "--check" | "--tolerance" | "--wall-tolerance") :: _ :: rest
+      ->
+      strip rest
+    | a :: rest when String.length a > 2 && String.sub a 0 2 = "--" ->
+      strip rest
+    | a :: rest -> a :: strip rest
+    | [] -> []
   in
-  let section = match sections with s :: _ -> s | [] -> "all" in
-  let t0 = Unix.gettimeofday () in
-  (match section with
-  | "table1" -> profiled "table1" (table1 ~full)
-  | "table2" -> profiled "table2" (table2 ~full)
-  | "fig16" -> profiled "fig16" (fun () -> fig16 (run_sweep ~full ()))
-  | "fig17" -> profiled "fig17" (fun () -> fig17 (run_sweep ~full ()))
-  | "fig18" -> profiled "fig18" (fig18 ~full)
-  | "compile-time" -> profiled "compile-time" compile_time
-  | "ablation" -> profiled "ablation" ablation
-  | "planar" -> profiled "planar" planar
-  | "backends" -> profiled "backends" (backends ~json_out)
-  | "scale" -> profiled "scale" (scale ~json_out)
-  | "scale-smoke" -> profiled "scale-smoke" scale_smoke
-  | "engine" -> profiled "engine" (engine ~json_out)
-  | "prop" -> profiled "prop" (prop ~json_out)
-  | "verify" -> profiled "verify" (verify ~json_out)
-  | "serve" -> profiled "serve" (serve ~json_out)
-  | "micro" -> profiled "micro" micro
-  | "all" ->
-    profiled "table1" (table1 ~full);
-    profiled "table2" (table2 ~full);
-    let points = profiled "sweep" (run_sweep ~full) in
-    profiled "fig16" (fun () -> fig16 points);
-    profiled "fig17" (fun () -> fig17 points);
-    profiled "fig18" (fig18 ~full);
-    profiled "compile-time" compile_time;
-    profiled "ablation" ablation;
-    profiled "planar" planar;
-    profiled "backends" (backends ~json_out);
-    (* --json names one file; in `all` mode it belongs to `backends` *)
-    profiled "engine" (engine ~json_out:None);
-    profiled "prop" (prop ~json_out:None);
-    profiled "verify" (verify ~json_out:None);
-    profiled "serve" (serve ~json_out:None);
-    profiled "micro" micro
-  | other ->
-    Printf.eprintf
-      "unknown section %S (expected table1|table2|fig16|fig17|fig18|compile-time|ablation|planar|backends|scale|scale-smoke|engine|prop|verify|serve|micro|all)\n"
-      other;
-    exit 2);
-  Printf.printf "\n[bench completed in %.1f s]\n" (Unix.gettimeofday () -. t0)
+  let name = match strip args with s :: _ -> s | [] -> "all" in
+  let (), s =
+    timed @@ fun () ->
+    match (name, find_section name) with
+    | _, Some s -> run_section ~full ~json_out s
+    | "all", None ->
+      (* --json names one file; in `all` it belongs to the first section
+         with a snapshot *)
+      let owner =
+        List.find (fun (Section s) -> s.in_all && Option.is_some s.json) sections
+      in
+      List.iter
+        (fun (Section s as sec) ->
+          let json_out = if sec == owner then json_out else None in
+          if s.in_all then run_section ~full ~json_out sec)
+        sections
+    | other, None ->
+      Printf.eprintf "unknown section %S (expected %s|all)\n" other
+        (String.concat "|" (List.map (fun (Section s) -> s.name) sections));
+      exit 2
+  in
+  Printf.printf "\n[bench completed in %.1f s]\n" s

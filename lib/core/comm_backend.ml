@@ -5,21 +5,7 @@ type outcome = {
   stats : (string * float) list;
 }
 
-type t = {
-  name : string;
-  description : string;
-  run : Qec_surface.Timing.t -> Qec_circuit.Circuit.t -> outcome;
-}
-
-let braid ?(options = Scheduler.default_options) () =
-  {
-    name = "braid";
-    description = "double-defect braiding (AutoBraid round scheduler)";
-    run =
-      (fun timing circuit ->
-        let result, trace = Scheduler.run_traced ~options timing circuit in
-        { backend = "braid"; result; trace; stats = [] });
-  }
+type t = { run : Qec_surface.Timing.t -> Qec_circuit.Circuit.t -> outcome }
 
 (* ---------------- per-backend options ---------------- *)
 
@@ -235,21 +221,35 @@ let () =
         | "sp" -> Scheduler.Sp
         | _ -> Scheduler.Full
       in
-      braid
-        ~options:
-          {
-            Scheduler.variant;
-            threshold_p = Options.get_float opts "threshold_p";
-            initial = cfg.initial;
-            swap_strategy = None;
-            retry = true;
-            confine_llg = true;
-            compaction = false;
-            lookahead = false;
-            seed = cfg.seed;
-            placement_override = cfg.placement;
-          }
-        ())
+      let options =
+        {
+          Scheduler.variant;
+          threshold_p = Options.get_float opts "threshold_p";
+          initial = cfg.initial;
+          swap_strategy = None;
+          retry = true;
+          confine_llg = true;
+          compaction = false;
+          lookahead = false;
+          seed = cfg.seed;
+          placement_override = cfg.placement;
+        }
+      in
+      {
+        run =
+          (fun timing circuit ->
+            let result, trace = Scheduler.run_traced ~options timing circuit in
+            { backend = "braid"; result; trace; stats = [] });
+      })
+
+let by_name name =
+  match of_name name with
+  | Some e -> e.ctor default_config (Options.defaults e.options)
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Comm_backend.by_name: unknown backend %S (registered: %s)"
+         name
+         (String.concat ", " (names ())))
 
 let scheduled_gate_ids (trace : Trace.t) =
   List.concat_map

@@ -28,16 +28,9 @@ type outcome = {
           stable order, exported as a JSON object *)
 }
 
-type t = {
-  name : string;  (** e.g. ["braid"], ["surgery"] *)
-  description : string;
-  run : Qec_surface.Timing.t -> Qec_circuit.Circuit.t -> outcome;
-}
-
-val braid : ?options:Scheduler.options -> unit -> t
-(** The existing braiding scheduler as a backend. [run] is exactly
-    {!Scheduler.run_traced}: results are identical to calling the
-    scheduler directly (the abstraction adds nothing to the hot path). *)
+type t = { run : Qec_surface.Timing.t -> Qec_circuit.Circuit.t -> outcome }
+(** A backend built by its registry entry's [ctor] (or {!by_name}); its
+    name and description live on the {!entry}. *)
 
 (** {2 Per-backend options}
 
@@ -164,6 +157,14 @@ val register :
     [options] defaults to none declared, [validate] to always-[Ok]. *)
 
 val of_name : string -> entry option
+
+val by_name : string -> t
+(** [by_name name] builds the registered backend [name] from
+    {!default_config} and the entry's declared option defaults — the one
+    constructor for callers that want a backend as it ships. Raises
+    [Invalid_argument] for an unregistered name. Backends registered by
+    other libraries must be linked first ([Qec_engine.Engine.ensure_backends]
+    or the backend module's [register]). *)
 
 val names : unit -> string list
 (** Registered backend names, sorted — for error messages. *)

@@ -41,3 +41,24 @@ let compact ?(max_passes = 3) router occ placement routed =
   done;
   Tel.count ~by:!passes "compaction.passes";
   Array.to_list arr
+
+let compact_and_rescue router occ placement (o : Stack_finder.outcome) =
+  if o.routed = [] then (o, 0)
+  else begin
+    let compacted =
+      Tel.timed "compaction.compact" (fun () ->
+          compact router occ placement o.routed)
+    in
+    let rescued, failed =
+      Stack_finder.route_in_order router occ placement o.failed
+    in
+    let routed = compacted @ rescued in
+    ( {
+        Stack_finder.routed;
+        failed;
+        ratio =
+          float_of_int (List.length routed)
+          /. float_of_int (List.length routed + List.length failed);
+      },
+      List.length rescued )
+  end

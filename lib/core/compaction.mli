@@ -10,7 +10,8 @@
 
     Compaction preserves endpoints and round validity (paths stay pairwise
     vertex-disjoint) and never increases total vertex usage. Enabled in the
-    scheduler via [options.compaction]; measured in the ablation bench. *)
+    scheduler via [options.compaction] and always on in the lookahead
+    backend's candidate attempts; measured in the ablation bench. *)
 
 val compact :
   ?max_passes:int ->
@@ -24,6 +25,21 @@ val compact :
     and returns the compacted assignment, with [occ] updated to match.
     [max_passes] bounds the outer loop (default 3). Gate order is
     preserved. *)
+
+val compact_and_rescue :
+  Qec_lattice.Router.t ->
+  Qec_lattice.Occupancy.t ->
+  Qec_lattice.Placement.t ->
+  Stack_finder.outcome ->
+  Stack_finder.outcome * int
+(** One round's compact-and-rescue step: {!compact} the outcome's routed
+    paths (timed as [compaction.compact]), then route its failed gates in
+    order ({!Stack_finder.route_in_order}) over the vertices that freed.
+    Returns the new outcome, with [occ] holding exactly its paths, and the
+    number of gates rescued. An outcome with nothing routed is returned
+    as is (nothing to compact, so nothing frees). Counts no telemetry of
+    its own beyond the timer: the caller decides whether the rescues are
+    committed ([compaction.rescued_gates] in {!Scheduler}). *)
 
 val total_vertices : (Task.t * Qec_lattice.Path.t) list -> int
 (** Sum of path lengths — the quantity compaction minimizes. *)

@@ -96,7 +96,6 @@ type prepared = {
   placement : Qec_lattice.Placement.t;
   dag : Dag.t;
   strategy : Layout_opt.strategy Lazy.t;
-  prepare_s : float;
 }
 
 let lowered prep = prep.circuit
@@ -107,7 +106,6 @@ let check_threshold options =
     invalid_arg "Scheduler.run: threshold_p out of [0, 1)"
 
 let prepare options circuit =
-  let t0 = Unix.gettimeofday () in
   let circuit =
     Tel.timed "decompose.lower" (fun () -> Decompose.to_scheduler_gates circuit)
   in
@@ -146,18 +144,10 @@ let prepare options circuit =
   (* When the placement built the coupling graph, settle the strategy now
      so the graph is not kept alive through the round loop. *)
   if Lazy.is_val coupling then ignore (Lazy.force strategy);
-  let dag = Lazy.force dag in
-  {
-    circuit;
-    placement;
-    dag;
-    strategy;
-    prepare_s = Unix.gettimeofday () -. t0;
-  }
+  { circuit; placement; dag = Lazy.force dag; strategy }
 
 let drive_impl ~record policy ~options timing prep =
   check_threshold options;
-  let t0 = Unix.gettimeofday () in
   let { circuit; dag; strategy; _ } = prep in
   let placement = Qec_lattice.Placement.copy prep.placement in
   let grid = Qec_lattice.Placement.grid placement in
@@ -240,27 +230,14 @@ let drive_impl ~record policy ~options timing prep =
           in
           (* Optional topological compaction: shorten the round's paths and
              use the freed vertices to rescue gates that failed to route. *)
-          if options.compaction && outcome.Stack_finder.routed <> [] then begin
-            let routed =
-              Tel.timed "compaction.compact" (fun () ->
-                  Compaction.compact router occ placement
-                    outcome.Stack_finder.routed)
+          if not options.compaction then outcome
+          else begin
+            let outcome, rescued =
+              Compaction.compact_and_rescue router occ placement outcome
             in
-            let rescued, failed =
-              Stack_finder.route_in_order router occ placement
-                outcome.Stack_finder.failed
-            in
-            Tel.count ~by:(List.length rescued) "compaction.rescued_gates";
-            let routed = routed @ rescued in
-            {
-              Stack_finder.routed;
-              failed;
-              ratio =
-                float_of_int (List.length routed)
-                /. float_of_int (List.length cx_tasks);
-            }
+            Tel.count ~by:rescued "compaction.rescued_gates";
+            outcome
           end
-          else outcome
       in
       Tel.sample "scheduler.scheduled_ratio" outcome.Stack_finder.ratio;
       let want_swap =
@@ -309,7 +286,6 @@ let drive_impl ~record policy ~options timing prep =
     end
   done;
   Tel.span_close ();
-  let compile_time_s = prep.prepare_s +. (Unix.gettimeofday () -. t0) in
   let trace =
     if not record then None
     else
@@ -337,7 +313,7 @@ let drive_impl ~record policy ~options timing prep =
         (if !braid_rounds = 0 then 0.
          else !util_sum /. float_of_int !braid_rounds);
       peak_utilization = !util_peak;
-      compile_time_s;
+      compile_time_s = 0.;
     },
     trace )
 
@@ -349,16 +325,25 @@ let drive_traced policy ~options timing prep =
   | result, Some trace -> (result, trace)
   | _, None -> assert false
 
-let run_impl drive ?route ~options timing circuit =
+let clocked f =
+  let t0 = Unix.gettimeofday () in
+  let result, x = f () in
+  ({ result with compile_time_s = Unix.gettimeofday () -. t0 }, x)
+
+let run_impl ~record ?route ~options timing circuit =
   check_threshold options;
   Tel.with_span "scheduler.run" @@ fun () ->
-  drive (braid_policy ?route timing) ~options timing (prepare options circuit)
+  clocked (fun () ->
+      drive_impl ~record (braid_policy ?route timing) ~options timing
+        (prepare options circuit))
 
 let run ?route ?(options = default_options) timing circuit =
-  run_impl drive ?route ~options timing circuit
+  fst (run_impl ~record:false ?route ~options timing circuit)
 
 let run_traced_with ?route ?(options = default_options) timing circuit =
-  run_impl drive_traced ?route ~options timing circuit
+  match run_impl ~record:true ?route ~options timing circuit with
+  | result, Some trace -> (result, trace)
+  | _, None -> assert false
 
 let run_traced ?options timing circuit = run_traced_with ?options timing circuit
 
@@ -367,6 +352,7 @@ let default_grid_points = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9 ]
 let run_best_p ?(options = default_options) ?(grid_points = default_grid_points)
     ?(jobs = 1) timing circuit =
   let jobs = max 1 jobs in
+  clocked @@ fun () ->
   (* Lowering, placement (including the annealing fine-tune) and the DAG
      are independent of the threshold: prepare them once for the whole
      sweep. The DAG is immutable and each drive copies the placement, so

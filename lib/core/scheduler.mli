@@ -64,7 +64,9 @@ type result = {
   critical_path_cycles : int;  (** routing-free lower bound, same costs *)
   avg_utilization : float;  (** mean occupied-vertex ratio over braid rounds *)
   peak_utilization : float;
-  compile_time_s : float;  (** wall time spent scheduling *)
+  compile_time_s : float;
+      (** wall time of the whole entry-point call that produced this
+          result ({!clocked}); [0.] on a bare {!drive} *)
 }
 
 val time_us : Qec_surface.Timing.t -> result -> float
@@ -108,7 +110,7 @@ type policy = {
 }
 (** What a backend plugs into the one round driver ({!drive}). The driver
     keeps everything else: the DAG frontier, local rounds, the SWAP-layer
-    decision, utilization, counters, the wall clock, trace assembly and
+    decision, utilization, counters, trace assembly and
     cycle accounting (each emitted round costs {!Trace.round_cycles}). *)
 
 val braid_policy : ?route:round_route -> Qec_surface.Timing.t -> policy
@@ -138,8 +140,9 @@ val drive :
   policy -> options:options -> Qec_surface.Timing.t -> prepared -> result
 (** The round loop: until every gate is scheduled, take the DAG front,
     let the policy select and route it, and emit a local, routed or SWAP
-    round. Starts from a copy of the prepared placement. [compile_time_s]
-    is the preparation's wall time plus this drive's. Raises
+    round. Starts from a copy of the prepared placement. A drive is part
+    of a run, not a run: [compile_time_s] is [0.], and the entry point
+    around it stamps its own wall time ({!clocked}). Raises
     [Invalid_argument] if [threshold_p] is outside [0, 1). *)
 
 val drive_traced :
@@ -150,6 +153,13 @@ val drive_traced :
   result * Trace.t
 (** {!drive}, also recording every round. Scheduling decisions are
     identical. *)
+
+val clocked : (unit -> result * 'a) -> result * 'a
+(** [clocked f] runs [f] and sets the returned result's [compile_time_s]
+    to the wall time of the whole call: the one clock of every scheduling
+    entry point ({!run}, {!run_traced_with}, {!run_best_p}, and the
+    surgery, lookahead and planar-teleport runs), so preparation and every
+    drive a run makes are counted once each. *)
 
 val run :
   ?route:round_route ->
@@ -197,6 +207,6 @@ val run_best_p :
     circuit is prepared ({!prepare}) once and driven per threshold. With
     [jobs > 1] the thresholds run on a {!Qec_util.Parallel} worker pool of
     that size — identical results in identical order, shorter wall time.
-    Each run's [compile_time_s] is the shared preparation plus that run's
-    own drive, so it does not count work done on other domains. [jobs]
-    defaults to 1 (sequential). *)
+    The best result's [compile_time_s] is the wall time of the whole
+    sweep; the curve's results are bare drives ([0.]). [jobs] defaults to
+    1 (sequential). *)

@@ -1,24 +1,5 @@
 module Comm_backend = Autobraid.Comm_backend
 
-let make ?(options = Lookahead_scheduler.default_options) () =
-  {
-    Comm_backend.name = "lookahead";
-    description =
-      "windowed critical-path lookahead over braiding (never worse than \
-       greedy)";
-    run =
-      (fun timing circuit ->
-        let result, trace, stats =
-          Lookahead_scheduler.run_traced ~options timing circuit
-        in
-        {
-          Comm_backend.backend = "lookahead";
-          result;
-          trace;
-          stats = Lookahead_scheduler.stats_to_assoc stats;
-        });
-  }
-
 let options_spec =
   let open Comm_backend.Options in
   [
@@ -59,16 +40,28 @@ let register () =
       else Ok ())
     (fun cfg opts ->
       let open Comm_backend.Options in
-      make
-        ~options:
-          {
-            Lookahead_scheduler.window = get_int opts "window";
-            slack_weight = get_float opts "slack_weight";
-            initial = cfg.Comm_backend.initial;
-            seed = cfg.Comm_backend.seed;
-            placement_override = cfg.Comm_backend.placement;
-          }
-        ())
+      let options =
+        {
+          Lookahead_scheduler.window = get_int opts "window";
+          slack_weight = get_float opts "slack_weight";
+          initial = cfg.Comm_backend.initial;
+          seed = cfg.Comm_backend.seed;
+          placement_override = cfg.Comm_backend.placement;
+        }
+      in
+      {
+        Comm_backend.run =
+          (fun timing circuit ->
+            let result, trace, stats =
+              Lookahead_scheduler.run_traced ~options timing circuit
+            in
+            {
+              Comm_backend.backend = "lookahead";
+              result;
+              trace;
+              stats = Lookahead_scheduler.stats_to_assoc stats;
+            });
+      })
 
 (* Self-register when linked and referenced; name-only resolvers call
    [register] explicitly — see Qec_engine.Engine. *)

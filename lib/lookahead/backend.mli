@@ -5,10 +5,6 @@
     through the generic [stats] list
     ({!Lookahead_scheduler.stats_to_assoc}'s keys). *)
 
-val make :
-  ?options:Lookahead_scheduler.options -> unit -> Autobraid.Comm_backend.t
-(** Backend named ["lookahead"]. *)
-
 val options_spec : Autobraid.Comm_backend.Options.spec list
 (** Declared options: [window] (int, >= 0) and [slack_weight]
     (float, >= 0). *)

@@ -73,12 +73,9 @@ let scheduler_options (o : options) =
     placement_override = o.placement_override;
   }
 
-let run_traced ?(options = default_options) timing circuit =
-  if options.window < 0 then
-    invalid_arg "Lookahead_scheduler.run: window < 0";
-  if options.slack_weight < 0. then
-    invalid_arg "Lookahead_scheduler.run: slack_weight < 0";
-  Tel.with_span "lookahead.run" @@ fun () ->
+(* The greedy run and the portfolio run, both on one preparation; the
+   cheaper schedule wins. *)
+let portfolio options timing circuit =
   let sched_options = scheduler_options options in
   (* Both runs drive one preparation: one lowering, placement and DAG. *)
   let prep = Scheduler.prepare sched_options circuit in
@@ -142,29 +139,9 @@ let run_traced ?(options = default_options) timing circuit =
          the outcome's reservations in [occ]. *)
       let attempt priority_of =
         Occupancy.clear occ;
-        let o =
-          Stack_finder.find ~retry:true ~confine_llg:true ?priority_of router
-            occ placement tasks
-        in
-        if o.Stack_finder.routed = [] then (o, 0)
-        else begin
-          let routed =
-            Tel.timed "compaction.compact" (fun () ->
-                Compaction.compact router occ placement o.Stack_finder.routed)
-          in
-          let rescued, failed =
-            Stack_finder.route_in_order router occ placement
-              o.Stack_finder.failed
-          in
-          ( {
-              Stack_finder.routed = routed @ rescued;
-              failed;
-              ratio =
-                float_of_int (List.length routed + List.length rescued)
-                /. float_of_int (List.length tasks);
-            },
-            List.length rescued )
-        end
+        Compaction.compact_and_rescue router occ placement
+          (Stack_finder.find ~retry:true ~confine_llg:true ?priority_of router
+             occ placement tasks)
       in
       (* Rank: gates routed, then slack-weighted criticality of the
          routed set, then lower lattice utilization (congestion
@@ -215,3 +192,16 @@ let run_traced ?(options = default_options) timing circuit =
         rescued_gates = !rescued_gates;
       } )
   end
+
+let run_traced ?(options = default_options) timing circuit =
+  if options.window < 0 then
+    invalid_arg "Lookahead_scheduler.run: window < 0";
+  if options.slack_weight < 0. then
+    invalid_arg "Lookahead_scheduler.run: slack_weight < 0";
+  Tel.with_span "lookahead.run" @@ fun () ->
+  let result, (trace, stats) =
+    Scheduler.clocked @@ fun () ->
+    let result, trace, stats = portfolio options timing circuit in
+    (result, (trace, stats))
+  in
+  (result, trace, stats)

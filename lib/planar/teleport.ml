@@ -57,7 +57,10 @@ let run ?(options = default_options) timing circuit : Scheduler.result =
       seed = options.seed;
     }
   in
-  let r =
-    Scheduler.drive policy ~options timing (Scheduler.prepare options circuit)
+  let r, () =
+    Scheduler.clocked (fun () ->
+        ( Scheduler.drive policy ~options timing
+            (Scheduler.prepare options circuit),
+          () ))
   in
   { r with total_cycles = r.rounds * d }

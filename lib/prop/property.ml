@@ -233,9 +233,9 @@ let diff_backends =
     check =
       Circuit
         (guard (fun c ->
-             let braid = (CB.braid ()).CB.run timing c in
-             let surgery = (Qec_surgery.Backend.make ()).CB.run timing c in
-             let lookahead = (Qec_lookahead.Backend.make ()).CB.run timing c in
+             let braid = (CB.by_name "braid").CB.run timing c in
+             let surgery = (CB.by_name "surgery").CB.run timing c in
+             let lookahead = (CB.by_name "lookahead").CB.run timing c in
              let rg, baseline = Gp_baseline.run_traced timing c in
              let check_clean (backend, trace) =
                match first_violation trace with
@@ -363,8 +363,8 @@ let verify_certify =
              let module M = Qec_verify.Mutate in
              let outcomes =
                [
-                 (CB.braid ()).CB.run timing c;
-                 (Qec_surgery.Backend.make ()).CB.run timing c;
+                 (CB.by_name "braid").CB.run timing c;
+                 (CB.by_name "surgery").CB.run timing c;
                ]
              in
              let rec check_outcomes = function

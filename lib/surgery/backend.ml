@@ -1,22 +1,5 @@
 module Comm_backend = Autobraid.Comm_backend
 
-let make ?(options = Surgery_scheduler.default_options) () =
-  {
-    Comm_backend.name = "surgery";
-    description = "lattice surgery (merge-split CX over ancilla corridors)";
-    run =
-      (fun timing circuit ->
-        let result, trace, stats =
-          Surgery_scheduler.run_traced ~options timing circuit
-        in
-        {
-          Comm_backend.backend = "surgery";
-          result;
-          trace;
-          stats = Surgery_scheduler.stats_to_assoc stats;
-        });
-  }
-
 let options_spec =
   let open Comm_backend.Options in
   [
@@ -49,17 +32,29 @@ let register () =
     ~options:options_spec
     (fun cfg opts ->
       let open Comm_backend.Options in
-      make
-        ~options:
-          {
-            Surgery_scheduler.initial = cfg.Comm_backend.initial;
-            retry = get_bool opts "retry";
-            ripup = get_bool opts "ripup";
-            pipeline_splits = get_bool opts "pipeline_splits";
-            seed = cfg.Comm_backend.seed;
-            placement_override = cfg.Comm_backend.placement;
-          }
-        ())
+      let options =
+        {
+          Surgery_scheduler.initial = cfg.Comm_backend.initial;
+          retry = get_bool opts "retry";
+          ripup = get_bool opts "ripup";
+          pipeline_splits = get_bool opts "pipeline_splits";
+          seed = cfg.Comm_backend.seed;
+          placement_override = cfg.Comm_backend.placement;
+        }
+      in
+      {
+        Comm_backend.run =
+          (fun timing circuit ->
+            let result, trace, stats =
+              Surgery_scheduler.run_traced ~options timing circuit
+            in
+            {
+              Comm_backend.backend = "surgery";
+              result;
+              trace;
+              stats = Surgery_scheduler.stats_to_assoc stats;
+            });
+      })
 
 (* Self-register when this module is linked; callers that resolve
    backends purely by name (and therefore never reference this module)

@@ -199,11 +199,9 @@ let stats_of timing ({ result; trace; _ } as pass) =
       (if !merges = 0 then 0. else float_of_int !len_sum /. float_of_int !merges);
   }
 
-let run_traced ?(options = default_options) timing circuit =
-  Tel.with_span "surgery.run" @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  (* Surgery reaches any two patches directly: the static-placement
-     variant, never a SWAP layer. *)
+(* Surgery reaches any two patches directly: the static-placement
+   variant, never a SWAP layer. *)
+let best_pass options timing circuit =
   let sched_options =
     {
       Scheduler.default_options with
@@ -222,19 +220,23 @@ let run_traced ?(options = default_options) timing circuit =
      the deferred and the undeferred schedule on one preparation, apply
      the same overlap accounting to each, and keep the cheaper (the
      deferred one on ties, preserving historical schedules). *)
-  let pass =
-    if not options.pipeline_splits then schedule ~defer:false
-    else begin
-      let deferred = schedule ~defer:true in
-      let plain = schedule ~defer:false in
-      if plain.result.total_cycles < deferred.result.total_cycles then plain
-      else deferred
-    end
+  if not options.pipeline_splits then schedule ~defer:false
+  else begin
+    let deferred = schedule ~defer:true in
+    let plain = schedule ~defer:false in
+    if plain.result.total_cycles < deferred.result.total_cycles then plain
+    else deferred
+  end
+
+let run_traced ?(options = default_options) timing circuit =
+  Tel.with_span "surgery.run" @@ fun () ->
+  let result, pass =
+    Scheduler.clocked (fun () ->
+        let pass = best_pass options timing circuit in
+        (pass.result, pass))
   in
   Tel.count ~by:pass.pipelined "surgery.pipelined_splits";
-  ( { pass.result with compile_time_s = Unix.gettimeofday () -. t0 },
-    pass.trace,
-    stats_of timing pass )
+  (result, pass.trace, stats_of timing pass)
 
 let run ?options timing circuit =
   let result, _, _ = run_traced ?options timing circuit in

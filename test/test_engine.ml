@@ -344,7 +344,7 @@ let test_registry () =
 let test_registry_replacement () =
   let dummy desc =
     CB.register ~name:"zz-test-dummy" ~description:desc (fun _ _ ->
-        CB.braid ())
+        CB.by_name "braid")
   in
   dummy "first";
   dummy "second";

@@ -14,6 +14,9 @@ module L = Qec_lookahead.Lookahead_scheduler
 module Dataflow = Qec_verify.Dataflow
 module B = Qec_benchmarks
 
+(* The backend below is built by name, so link lookahead's entry. *)
+let () = Qec_lookahead.Backend.register ()
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -151,12 +154,21 @@ let test_lr24_strictly_better () =
   check_bool "portfolio rounds committed" true (stats.L.priority_rounds > 0);
   check_bool "lookahead chosen" true stats.L.chose_lookahead
 
+(* One clock: the compile time covers the greedy drive as well as the
+   portfolio drive raced against it, not only the drive that won. *)
+let test_compile_time_is_the_call () =
+  let t0 = Unix.gettimeofday () in
+  let result, _, _ = L.run_traced timing (B.Qft.circuit 64) in
+  let wall = Unix.gettimeofday () -. t0 in
+  check_bool "inside the call" true (result.S.compile_time_s <= wall);
+  check_bool "the whole call" true (result.S.compile_time_s >= 0.9 *. wall)
+
 (* ------------------------------------------------------------------ *)
 (* backend packaging                                                    *)
 
 let test_backend_outcome () =
   let outcome =
-    (Qec_lookahead.Backend.make ()).CB.run timing (B.Registry.build "qft9")
+    (CB.by_name "lookahead").CB.run timing (B.Registry.build "qft9")
   in
   Alcotest.(check string) "name" "lookahead" outcome.CB.backend;
   check_int "trace clean" 0 (List.length (Trace.check outcome.CB.trace));
@@ -197,6 +209,8 @@ let () =
         ] );
       ( "long-range win",
         [ Alcotest.test_case "lr24" `Quick test_lr24_strictly_better ] );
+      ( "compile time",
+        [ Alcotest.test_case "whole call" `Quick test_compile_time_is_the_call ] );
       ( "backend",
         [ Alcotest.test_case "outcome shape" `Quick test_backend_outcome ] );
     ]

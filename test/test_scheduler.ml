@@ -122,6 +122,16 @@ let test_run_best_p () =
     (fun (_, r) -> check_bool "best is min" true (best.S.total_cycles <= r.S.total_cycles))
     curve
 
+(* One clock per entry point: the best result's compile time is the wall
+   time of the whole sweep (preparation plus every threshold's drive),
+   not the preparation plus one drive. *)
+let test_best_p_compile_time_is_the_call () =
+  let t0 = Unix.gettimeofday () in
+  let best, _ = S.run_best_p timing (B.Qft.circuit 64) in
+  let wall = Unix.gettimeofday () -. t0 in
+  check_bool "inside the call" true (best.S.compile_time_s <= wall);
+  check_bool "the whole call" true (best.S.compile_time_s >= 0.9 *. wall)
+
 (* A drive starts from a copy of the prepared placement, so SWAP layers
    in one drive leave the preparation intact for the next. *)
 let test_prepare_once_drive_many () =
@@ -219,6 +229,8 @@ let () =
           Alcotest.test_case "invalid threshold" `Quick test_invalid_threshold;
           Alcotest.test_case "swap accounting" `Quick test_swap_layer_accounting;
           Alcotest.test_case "best p sweep" `Quick test_run_best_p;
+          Alcotest.test_case "best p compile time" `Quick
+            test_best_p_compile_time_is_the_call;
           Alcotest.test_case "prepare once, drive many" `Quick
             test_prepare_once_drive_many;
           Alcotest.test_case "initial methods" `Quick test_initial_methods_all_work;

@@ -12,6 +12,9 @@ module C = Qec_circuit.Circuit
 module G = Qec_circuit.Gate
 module B = Qec_benchmarks
 
+(* The backends below are built by name, so link surgery's entry. *)
+let () = Qec_surgery.Backend.register ()
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -93,8 +96,8 @@ let test_stats_accounting () =
 let test_cross_backend_same_gates () =
   List.iter
     (fun c ->
-      let braid = (CB.braid ()).CB.run timing c in
-      let surgery = (Qec_surgery.Backend.make ()).CB.run timing c in
+      let braid = (CB.by_name "braid").CB.run timing c in
+      let surgery = (CB.by_name "surgery").CB.run timing c in
       let gb = CB.scheduled_gate_ids braid.CB.trace
       and gs = CB.scheduled_gate_ids surgery.CB.trace in
       check_int "same lowered gate count"
@@ -112,8 +115,8 @@ let test_surgery_beats_braid_on_longrange () =
   List.iter
     (fun n ->
       let c = B.Misc_circuits.longrange n in
-      let braid = (CB.braid ()).CB.run timing c in
-      let surgery = (Qec_surgery.Backend.make ()).CB.run timing c in
+      let braid = (CB.by_name "braid").CB.run timing c in
+      let surgery = (CB.by_name "surgery").CB.run timing c in
       let cb = braid.CB.result.S.total_cycles
       and cs = surgery.CB.result.S.total_cycles in
       check_bool
@@ -156,7 +159,7 @@ let test_run_matches_run_traced () =
 
 let test_braid_backend_matches_scheduler () =
   let c = B.Qft.circuit 9 in
-  let o = (CB.braid ()).CB.run timing c in
+  let o = (CB.by_name "braid").CB.run timing c in
   let direct = S.run timing c in
   check_int "backend wraps the scheduler unchanged" direct.S.total_cycles
     o.CB.result.S.total_cycles;
@@ -271,7 +274,7 @@ let test_single_qubit_merge_rejected () =
 
 let test_backend_outcome_json () =
   let c = B.Bv.circuit 12 in
-  let o = (Qec_surgery.Backend.make ()).CB.run timing c in
+  let o = (CB.by_name "surgery").CB.run timing c in
   let json =
     Qec_report.Json.to_string
       (Qec_report.Export.backend_outcome_to_json ~max_rounds:5 timing o)
@@ -309,8 +312,8 @@ let prop_surgery_traces_validate =
 let prop_backends_agree_on_gates =
   QCheck.Test.make ~name:"backends schedule identical gate sets" ~count:40
     (QCheck.make random_circuit) (fun c ->
-      let braid = (CB.braid ()).CB.run timing c in
-      let surgery = (Qec_surgery.Backend.make ()).CB.run timing c in
+      let braid = (CB.by_name "braid").CB.run timing c in
+      let surgery = (CB.by_name "surgery").CB.run timing c in
       CB.scheduled_gate_ids braid.CB.trace
       = CB.scheduled_gate_ids surgery.CB.trace)
 
