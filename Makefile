@@ -29,9 +29,10 @@ fmt:
 		echo "fmt: ocamlformat not installed, skipping format check"; \
 	fi
 
-# The repository's own inputs must stay diagnostic-free, warnings included.
-# The loop calls the built binary directly: `build` already produced it, and
-# one `dune exec` per input pays a dune lock + rebuild check each time.
+# The repository's own inputs must stay diagnostic-free, warnings included;
+# the built-in circuits are also scheduled and certified (QL210). The loop
+# calls the built binary directly: `build` already produced it, and one
+# `dune exec` per input pays a dune lock + rebuild check each time.
 lint: build
 	@for f in fixtures/*.qasm; do \
 		echo "lint $$f"; \
@@ -40,6 +41,8 @@ lint: build
 	@for c in qft9 bv12 qaoa12 im12 ghz8 adder8; do \
 		echo "lint $$c"; \
 		$(CLI) lint "$$c" --deny warning || exit 1; \
+		echo "lint $$c --schedule"; \
+		$(CLI) lint "$$c" --schedule --deny warning || exit 1; \
 	done
 
 # Cross-backend smoke: both communication backends must still run end to
@@ -178,8 +181,9 @@ profile-smoke: build
 	echo "profile-smoke: OK"
 
 # Certification smoke: every committed fixture and a mid-size benchmark
-# must certify clean through both communication backends, and the exit
-# policy must match lint's (0 clean / 1 failed invariant / 2 bad input).
+# must certify clean through both communication backends (and qft9 through
+# lookahead), and the exit policy must match lint's (0 clean / 1 failed
+# invariant / 2 bad input).
 verify-smoke: build
 	@for f in fixtures/*.qasm; do \
 		echo "verify $$f"; \
@@ -190,6 +194,8 @@ verify-smoke: build
 		$(CLI) verify "$$c" || exit 1; \
 		$(CLI) verify "$$c" --backend surgery || exit 1; \
 	done
+	@echo "verify qft9 (lookahead)"; \
+	$(CLI) verify qft9 --backend lookahead || exit 1
 	@echo "verify fixtures/batch_manifest.json"; \
 	$(CLI) verify fixtures/batch_manifest.json || exit 1
 	@$(CLI) verify no-such-circuit >/dev/null 2>&1; \

@@ -316,8 +316,7 @@ let finish_spec ?(certify = false) ?(backend_opts = []) (s : Spec.t) =
 let run_or_die spec =
   match Engine.run_spec spec with Ok p -> p | Error e -> die_engine_text e
 
-(* A run's payload with its trace (trace, export -f json, lint
-   --schedule). *)
+(* A run's payload with its trace (trace, export -f json). *)
 let traced_run (spec : Spec.t) =
   let p = run_or_die { spec with outputs = { spec.outputs with trace = true } } in
   (p, Option.get p.Engine.trace)
@@ -1048,10 +1047,15 @@ let backends_cmd =
 let trace_cmd =
   let run spec d max_rounds svg_prefix =
     guarded @@ fun () ->
-    let { Engine.result; _ }, trace = traced_run { Spec.default with circuit = spec; d } in
-    (match Autobraid.Trace.validate trace with
-    | Ok () -> print_endline "trace: VALID"
-    | Error msg -> Printf.printf "trace: INVALID (%s)\n" msg);
+    let { Engine.result; certificate; _ }, trace =
+      traced_run
+        (finish_spec ~certify:true { Spec.default with circuit = spec; d })
+    in
+    (match (Option.get certificate).Qec_verify.Certifier.witnesses with
+    | [] -> print_endline "trace: VALID"
+    | w :: _ ->
+      Printf.printf "trace: INVALID (%s)\n"
+        (Qec_verify.Certifier.witness_to_string w));
     Printf.printf "%d rounds, %d cycles, %d swaps\n\n"
       result.Autobraid.Scheduler.rounds result.Autobraid.Scheduler.total_cycles
       result.Autobraid.Scheduler.swaps_inserted;
@@ -1085,7 +1089,7 @@ let trace_cmd =
       & info [ "rounds" ] ~docv:"N" ~doc:"How many rounds to render")
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Record, validate and render a schedule trace")
+    (Cmd.info "trace" ~doc:"Record, certify and render a schedule trace")
     Term.(const run $ circuit_arg $ distance_arg $ rounds_arg $ svg_arg)
 
 (* ---------------- lint ---------------- *)
@@ -1107,10 +1111,14 @@ let lint_cmd =
     in
     let diags =
       if schedule && Qec_lint.Lint.error_count diags = 0 then
-        let _, trace = traced_run
-            { Spec.default with circuit = spec; d; seed; threshold_p = p }
+        let { Engine.certificate; _ } =
+          run_or_die
+            (finish_spec ~certify:true
+               { Spec.default with circuit = spec; d; seed; threshold_p = p })
         in
-        diags @ Qec_lint.Schedule_lint.check_trace ~file:spec trace
+        diags
+        @ Qec_lint.Schedule_lint.check_certificate ~file:spec
+            (Option.get certificate)
       else diags
     in
     (match fmt with
@@ -1147,7 +1155,7 @@ let lint_cmd =
     Arg.(
       value & flag
       & info [ "schedule" ]
-          ~doc:"Also schedule the circuit and validate the recorded trace \
+          ~doc:"Also schedule the circuit and certify the schedule \
                 (QL210); slower")
   in
   Cmd.v

@@ -12,9 +12,9 @@
     compare them interchangeably.
 
     A backend must be {e behavior-preserving} with respect to the circuit:
-    every lowered gate is scheduled exactly once (checked by
-    {!Trace.check}), so two backends differ only in rounds, paths and
-    cycle accounting — never in what executes. *)
+    every lowered gate is scheduled exactly once (certified by
+    [Qec_verify.Certifier]), so two backends differ only in rounds, paths
+    and cycle accounting — never in what executes. *)
 
 type outcome = {
   backend : string;  (** backend name, for reports and exported JSON *)

@@ -1,6 +1,5 @@
 module Circuit = Qec_circuit.Circuit
 module Gate = Qec_circuit.Gate
-module Dag = Qec_circuit.Dag
 module Grid = Qec_lattice.Grid
 module Path = Qec_lattice.Path
 module Placement = Qec_lattice.Placement
@@ -65,165 +64,6 @@ let placement_after t k =
   placement
 
 let final_placement t = placement_after t (num_rounds t)
-
-type violation = {
-  round : int option;
-  gate : int option;
-  code : string;
-  msg : string;
-}
-
-let violation_to_string v =
-  match v.round with
-  | Some k -> Printf.sprintf "round %d: %s" k v.msg
-  | None -> v.msg
-
-(* Replay the whole trace, collecting every detectable violation instead of
-   stopping at the first. To limit cascades, a gate that fails a readiness
-   check (other than being out of range) is still marked executed before the
-   replay continues. *)
-let check t =
-  let violations = ref [] in
-  let add ?round ?gate ~code fmt =
-    Printf.ksprintf
-      (fun msg -> violations := { round; gate; code; msg } :: !violations)
-      fmt
-  in
-  let dag = Dag.of_circuit t.circuit in
-  let n_gates = Circuit.length t.circuit in
-  let executed = Array.make n_gates false in
-  let placement = initial_placement t in
-  let check_gate_ready ~round id =
-    if id < 0 || id >= n_gates then
-      add ~round ~gate:id ~code:"TV001" "gate id %d out of range" id
-    else begin
-      if executed.(id) then
-        add ~round ~gate:id ~code:"TV002" "gate %d executed twice" id
-      else if List.exists (fun p -> not executed.(p)) (Dag.preds dag id) then
-        add ~round ~gate:id ~code:"TV003" "gate %d executed before a predecessor"
-          id;
-      executed.(id) <- true
-    end
-  in
-  let check_locals ~round ids =
-    List.iter
-      (fun id ->
-        check_gate_ready ~round id;
-        if
-          id >= 0 && id < n_gates
-          && Gate.is_two_qubit (Circuit.gate t.circuit id)
-        then
-          add ~round ~gate:id ~code:"TV004"
-            "gate %d in a local slot is a two-qubit gate" id)
-      ids
-  in
-  let check_braid_paths ~round ?(kind = "braid") braids =
-    let rec disjoint = function
-      | [] -> ()
-      | ((t1 : Task.t), p1) :: rest ->
-        if
-          List.exists (fun ((_, p2) : Task.t * Path.t) ->
-              not (Path.disjoint p1 p2))
-            rest
-        then
-          add ~round ~gate:t1.Task.id ~code:"TV009"
-            "gate %d's path collides with another path" t1.Task.id;
-        disjoint rest
-    in
-    List.iter
-      (fun ((task : Task.t), path) ->
-        check_gate_ready ~round task.id;
-        if task.id >= 0 && task.id < n_gates then begin
-          let g = Circuit.gate t.circuit task.id in
-          if not (Gate.is_two_qubit g) then
-            add ~round ~gate:task.id ~code:"TV005"
-              "gate %d scheduled as a %s is not two-qubit" task.id kind
-          else begin
-            let ca = Placement.cell_of_qubit placement task.q1
-            and cb = Placement.cell_of_qubit placement task.q2 in
-            match Gate.two_qubit_operands g with
-            | Some (a, b) when (a, b) = (task.q1, task.q2) ->
-              if not (Path.connects_cells t.grid path ca cb) then
-                add ~round ~gate:task.id ~code:"TV006"
-                  "gate %d's path does not connect its operand tiles" task.id
-            | Some _ ->
-              add ~round ~gate:task.id ~code:"TV007"
-                "gate %d's task operands mismatch the gate" task.id
-            | None ->
-              add ~round ~gate:task.id ~code:"TV008"
-                "gate %d has no two-qubit operands" task.id
-          end
-        end)
-      braids;
-    disjoint braids
-  in
-  let check_swaps ~round swaps =
-    let qubits = List.concat_map (fun (a, b) -> [ a; b ]) swaps in
-    if List.length (List.sort_uniq compare qubits) <> List.length qubits then
-      add ~round ~code:"TV010" "a swap layer touches a qubit twice";
-    List.iter (fun (a, b) -> Placement.swap_qubits placement a b) swaps
-  in
-  let rounds_arr = Array.of_list t.rounds in
-  let gate_qubits id =
-    if id >= 0 && id < n_gates then Gate.qubits (Circuit.gate t.circuit id)
-    else []
-  in
-  let touched_qubits = function
-    | Local { gates } -> List.concat_map gate_qubits gates
-    | Braid { braids = ops; locals } | Merge { merges = ops; locals; _ } ->
-      List.concat_map (fun ((tk : Task.t), _) -> [ tk.q1; tk.q2 ]) ops
-      @ List.concat_map gate_qubits locals
-    | Swap_layer { swaps } -> List.concat_map (fun (a, b) -> [ a; b ]) swaps
-  in
-  List.iteri
-    (fun round r ->
-      match r with
-      | Local { gates } ->
-        if gates = [] then add ~round ~code:"TV011" "empty local round"
-        else check_locals ~round gates
-      | Braid { braids; locals } ->
-        if braids = [] then add ~round ~code:"TV011" "braid round without braids"
-        else check_braid_paths ~round braids;
-        check_locals ~round locals
-      | Merge { merges; locals; split_overlapped } ->
-        if merges = [] then
-          add ~round ~code:"TV011" "merge round without merges"
-        else check_braid_paths ~round ~kind:"merge" merges;
-        check_locals ~round locals;
-        if split_overlapped then begin
-          (* A split may only overlap the next round when that round exists
-             and touches none of the still-splitting qubits. *)
-          let mq =
-            List.concat_map (fun ((tk : Task.t), _) -> [ tk.q1; tk.q2 ]) merges
-          in
-          if round + 1 >= Array.length rounds_arr then
-            add ~round ~code:"TV012" "split overlap claimed on the final round"
-          else if
-            List.exists
-              (fun q -> List.mem q mq)
-              (touched_qubits rounds_arr.(round + 1))
-          then
-            add ~round ~code:"TV013"
-              "overlapped split shares qubits with the next round"
-        end
-      | Swap_layer { swaps } ->
-        if swaps = [] then add ~round ~code:"TV011" "empty swap layer"
-        else check_swaps ~round swaps)
-    t.rounds;
-  let missing = ref [] in
-  Array.iteri (fun i done_ -> if not done_ then missing := i :: !missing) executed;
-  (match List.rev !missing with
-  | [] -> ()
-  | i :: rest ->
-    add ~gate:i ~code:"TV014"
-      "gate %d was never executed (%d gates missing in total)" i
-      (1 + List.length rest));
-  List.rev !violations
-
-let validate t =
-  match check t with
-  | [] -> Ok ()
-  | v :: _ -> Error (violation_to_string v)
 
 let round_to_string t k =
   if k < 0 || k >= num_rounds t then invalid_arg "Trace.round_to_string";

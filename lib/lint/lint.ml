@@ -34,14 +34,8 @@ let lint_source ~file src =
         ast_diags
         @ [ D.make ~code:elaboration_error_code ~severity:D.Error ~file msg ])
 
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let lint_file path =
-  let src = read_file path in
+  let src = In_channel.with_open_bin path In_channel.input_all in
   (lint_source ~file:path src, src)
 
 let effective_severity ~deny_warning (d : D.t) =

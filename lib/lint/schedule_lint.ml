@@ -30,16 +30,18 @@ let check_options ~file ?threshold_p ?d () =
   in
   tp @ dist
 
-let check_trace ~file trace =
+let check_certificate ~file (cert : Qec_verify.Certifier.t) =
   List.map
-    (fun (v : Autobraid.Trace.violation) ->
-      (* The TV code is the stable handle; round/gate locate the witness. *)
+    (fun (w : Qec_verify.Certifier.witness) ->
+      (* The invariant id is the stable handle; round/gate locate the
+         witness. *)
+      let id = Qec_verify.Invariant.id w.invariant in
       let context =
-        match (v.round, v.gate) with
-        | Some r, Some g -> Printf.sprintf "%s, round %d, gate %d" v.code r g
-        | Some r, None -> Printf.sprintf "%s, round %d" v.code r
-        | None, Some g -> Printf.sprintf "%s, gate %d" v.code g
-        | None, None -> v.code
+        match (w.round, w.gate) with
+        | Some r, Some g -> Printf.sprintf "%s, round %d, gate %d" id r g
+        | Some r, None -> Printf.sprintf "%s, round %d" id r
+        | None, Some g -> Printf.sprintf "%s, gate %d" id g
+        | None, None -> id
       in
-      D.make ~context ~code:"QL210" ~severity:D.Error ~file v.msg)
-    (Autobraid.Trace.check trace)
+      D.make ~context ~code:"QL210" ~severity:D.Error ~file w.detail)
+    cert.witnesses

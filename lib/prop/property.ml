@@ -32,26 +32,25 @@ let guard f input =
   | outcome -> outcome
   | exception e -> failf "unexpected exception: %s" (Printexc.to_string e)
 
-let first_violation trace =
-  match Trace.check trace with
+(* The certificate's first witness, with [~result]'s total cycles in the
+   cycle account. *)
+let first_violation ~result trace =
+  match (Qec_verify.Certifier.certify ~result timing trace).witnesses with
   | [] -> None
-  | v :: rest ->
+  | w :: rest ->
     Some
-      (Printf.sprintf "%s (%d violations total)"
-         (Trace.violation_to_string v)
+      (Printf.sprintf "%s (%d witnesses total)"
+         (Qec_verify.Certifier.witness_to_string w)
          (1 + List.length rest))
 
 (* ---------------- trace validity ---------------- *)
 
 let check_braid_trace ~options c =
   let result, trace = S.run_traced ~options timing c in
-  match first_violation trace with
+  match first_violation ~result trace with
   | Some msg -> failf "braid trace: %s" msg
   | None ->
-    if Trace.cycles timing trace <> result.S.total_cycles then
-      failf "braid trace cycles %d disagree with result %d"
-        (Trace.cycles timing trace) result.S.total_cycles
-    else if Trace.num_rounds trace <> result.S.rounds then
+    if Trace.num_rounds trace <> result.S.rounds then
       failf "braid trace rounds %d disagree with result %d"
         (Trace.num_rounds trace) result.S.rounds
     else Pass
@@ -60,8 +59,9 @@ let trace_braid =
   {
     name = "trace/braid";
     description =
-      "braid schedule replays Trace.check-clean (vertex-disjoint rounds, \
-       dependency order, every gate once) and its cycles match the result";
+      "braid schedule certifies clean (vertex-disjoint rounds, dependency \
+       order, every gate once, cycles matching the result) and its rounds \
+       match the result";
     check = Circuit (guard (check_braid_trace ~options:S.default_options));
   }
 
@@ -82,19 +82,15 @@ let trace_surgery =
   {
     name = "trace/surgery";
     description =
-      "surgery schedule replays Trace.check-clean, including overlapped \
-       split legality, and its cycles match the result";
+      "surgery schedule certifies clean, including overlapped split \
+       legality and cycles matching the result";
     check =
       Circuit
         (guard (fun c ->
              let result, trace, _stats = SS.run_traced timing c in
-             match first_violation trace with
+             match first_violation ~result trace with
              | Some msg -> failf "surgery trace: %s" msg
-             | None ->
-               if Trace.cycles timing trace <> result.S.total_cycles then
-                 failf "surgery trace cycles %d disagree with result %d"
-                   (Trace.cycles timing trace) result.S.total_cycles
-               else Pass));
+             | None -> Pass));
   }
 
 (* ---------------- surgery latency bounds ---------------- *)
@@ -228,7 +224,7 @@ let diff_backends =
     name = "diff/backends";
     description =
       "braid, surgery, lookahead, and the greedy MICRO'17 baseline \
-       schedule the same lowered gate set, with check-clean traces and \
+       schedule the same lowered gate set, with certified traces and \
        latencies at or above each one's critical-path lower bound";
     check =
       Circuit
@@ -237,17 +233,18 @@ let diff_backends =
              let surgery = (CB.by_name "surgery").CB.run timing c in
              let lookahead = (CB.by_name "lookahead").CB.run timing c in
              let rg, baseline = Gp_baseline.run_traced timing c in
-             let check_clean (backend, trace) =
-               match first_violation trace with
+             let check_clean (backend, result, trace) =
+               match first_violation ~result trace with
                | Some msg -> Some (Printf.sprintf "%s: %s" backend msg)
                | None -> None
              in
              match
                List.find_map check_clean
                  (List.map
-                    (fun (o : CB.outcome) -> (o.CB.backend, o.CB.trace))
+                    (fun (o : CB.outcome) ->
+                      (o.CB.backend, o.CB.result, o.CB.trace))
                     [ braid; surgery; lookahead ]
-                 @ [ ("gp-baseline", baseline) ])
+                 @ [ ("gp-baseline", rg, baseline) ])
              with
              | Some msg -> Fail msg
              | None ->
@@ -320,7 +317,7 @@ let lookahead_never_worse =
     name = "lookahead/never-worse";
     description =
       "the lookahead backend's total cycles never exceed the plain braid \
-       schedule with identical options, its trace is check-clean, and its \
+       schedule with identical options, its trace certifies clean, and its \
        reported greedy_cycles stat matches the braid run it raced";
     check =
       Circuit
@@ -328,7 +325,7 @@ let lookahead_never_worse =
              let module L = Qec_lookahead.Lookahead_scheduler in
              let result, trace, stats = L.run_traced timing c in
              let greedy = S.run timing c in
-             match first_violation trace with
+             match first_violation ~result trace with
              | Some msg -> failf "lookahead trace: %s" msg
              | None ->
                if result.S.total_cycles > greedy.S.total_cycles then

@@ -3,12 +3,13 @@
     Each property asserts one invariant the paper (or a backend contract)
     promises for {e every} circuit, evaluated here on generated inputs:
 
-    - [trace/braid], [trace/surgery] — the scheduled trace replays
-      {!Autobraid.Trace.check}-clean: every round vertex-disjoint on the
-      lattice, every gate exactly once and dependency-ordered;
+    - [trace/braid], [trace/surgery] — the scheduled trace certifies
+      clean ({!Qec_verify.Certifier}): every round vertex-disjoint on the
+      lattice, every gate exactly once and dependency-ordered, the cycle
+      total matching the result;
     - [diff/backends] — the differential oracle: braid, surgery, and the
       greedy MICRO'17 baseline must schedule the same lowered gate set,
-      with check-clean traces and latencies at or above each backend's
+      with certified traces and latencies at or above each backend's
       own critical-path lower bound;
     - [surgery/pipeline-bounds] — split pipelining never slows surgery
       down: total cycles sit between the all-splits-overlapped lower

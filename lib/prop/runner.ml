@@ -204,10 +204,4 @@ let replay_string s =
                col msg))))
 
 let replay_file path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  replay_string contents
+  replay_string (In_channel.with_open_bin path In_channel.input_all)

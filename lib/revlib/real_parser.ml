@@ -155,8 +155,5 @@ let of_string ?(name = "revlib") src =
     else fail 0 "no .numvars declaration"
 
 let of_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
+  let src = In_channel.with_open_bin path In_channel.input_all in
   of_string ~name:(Filename.remove_extension (Filename.basename path)) src

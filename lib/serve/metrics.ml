@@ -79,13 +79,6 @@ let sample t name v =
 
 let uptime_s t = Unix.gettimeofday () -. t.started_at
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let idx = int_of_float (Float.of_int (n - 1) *. q +. 0.5) in
-    sorted.(max 0 (min (n - 1) idx))
-
 let sorted_assoc tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -96,8 +89,13 @@ let sorted_assoc tbl =
 let to_json t =
   locked t @@ fun () ->
   let hist_obj (name, (s : series)) =
-    let kept = Array.sub s.samples 0 (min s.count max_samples) in
-    Array.sort compare kept;
+    let kept =
+      Array.to_list (Array.sub s.samples 0 (min s.count max_samples))
+    in
+    (* Nearest rank, like the telemetry histograms. *)
+    let percentile p =
+      if kept = [] then 0. else Qec_util.Stats.percentile p kept
+    in
     Json.Obj
       [
         ("name", Json.String name);
@@ -108,8 +106,8 @@ let to_json t =
         ( "mean",
           Json.Float (if s.count = 0 then 0. else s.sum /. float_of_int s.count)
         );
-        ("p50", Json.Float (percentile kept 0.5));
-        ("p95", Json.Float (percentile kept 0.95));
+        ("p50", Json.Float (percentile 50.));
+        ("p95", Json.Float (percentile 95.));
       ]
   in
   Json.Obj

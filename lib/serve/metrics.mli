@@ -29,4 +29,5 @@ val to_json : t -> Qec_report.Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": [...]}], all
     name-sorted; histogram objects carry
     [name]/[count]/[sum]/[min]/[max]/[mean]/[p50]/[p95] exactly like the
-    telemetry export. *)
+    telemetry export, percentiles by the same nearest-rank
+    {!Qec_util.Stats.percentile}. *)

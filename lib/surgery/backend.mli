@@ -1,9 +1,9 @@
 (** The lattice-surgery {!Autobraid.Comm_backend}.
 
     Plug-compatible with the braid backend: same outcome shape, same
-    trace contract ([Trace.check]-clean schedules), surgery-specific
-    numbers surfaced through the generic [stats] association list (keys
-    are {!Surgery_scheduler.stats_to_assoc}'s). *)
+    trace contract (schedules that [Qec_verify.Certifier] certifies
+    clean), surgery-specific numbers surfaced through the generic [stats]
+    association list (keys are {!Surgery_scheduler.stats_to_assoc}'s). *)
 
 val options_spec : Autobraid.Comm_backend.Options.spec list
 (** The surgery backend's declared options: [retry], [ripup] and

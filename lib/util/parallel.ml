@@ -1,5 +1,4 @@
-let default_domains () = max 1 (Domain.recommended_domain_count () - 1)
-let default_jobs = default_domains
+let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 exception Worker_failure of exn
 
@@ -114,5 +113,3 @@ let map_jobs ?jobs f xs =
          | Some (Error e) -> raise (Worker_failure e)
          | None -> assert false)
   end
-
-let map ?domains f xs = map_jobs ?jobs:domains f xs

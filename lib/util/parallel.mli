@@ -6,13 +6,13 @@
       fixed-size worker pool — the primitive behind batch compilation
       ({!Qec_engine}), where callers need per-item bookkeeping (timings,
       error capture) inside the worker loop.
-    - {!map_jobs} / {!map}: fork-join map built on that queue. Callers
+    - {!map_jobs}: fork-join map built on that queue. Callers
       pass pure-ish functions (the scheduler mutates only per-run state)
       and results come back in input order regardless of worker count. *)
 
 exception Worker_failure of exn
-(** Wraps an exception raised by a worker function in {!map_jobs} /
-    {!map}; re-raised in the caller, for the lowest-index failing item. *)
+(** Wraps an exception raised by a worker function in {!map_jobs};
+    re-raised in the caller, for the lowest-index failing item. *)
 
 type probe = {
   wrap_worker : worker:int -> (unit -> unit) -> unit;
@@ -75,12 +75,5 @@ val map_jobs : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     each item reports a [parallel.job] span plus [parallel.queue_wait_s]
     / [parallel.job_s] histogram samples and a [parallel.jobs] counter. *)
 
-val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ?domains f xs] is [map_jobs ?jobs:domains f xs] — the original
-    name, kept for callers that predate the worker-pool API. *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1. *)
-
-val default_domains : unit -> int
-(** Alias of {!default_jobs} (historical name). *)

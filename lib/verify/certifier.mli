@@ -4,10 +4,11 @@
     {!Invariant.t} from first principles — its own per-qubit program-order
     dependency lists (not {!Qec_circuit.Dag}), its own placement replay,
     its own channel-graph adjacency and disjointness checks, and its own
-    cycle accounting — so it shares no verdict-bearing logic with
-    {!Autobraid.Trace.check} or any scheduler. Optimizing a schedule is
-    hard; checking one is cheap (arXiv 2302.00273) — this module is the
-    cheap side, used as the oracle the schedulers must satisfy.
+    cycle accounting — so it shares no verdict-bearing logic with any
+    scheduler. Optimizing a schedule is hard; checking one is cheap
+    (arXiv 2302.00273) — this module is the cheap side, the one schedule
+    checker: the engine, [lint --schedule] (QL210), [autobraid trace],
+    the fuzz properties and the tests all validate traces with it.
 
     A certificate reports every invariant individually with failure
     witnesses (round / gate / detail), and serializes to the

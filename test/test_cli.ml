@@ -13,12 +13,7 @@ let cli =
   | Some p -> p
   | None -> Alcotest.fail "CLI binary not found (build bin/ first)"
 
-let read_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* Run the CLI with args; return (exit_code, stdout++stderr). *)
 let run args =

@@ -97,9 +97,7 @@ let test_traced_compaction_validates () =
   let timing = Qec_surface.Timing.make ~d:33 () in
   let options = { S.default_options with compaction = true } in
   let _, trace = S.run_traced ~options timing (Qec_benchmarks.Qft.circuit 16) in
-  match Autobraid.Trace.validate trace with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  Certified.expect_clean trace
 
 let prop_compaction_safe =
   QCheck.Test.make ~name:"compaction keeps rounds valid" ~count:200

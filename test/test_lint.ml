@@ -294,13 +294,16 @@ let test_ql202 () =
 let timing = Qec_surface.Timing.make ~d:33 ()
 
 let test_ql210 () =
+  let lint trace =
+    Schedule_lint.check_certificate ~file:"bv8"
+      (Qec_verify.Certifier.certify timing trace)
+  in
   let _, trace = S.run_traced timing (B.Bv.circuit 8) in
-  check_codes "valid trace silent" []
-    (codes (Schedule_lint.check_trace ~file:"bv8" trace));
+  check_codes "valid trace silent" [] (codes (lint trace));
   let broken =
     { trace with Autobraid.Trace.rounds = List.rev trace.Autobraid.Trace.rounds }
   in
-  let diags = Schedule_lint.check_trace ~file:"bv8" broken in
+  let diags = lint broken in
   check_bool "reversed trace fires" true (diags <> []);
   List.iter
     (fun (d : D.t) ->
@@ -308,7 +311,15 @@ let test_ql210 () =
       check_bool "error severity" true (d.severity = D.Error))
     diags;
   check_bool "locates the violation" true
-    (List.exists (fun (d : D.t) -> d.context <> None) diags)
+    (List.exists (fun (d : D.t) -> d.context <> None) diags);
+  check_bool "names the failed invariant" true
+    (List.exists
+       (fun (d : D.t) ->
+         match d.context with
+         | Some ctx ->
+           String.starts_with ~prefix:"gate/dependency-order, round " ctx
+         | None -> false)
+       diags)
 
 (* ---------------- diagnostics: rendering and JSONL golden ------------- *)
 

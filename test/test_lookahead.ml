@@ -104,7 +104,7 @@ let assert_never_worse name c =
     (result.S.total_cycles <= greedy.S.total_cycles);
   check_int (name ^ " greedy_cycles stat") greedy.S.total_cycles
     stats.L.greedy_cycles;
-  check_int (name ^ " trace clean") 0 (List.length (Trace.check trace));
+  Certified.expect_clean ~what:(name ^ " trace") trace;
   (* the returned schedule executes every lowered gate once *)
   check_int (name ^ " schedules every gate")
     result.S.num_gates
@@ -171,7 +171,7 @@ let test_backend_outcome () =
     (CB.by_name "lookahead").CB.run timing (B.Registry.build "qft9")
   in
   Alcotest.(check string) "name" "lookahead" outcome.CB.backend;
-  check_int "trace clean" 0 (List.length (Trace.check outcome.CB.trace));
+  Certified.expect_clean outcome.CB.trace;
   List.iter
     (fun key ->
       check_bool ("stats carry " ^ key) true

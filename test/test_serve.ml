@@ -133,7 +133,11 @@ let test_metrics () =
     check_bool "hist name" true (Json.member "name" h = Some (Json.String "s"));
     check_bool "hist count" true (Json.member "count" h = Some (Json.Int 4));
     check_bool "hist min" true (Json.member "min" h = Some (Json.Float 0.1));
-    check_bool "hist max" true (Json.member "max" h = Some (Json.Float 0.4))
+    check_bool "hist max" true (Json.member "max" h = Some (Json.Float 0.4));
+    (* nearest rank, as the telemetry histograms compute it: the p-th
+       percentile of n samples is the ceil(p n / 100)-th smallest *)
+    check_bool "hist p50" true (Json.member "p50" h = Some (Json.Float 0.2));
+    check_bool "hist p95" true (Json.member "p95" h = Some (Json.Float 0.4))
   | _ -> Alcotest.fail "expected exactly one histogram"
 
 (* Percentiles follow the most recent samples: after a full window of
@@ -261,7 +265,7 @@ let test_concurrent_clients () =
     C.close c;
     (circuit, r)
   in
-  let results = Qec_util.Parallel.map ~domains:2 serve_one [ "qft9"; "bv12" ] in
+  let results = Qec_util.Parallel.map_jobs ~jobs:2 serve_one [ "qft9"; "bv12" ] in
   List.iter
     (fun (circuit, line) ->
       check_string

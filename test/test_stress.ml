@@ -39,9 +39,7 @@ let test_full_lattice_all_sizes () =
 
 let test_full_lattice_traced_valid () =
   let _, trace = S.run_traced timing (B.Qft.circuit 25) in
-  match Autobraid.Trace.validate trace with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
+  Certified.expect_clean trace
 
 (* ------------------------------------------------------------------ *)
 (* Degenerate grids                                                     *)
@@ -144,9 +142,7 @@ let test_options_matrix () =
                     }
                   in
                   let result, trace = S.run_traced ~options timing c in
-                  (match Autobraid.Trace.validate trace with
-                  | Ok () -> ()
-                  | Error m -> Alcotest.fail m);
+                  Certified.expect_clean trace;
                   check_bool "cp bound" true
                     (result.S.critical_path_cycles <= result.S.total_cycles))
                 [ false; true ])

@@ -25,17 +25,6 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let expect_valid trace =
-  match Trace.validate trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("surgery trace invalid: " ^ msg)
-
-let expect_violation needle trace =
-  match Trace.validate trace with
-  | Ok () -> Alcotest.fail "broken trace accepted"
-  | Error msg ->
-    check_bool (Printf.sprintf "violation mentions %S (got %S)" needle msg)
-      true (contains msg needle)
 
 let acceptance_circuits =
   [ B.Qft.circuit 9; B.Bv.circuit 12; B.Qaoa.circuit 12 ]
@@ -44,7 +33,7 @@ let test_traces_validate () =
   List.iter
     (fun c ->
       let _, trace, _ = Surgery.run_traced timing c in
-      expect_valid trace)
+      Certified.expect_clean ~what:"surgery trace" trace)
     (acceptance_circuits
     @ [ B.Misc_circuits.longrange 12; B.Building_blocks.by_name "4gt11_8" ])
 
@@ -136,8 +125,7 @@ let test_pipelining_toggle () =
   let _, trace_off, stats_off = off in
   check_int "no overlapped rounds when disabled" 0
     stats_off.Surgery.pipelined_splits;
-  check_bool "disabled trace still valid" true
-    (match Trace.validate trace_off with Ok () -> true | Error _ -> false);
+  check_bool "disabled trace still valid" true (Certified.clean trace_off);
   let r_on, _, stats_on = on in
   check_bool "pipelining fires on the long-range benchmark" true
     (stats_on.Surgery.pipelined_splits > 0);
@@ -203,7 +191,7 @@ let test_overlap_on_final_round_rejected () =
       Trace.rounds = overlap_last_merge trace.Trace.rounds;
     }
   in
-  expect_violation "final round" broken
+  Certified.expect_failed Qec_verify.Invariant.Split_pipeline broken
 
 let test_overlap_sharing_qubits_rejected () =
   (* CX(0,1) then H 0: the local round touches q0, so the merge's split
@@ -221,7 +209,7 @@ let test_overlap_sharing_qubits_rejected () =
           trace.Trace.rounds;
     }
   in
-  expect_violation "shares qubits" broken
+  Certified.expect_failed Qec_verify.Invariant.Split_pipeline broken
 
 let test_empty_merge_round_rejected () =
   let c = C.create ~num_qubits:2 [ G.Cx (0, 1) ] in
@@ -234,7 +222,7 @@ let test_empty_merge_round_rejected () =
         :: trace.Trace.rounds;
     }
   in
-  expect_violation "without merges" broken
+  Certified.expect_failed Qec_verify.Invariant.Round_shape broken
 
 let test_single_qubit_merge_rejected () =
   let c = C.create ~num_qubits:2 [ G.H 0; G.Cx (0, 1) ] in
@@ -268,7 +256,7 @@ let test_single_qubit_merge_rejected () =
           trace.Trace.rounds;
     }
   in
-  expect_violation "not two-qubit" broken
+  Certified.expect_failed Qec_verify.Invariant.Round_shape broken
 
 (* ---------------- export ---------------- *)
 
@@ -307,7 +295,7 @@ let prop_surgery_traces_validate =
   QCheck.Test.make ~name:"surgery traces always validate" ~count:60
     (QCheck.make random_circuit) (fun c ->
       let _, trace, _ = Surgery.run_traced timing c in
-      match Trace.validate trace with Ok () -> true | Error _ -> false)
+      Certified.clean trace)
 
 let prop_backends_agree_on_gates =
   QCheck.Test.make ~name:"backends schedule identical gate sets" ~count:40

@@ -1,5 +1,5 @@
-(* Tests for schedule traces: recording, independent validation,
-   placement replay, rendering, transformed-circuit export. *)
+(* Tests for schedule traces: recording, certification, placement
+   replay, rendering, transformed-circuit export. *)
 
 module S = Autobraid.Scheduler
 module Trace = Autobraid.Trace
@@ -15,11 +15,6 @@ let timing = T.make ~d:33 ()
 
 let traced ?options c = S.run_traced ?options timing c
 
-let expect_valid trace =
-  match Trace.validate trace with
-  | Ok () -> ()
-  | Error msg -> Alcotest.fail ("trace invalid: " ^ msg)
-
 let test_trace_matches_result () =
   let result, trace = traced (B.Qft.circuit 16) in
   check_int "cycles agree" result.S.total_cycles (Trace.cycles timing trace);
@@ -30,7 +25,7 @@ let test_trace_validates () =
   List.iter
     (fun c ->
       let _, trace = traced c in
-      expect_valid trace)
+      Certified.expect_clean trace)
     [
       B.Qft.circuit 16;
       B.Bv.circuit 12;
@@ -43,7 +38,7 @@ let test_trace_with_swaps_validates () =
   (* force swap layers with an aggressive threshold *)
   let options = { S.default_options with threshold_p = 0.9 } in
   let result, trace = traced ~options (B.Qft.circuit 36) in
-  expect_valid trace;
+  Certified.expect_clean trace;
   check_int "swap layers recorded" result.S.swap_layers
     (List.length
        (List.filter
@@ -72,16 +67,14 @@ let test_validate_catches_reorder () =
   (* swapping two dependent rounds must be caught *)
   let _, trace = traced (B.Bv.circuit 8) in
   let broken = { trace with Trace.rounds = List.rev trace.Trace.rounds } in
-  check_bool "reversed trace rejected" true
-    (match Trace.validate broken with Error _ -> true | Ok () -> false)
+  check_bool "reversed trace rejected" false (Certified.clean broken)
 
 let test_validate_catches_duplicates () =
   let _, trace = traced (B.Bv.circuit 8) in
   let broken =
     { trace with Trace.rounds = trace.Trace.rounds @ trace.Trace.rounds }
   in
-  check_bool "duplicated trace rejected" true
-    (match Trace.validate broken with Error _ -> true | Ok () -> false)
+  check_bool "duplicated trace rejected" false (Certified.clean broken)
 
 let test_validate_catches_missing () =
   let _, trace = traced (B.Bv.circuit 8) in
@@ -90,8 +83,7 @@ let test_validate_catches_missing () =
     | _ :: rest -> { trace with Trace.rounds = rest }
     | [] -> trace
   in
-  check_bool "truncated trace rejected" true
-    (match Trace.validate broken with Error _ -> true | Ok () -> false)
+  check_bool "truncated trace rejected" false (Certified.clean broken)
 
 let test_round_rendering () =
   let _, trace = traced (B.Qft.circuit 9) in
@@ -162,209 +154,18 @@ let prop_traces_validate =
   QCheck.Test.make ~name:"recorded traces always validate" ~count:60
     (QCheck.make random_circuit) (fun c ->
       let _, trace = traced c in
-      match Trace.validate trace with Ok () -> true | Error _ -> false)
+      Certified.clean trace)
 
 let prop_traces_validate_with_swaps =
-  QCheck.Test.make ~name:"traces with aggressive swapping validate" ~count:30
+  QCheck.Test.make ~name:"traces with aggressive swapping" ~count:30
     (QCheck.make random_circuit) (fun c ->
       let options = { S.default_options with threshold_p = 0.9 } in
       let _, trace = traced ~options c in
-      match Trace.validate trace with Ok () -> true | Error _ -> false)
-
-(* ---- Trace.check violation enumeration ----------------------------------
-   One hand-built trace per violation constructor, on a 2x2 grid with 4
-   qubits placed identically (qubit i on cell i). Vertex ids on the 3x3
-   vertex grid are row-major 0-8; cell corners: cell 0 = {0,1,3,4},
-   cell 1 = {1,2,4,5}, cell 2 = {3,4,6,7}, cell 3 = {4,5,7,8}. *)
-
-let grid2 = Qec_lattice.Grid.create 2
-
-let path vs = Qec_lattice.Path.of_vertices grid2 vs
-
-let mk_trace circuit rounds =
-  { Trace.circuit; grid = grid2; initial_cells = [| 0; 1; 2; 3 |]; rounds }
-
-let contains_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
-let expect_violation needle trace =
-  let vs = Trace.check trace in
-  let rendered = List.map Trace.violation_to_string vs in
-  check_bool
-    (Printf.sprintf "reports %S (got: %s)" needle (String.concat " | " rendered))
-    true
-    (List.exists (fun s -> contains_sub s needle) rendered)
-
-let c4 gates = C.create ~num_qubits:4 gates
-
-let task id q1 q2 = { Autobraid.Task.id; q1; q2 }
-
-let test_check_clean_hand_built () =
-  let c = c4 [ G.Cx (0, 1); G.Cx (2, 3) ] in
-  let t =
-    mk_trace c
-      [
-        Trace.Braid
-          {
-            braids = [ (task 0 0 1, path [ 0; 1 ]); (task 1 2 3, path [ 6; 7 ]) ];
-            locals = [];
-          };
-      ]
-  in
-  check_int "hand-built valid trace is check-clean" 0
-    (List.length (Trace.check t))
-
-let test_check_gate_out_of_range () =
-  expect_violation "gate id 5 out of range"
-    (mk_trace (c4 [ G.H 0 ]) [ Trace.Local { gates = [ 5 ] } ])
-
-let test_check_executed_twice () =
-  expect_violation "gate 0 executed twice"
-    (mk_trace (c4 [ G.H 0 ])
-       [ Trace.Local { gates = [ 0 ] }; Trace.Local { gates = [ 0 ] } ])
-
-let test_check_dependency_order () =
-  expect_violation "gate 1 executed before a predecessor"
-    (mk_trace
-       (c4 [ G.H 0; G.X 0 ])
-       [ Trace.Local { gates = [ 1 ] }; Trace.Local { gates = [ 0 ] } ])
-
-let test_check_two_qubit_in_local_slot () =
-  expect_violation "gate 0 in a local slot is a two-qubit gate"
-    (mk_trace (c4 [ G.Cx (0, 1) ]) [ Trace.Local { gates = [ 0 ] } ])
-
-let test_check_path_collision () =
-  (* both paths connect their operand tiles but share vertex 4 *)
-  let c = c4 [ G.Cx (0, 1); G.Cx (2, 3) ] in
-  expect_violation "path collides with another path"
-    (mk_trace c
-       [
-         Trace.Braid
-           {
-             braids =
-               [ (task 0 0 1, path [ 1; 4 ]); (task 1 2 3, path [ 4; 7 ]) ];
-             locals = [];
-           };
-       ])
-
-let test_check_braid_not_two_qubit () =
-  expect_violation "gate 0 scheduled as a braid is not two-qubit"
-    (mk_trace (c4 [ G.H 0 ])
-       [ Trace.Braid { braids = [ (task 0 0 1, path [ 0; 1 ]) ]; locals = [] } ])
-
-let test_check_path_disconnected () =
-  (* q0 sits on cell 0, q3 on cell 3; [0;1] never touches cell 3 *)
-  expect_violation "path does not connect its operand tiles"
-    (mk_trace
-       (c4 [ G.Cx (0, 3) ])
-       [ Trace.Braid { braids = [ (task 0 0 3, path [ 0; 1 ]) ]; locals = [] } ])
-
-let test_check_task_operand_mismatch () =
-  (* the task claims operands 2,3 (and its path connects them) but gate 0
-     acts on 0,1 *)
-  expect_violation "task operands mismatch the gate"
-    (mk_trace
-       (c4 [ G.Cx (0, 1) ])
-       [ Trace.Braid { braids = [ (task 0 2 3, path [ 6; 7 ]) ]; locals = [] } ])
-
-let test_check_swap_touches_twice () =
-  expect_violation "a swap layer touches a qubit twice"
-    (mk_trace (c4 [ G.H 0 ])
-       [
-         Trace.Swap_layer { swaps = [ (0, 1); (1, 2) ] };
-         Trace.Local { gates = [ 0 ] };
-       ])
-
-let test_check_empty_local_round () =
-  expect_violation "empty local round"
-    (mk_trace (c4 [ G.H 0 ])
-       [ Trace.Local { gates = [] }; Trace.Local { gates = [ 0 ] } ])
-
-let test_check_braid_without_braids () =
-  expect_violation "braid round without braids"
-    (mk_trace (c4 [ G.H 0 ]) [ Trace.Braid { braids = []; locals = [ 0 ] } ])
-
-let test_check_merge_without_merges () =
-  expect_violation "merge round without merges"
-    (mk_trace (c4 [ G.H 0 ])
-       [ Trace.Merge { merges = []; locals = [ 0 ]; split_overlapped = false } ])
-
-let test_check_overlap_on_final_round () =
-  expect_violation "split overlap claimed on the final round"
-    (mk_trace
-       (c4 [ G.Cx (0, 1) ])
-       [
-         Trace.Merge
-           {
-             merges = [ (task 0 0 1, path [ 0; 1 ]) ];
-             locals = [];
-             split_overlapped = true;
-           };
-       ])
-
-let test_check_overlap_shares_qubits () =
-  (* the round after the overlapped split touches merge qubit 0 *)
-  expect_violation "overlapped split shares qubits with the next round"
-    (mk_trace
-       (c4 [ G.Cx (0, 1); G.H 0 ])
-       [
-         Trace.Merge
-           {
-             merges = [ (task 0 0 1, path [ 0; 1 ]) ];
-             locals = [];
-             split_overlapped = true;
-           };
-         Trace.Local { gates = [ 1 ] };
-       ])
-
-let test_check_empty_swap_layer () =
-  expect_violation "empty swap layer"
-    (mk_trace (c4 [ G.H 0 ])
-       [ Trace.Swap_layer { swaps = [] }; Trace.Local { gates = [ 0 ] } ])
-
-let test_check_never_executed () =
-  expect_violation "gate 1 was never executed"
-    (mk_trace (c4 [ G.H 0; G.H 1 ]) [ Trace.Local { gates = [ 0 ] } ])
+      Certified.clean trace)
 
 let () =
   Alcotest.run "trace"
     [
-      ( "check violations",
-        [
-          Alcotest.test_case "clean hand-built trace" `Quick
-            test_check_clean_hand_built;
-          Alcotest.test_case "gate id out of range" `Quick
-            test_check_gate_out_of_range;
-          Alcotest.test_case "executed twice" `Quick test_check_executed_twice;
-          Alcotest.test_case "dependency order" `Quick
-            test_check_dependency_order;
-          Alcotest.test_case "two-qubit in local slot" `Quick
-            test_check_two_qubit_in_local_slot;
-          Alcotest.test_case "path collision" `Quick test_check_path_collision;
-          Alcotest.test_case "braid not two-qubit" `Quick
-            test_check_braid_not_two_qubit;
-          Alcotest.test_case "path disconnected" `Quick
-            test_check_path_disconnected;
-          Alcotest.test_case "task operand mismatch" `Quick
-            test_check_task_operand_mismatch;
-          Alcotest.test_case "swap touches twice" `Quick
-            test_check_swap_touches_twice;
-          Alcotest.test_case "empty local round" `Quick
-            test_check_empty_local_round;
-          Alcotest.test_case "braid without braids" `Quick
-            test_check_braid_without_braids;
-          Alcotest.test_case "merge without merges" `Quick
-            test_check_merge_without_merges;
-          Alcotest.test_case "overlap on final round" `Quick
-            test_check_overlap_on_final_round;
-          Alcotest.test_case "overlap shares qubits" `Quick
-            test_check_overlap_shares_qubits;
-          Alcotest.test_case "empty swap layer" `Quick
-            test_check_empty_swap_layer;
-          Alcotest.test_case "never executed" `Quick test_check_never_executed;
-        ] );
       ( "trace",
         [
           Alcotest.test_case "matches result" `Quick test_trace_matches_result;

@@ -311,22 +311,23 @@ let test_parallel_matches_sequential () =
   let xs = List.init 50 (fun i -> i) in
   let f x = (x * x) + 1 in
   Alcotest.(check (list int)) "same results" (List.map f xs)
-    (Qec_util.Parallel.map ~domains:4 f xs)
+    (Qec_util.Parallel.map_jobs ~jobs:4 f xs)
 
 let test_parallel_preserves_order () =
   let xs = List.init 20 (fun i -> 20 - i) in
   Alcotest.(check (list int)) "order" xs
-    (Qec_util.Parallel.map ~domains:3 (fun x -> x) xs)
+    (Qec_util.Parallel.map_jobs ~jobs:3 (fun x -> x) xs)
 
 let test_parallel_small_inputs () =
-  Alcotest.(check (list int)) "empty" [] (Qec_util.Parallel.map (fun x -> x) []);
+  Alcotest.(check (list int)) "empty" []
+    (Qec_util.Parallel.map_jobs (fun x -> x) []);
   Alcotest.(check (list int)) "singleton" [ 7 ]
-    (Qec_util.Parallel.map (fun x -> x + 2) [ 5 ])
+    (Qec_util.Parallel.map_jobs (fun x -> x + 2) [ 5 ])
 
 let test_parallel_exceptions_propagate () =
   check_bool "raises" true
     (match
-       Qec_util.Parallel.map ~domains:2
+       Qec_util.Parallel.map_jobs ~jobs:2
          (fun x -> if x = 3 then failwith "boom" else x)
          [ 1; 2; 3; 4 ]
      with
@@ -334,7 +335,7 @@ let test_parallel_exceptions_propagate () =
     | _ -> false)
 
 let test_parallel_default_domains () =
-  check_bool "at least one" true (Qec_util.Parallel.default_domains () >= 1)
+  check_bool "at least one" true (Qec_util.Parallel.default_jobs () >= 1)
 
 let test_queue_drains_each_item_once () =
   let q = Qec_util.Parallel.Queue.of_list [ "a"; "b"; "c" ] in

@@ -1,6 +1,7 @@
 (* Tests for Qec_verify: the dataflow engine's known-answer cases, the
    certifier against real schedules and hand-built corrupted traces (one
-   per invariant), the adversarial mutation corpus (fixtures/
+   per invariant, every malformed round shape, and the round/gate each
+   witness names), the adversarial mutation corpus (fixtures/
    mutations.json) as a kill-test, and the certificate JSON schema. *)
 
 module C = Qec_circuit.Circuit
@@ -217,6 +218,165 @@ let test_swap_touches_twice () =
             Trace.Local { gates = [ 0 ] };
           ]))
 
+(* Malformed rounds the scheduler never emits: each breaks only the round
+   shape. *)
+let expect_bad_shape what rounds gates =
+  expect_failed what [ I.Round_shape ] (certified (mk_trace (c4 gates) rounds))
+
+let test_braid_not_two_qubit () =
+  expect_bad_shape "one-qubit gate braided"
+    [ Trace.Braid { braids = [ (task 0 0 1, path [ 0; 1 ]) ]; locals = [] } ]
+    [ G.H 0 ]
+
+let test_task_operand_mismatch () =
+  (* the task claims q2,q3 (and its path connects them); gate 0 acts on
+     q0,q1 *)
+  expect_bad_shape "task operands differ from the gate"
+    [ Trace.Braid { braids = [ (task 0 2 3, path [ 6; 7 ]) ]; locals = [] } ]
+    [ G.Cx (0, 1) ]
+
+let test_empty_local_round () =
+  expect_bad_shape "empty local round"
+    [ Trace.Local { gates = [] }; Trace.Local { gates = [ 0 ] } ]
+    [ G.H 0 ]
+
+let test_braid_without_braids () =
+  expect_bad_shape "braid round without braids"
+    [ Trace.Braid { braids = []; locals = [ 0 ] } ]
+    [ G.H 0 ]
+
+let test_merge_without_merges () =
+  expect_bad_shape "merge round without merges"
+    [ Trace.Merge { merges = []; locals = [ 0 ]; split_overlapped = false } ]
+    [ G.H 0 ]
+
+let test_empty_swap_layer () =
+  expect_bad_shape "empty swap layer"
+    [ Trace.Swap_layer { swaps = [] }; Trace.Local { gates = [ 0 ] } ]
+    [ G.H 0 ]
+
+(* Witness pinpointing: a failed certificate must name the offending
+   round and gate, not only the invariant, so each violation below is
+   matched against its rendered witness. *)
+let contains_sub s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  m = 0 || go 0
+
+let expect_witness needle trace =
+  let rendered = List.map V.witness_to_string (certified trace).V.witnesses in
+  check_bool
+    (Printf.sprintf "reports %S (got: %s)" needle (String.concat " | " rendered))
+    true
+    (List.exists (fun s -> contains_sub s needle) rendered)
+
+let test_check_clean_hand_built () =
+  let cert =
+    certified
+      (mk_trace
+         (c4 [ G.Cx (0, 1); G.Cx (2, 3) ])
+         [
+           Trace.Braid
+             {
+               braids =
+                 [ (task 0 0 1, path [ 0; 1 ]); (task 1 2 3, path [ 6; 7 ]) ];
+               locals = [];
+             };
+         ])
+  in
+  check_int "hand-built valid trace has no witnesses" 0
+    (List.length cert.V.witnesses);
+  check_int "traced and recomputed cycles agree" cert.V.cycles_traced
+    cert.V.cycles_computed
+
+let test_check_gate_out_of_range () =
+  expect_witness "gate/exactly-once: round 0, gate 5: gate id 5 out of range"
+    (mk_trace (c4 [ G.H 0 ]) [ Trace.Local { gates = [ 5 ] } ])
+
+let test_check_executed_twice () =
+  expect_witness "gate/exactly-once: round 1, gate 0: gate 0 executed 2 times"
+    (mk_trace (c4 [ G.H 0 ])
+       [ Trace.Local { gates = [ 0 ] }; Trace.Local { gates = [ 0 ] } ])
+
+let test_check_dependency_order () =
+  expect_witness
+    "gate/dependency-order: round 0, gate 1: gate 1 runs before its \
+     program-order predecessor 0"
+    (mk_trace
+       (c4 [ G.H 0; G.X 0 ])
+       [ Trace.Local { gates = [ 1 ] }; Trace.Local { gates = [ 0 ] } ])
+
+let test_check_two_qubit_in_local_slot () =
+  expect_witness
+    "round/shape: round 0, gate 0: two-qubit gate 0 occupies a local slot"
+    (mk_trace (c4 [ G.Cx (0, 1) ]) [ Trace.Local { gates = [ 0 ] } ])
+
+let test_check_path_collision () =
+  (* both paths connect their operand tiles but share vertex 4 *)
+  expect_witness "path/disjoint: round 0, gate 1: gate 1's path shares vertex 4"
+    (mk_trace
+       (c4 [ G.Cx (0, 1); G.Cx (2, 3) ])
+       [
+         Trace.Braid
+           {
+             braids =
+               [ (task 0 0 1, path [ 1; 4 ]); (task 1 2 3, path [ 4; 7 ]) ];
+             locals = [];
+           };
+       ])
+
+let test_check_path_disconnected () =
+  (* q0 sits on cell 0, q3 on cell 3; [0;1] never touches cell 3 *)
+  expect_witness
+    "path/channel: round 0, gate 0: path endpoints are not corners of the \
+     operand tiles of gate 0"
+    (mk_trace
+       (c4 [ G.Cx (0, 3) ])
+       [ Trace.Braid { braids = [ (task 0 0 3, path [ 0; 1 ]) ]; locals = [] } ])
+
+let test_check_swap_touches_twice () =
+  expect_witness "swap/legal: round 0: swap layer touches qubit 1 twice"
+    (mk_trace (c4 [ G.H 0 ])
+       [
+         Trace.Swap_layer { swaps = [ (0, 1); (1, 2) ] };
+         Trace.Local { gates = [ 0 ] };
+       ])
+
+let test_check_overlap_on_final_round () =
+  expect_witness
+    "surgery/split-pipeline: round 0: split overlap claimed on the final round"
+    (mk_trace
+       (c4 [ G.Cx (0, 1) ])
+       [
+         Trace.Merge
+           {
+             merges = [ (task 0 0 1, path [ 0; 1 ]) ];
+             locals = [];
+             split_overlapped = true;
+           };
+       ])
+
+let test_check_overlap_shares_qubits () =
+  (* the round after the overlapped split touches merge qubit 0 *)
+  expect_witness
+    "surgery/split-pipeline: round 0: overlapped split and the next round \
+     both touch qubit 0"
+    (mk_trace
+       (c4 [ G.Cx (0, 1); G.H 0 ])
+       [
+         Trace.Merge
+           {
+             merges = [ (task 0 0 1, path [ 0; 1 ]) ];
+             locals = [];
+             split_overlapped = true;
+           };
+         Trace.Local { gates = [ 1 ] };
+       ])
+
+let test_check_never_executed () =
+  expect_witness "gate/exactly-once: gate 1: gate 1 never executed"
+    (mk_trace (c4 [ G.H 0; G.H 1 ]) [ Trace.Local { gates = [ 0 ] } ])
+
 let merge_round ?(split_overlapped = false) ops =
   Trace.Merge { merges = ops; locals = []; split_overlapped }
 
@@ -270,14 +430,11 @@ let fixture name =
   List.find Sys.file_exists
     [ Filename.concat "../fixtures" name; Filename.concat "fixtures" name ]
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let corpus () =
-  match Json.of_string (read_file (fixture "mutations.json")) with
+  match
+    Json.of_string
+      (In_channel.with_open_bin (fixture "mutations.json") In_channel.input_all)
+  with
   | Error msg -> Alcotest.failf "mutations.json unparsable: %s" msg
   | Ok json -> json
 
@@ -431,6 +588,38 @@ let () =
           Alcotest.test_case "legal split overlap" `Quick
             test_split_pipeline_legal;
           Alcotest.test_case "cycle account" `Quick test_cycle_account;
+        ] );
+      ( "check violations",
+        [
+          Alcotest.test_case "clean hand-built trace" `Quick
+            test_check_clean_hand_built;
+          Alcotest.test_case "gate id out of range" `Quick
+            test_check_gate_out_of_range;
+          Alcotest.test_case "executed twice" `Quick test_check_executed_twice;
+          Alcotest.test_case "dependency order" `Quick
+            test_check_dependency_order;
+          Alcotest.test_case "two-qubit in local slot" `Quick
+            test_check_two_qubit_in_local_slot;
+          Alcotest.test_case "path collision" `Quick test_check_path_collision;
+          Alcotest.test_case "braid not two-qubit" `Quick
+            test_braid_not_two_qubit;
+          Alcotest.test_case "task operand mismatch" `Quick
+            test_task_operand_mismatch;
+          Alcotest.test_case "empty local round" `Quick test_empty_local_round;
+          Alcotest.test_case "braid without braids" `Quick
+            test_braid_without_braids;
+          Alcotest.test_case "merge without merges" `Quick
+            test_merge_without_merges;
+          Alcotest.test_case "empty swap layer" `Quick test_empty_swap_layer;
+          Alcotest.test_case "path disconnected" `Quick
+            test_check_path_disconnected;
+          Alcotest.test_case "swap touches twice" `Quick
+            test_check_swap_touches_twice;
+          Alcotest.test_case "overlap on final round" `Quick
+            test_check_overlap_on_final_round;
+          Alcotest.test_case "overlap shares qubits" `Quick
+            test_check_overlap_shares_qubits;
+          Alcotest.test_case "never executed" `Quick test_check_never_executed;
         ] );
       ( "mutations",
         [
