@@ -22,6 +22,95 @@ let test_duplicate_operand () =
   Alcotest.check_raises "dup" (C.Invalid "gate 0 (cx): duplicate operand qubit")
     (fun () -> ignore (C.create ~num_qubits:3 [ G.Cx (1, 1) ]))
 
+(* Exact Circuit.Invalid messages: every operand is range-checked in
+   operand order before any duplicate check, so an out-of-range operand
+   is reported even when an earlier pair repeats, and the first
+   out-of-range operand is the one named. *)
+let invalid_cases =
+  G.
+    [
+      ( "range before duplicate",
+        Ccx (1, 1, 7),
+        "gate 0 (ccx): qubit q7 out of range [0,5)" );
+      ( "range before duplicate, cx",
+        Cx (9, 9),
+        "gate 0 (cx): qubit q9 out of range [0,5)" );
+      ( "first of two out of range",
+        Cx (6, 9),
+        "gate 0 (cx): qubit q6 out of range [0,5)" );
+      ( "first of two out of range, ccx",
+        Ccx (0, 9, 6),
+        "gate 0 (ccx): qubit q9 out of range [0,5)" );
+      ( "negative operand",
+        H (-1),
+        "gate 0 (h): qubit q-1 out of range [0,5)" );
+      ( "rz out of range",
+        Rz (5, 0.5),
+        "gate 0 (rz): qubit q5 out of range [0,5)" );
+      ( "mcx control before target",
+        Mcx ([ 0; 8; 1 ], 7),
+        "gate 0 (mcx): qubit q8 out of range [0,5)" );
+      ( "mcx target",
+        Mcx ([ 0; 1; 2 ], 5),
+        "gate 0 (mcx): qubit q5 out of range [0,5)" );
+      ( "barrier out of range",
+        Barrier [ 0; 0; 5 ],
+        "gate 0 (barrier): qubit q5 out of range [0,5)" );
+      ( "cx duplicate",
+        Cx (1, 1),
+        "gate 0 (cx): duplicate operand qubit" );
+      ( "cz duplicate",
+        Cz (4, 4),
+        "gate 0 (cz): duplicate operand qubit" );
+      ( "cphase duplicate",
+        Cphase (2, 2, 0.5),
+        "gate 0 (cp): duplicate operand qubit" );
+      ( "swap duplicate",
+        Swap (0, 0),
+        "gate 0 (swap): duplicate operand qubit" );
+      ( "ccx duplicate 0-1",
+        Ccx (3, 3, 1),
+        "gate 0 (ccx): duplicate operand qubit" );
+      ( "ccx duplicate 0-2",
+        Ccx (3, 1, 3),
+        "gate 0 (ccx): duplicate operand qubit" );
+      ( "ccx duplicate 1-2",
+        Ccx (1, 3, 3),
+        "gate 0 (ccx): duplicate operand qubit" );
+      ( "mcx duplicate control",
+        Mcx ([ 0; 1; 0 ], 2),
+        "gate 0 (mcx): duplicate operand qubit" );
+      ( "mcx target is a control",
+        Mcx ([ 0; 1; 2 ], 1),
+        "gate 0 (mcx): duplicate operand qubit" );
+      ( "barrier duplicate",
+        Barrier [ 0; 1; 0 ],
+        "gate 0 (barrier): duplicate operand qubit" );
+    ]
+
+let test_invalid_messages () =
+  List.iter
+    (fun (what, g, msg) ->
+      Alcotest.check_raises what (C.Invalid msg) (fun () ->
+          ignore (C.create ~num_qubits:5 [ g ]));
+      (* the gate index names the offending gate's position *)
+      let shifted = "gate 2" ^ String.sub msg 6 (String.length msg - 6) in
+      Alcotest.check_raises (what ^ ", third gate") (C.Invalid shifted)
+        (fun () -> ignore (C.create ~num_qubits:5 G.[ H 0; X 1; g ])))
+    invalid_cases
+
+let test_invalid_messages_builder () =
+  List.iter
+    (fun (what, g, msg) ->
+      let b = C.Builder.create ~num_qubits:5 () in
+      C.Builder.add_list b G.[ H 0; Cx (0, 1) ];
+      let shifted = "gate 2" ^ String.sub msg 6 (String.length msg - 6) in
+      Alcotest.check_raises what (C.Invalid shifted) (fun () ->
+          C.Builder.add b g);
+      (* a rejected gate is not appended *)
+      check_int (what ^ ": builder length") 2 (C.Builder.length b))
+    invalid_cases
+
 let test_no_qubits () =
   Alcotest.check_raises "empty" (C.Invalid "circuit x: no qubits") (fun () ->
       ignore (C.create ~name:"x" ~num_qubits:0 []))
@@ -113,6 +202,7 @@ let () =
           Alcotest.test_case "create" `Quick test_create;
           Alcotest.test_case "out of range" `Quick test_out_of_range;
           Alcotest.test_case "duplicate operand" `Quick test_duplicate_operand;
+          Alcotest.test_case "invalid messages" `Quick test_invalid_messages;
           Alcotest.test_case "no qubits" `Quick test_no_qubits;
           Alcotest.test_case "counts" `Quick test_counts;
           Alcotest.test_case "append" `Quick test_append;
@@ -124,6 +214,8 @@ let () =
         [
           Alcotest.test_case "builder" `Quick test_builder;
           Alcotest.test_case "eager validation" `Quick test_builder_validates_eagerly;
+          Alcotest.test_case "invalid messages" `Quick
+            test_invalid_messages_builder;
           QCheck_alcotest.to_alcotest prop_builder_equals_create;
         ] );
     ]

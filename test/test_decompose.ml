@@ -129,6 +129,55 @@ let prop_swap_preserves_two_qubit_pairs =
           | None -> false)
         (C.gates c'))
 
+(* The lowering as four whole-circuit passes, in the order
+   to_scheduler_gates applies the rewrites per gate. *)
+let four_pass c =
+  c |> D.strip_barriers |> D.lower_mcx |> D.ccx_to_clifford_t |> D.swaps_to_cx
+
+(* Random circuits on 8 qubits mixing every gate kind the lowering
+   rewrites with ones it keeps. Operands are distinct prefixes of a
+   shuffled qubit order. *)
+let lowering_gate_gen =
+  QCheck.Gen.(
+    let* qs = shuffle_l (List.init 8 Fun.id) in
+    let nth = List.nth qs in
+    let angle = map (fun i -> float_of_int (i - 4) /. 3.) (int_range 0 8) in
+    frequency
+      [
+        (2, return (G.H (nth 0)));
+        (1, return (G.Tdg (nth 0)));
+        (1, map (fun x -> G.Rz (nth 0, x)) angle);
+        (1, return (G.Measure (nth 0)));
+        (3, return (G.Cx (nth 0, nth 1)));
+        (1, return (G.Cz (nth 0, nth 1)));
+        (1, map (fun x -> G.Cphase (nth 0, nth 1, x)) angle);
+        (2, return (G.Swap (nth 0, nth 1)));
+        (2, return (G.Ccx (nth 0, nth 1, nth 2)));
+        ( 1,
+          map
+            (fun k -> G.Mcx (List.filteri (fun i _ -> i < k) qs, nth k))
+            (int_range 3 6) );
+        ( 1,
+          map
+            (fun k -> G.Barrier (List.filteri (fun i _ -> i < k) qs))
+            (int_range 1 8) );
+      ])
+
+let prop_one_pass_equals_four_pass =
+  QCheck.Test.make ~name:"to_scheduler_gates = four-pass composition"
+    ~count:300
+    (QCheck.make
+       ~print:(fun c -> Format.asprintf "%a" C.pp c)
+       QCheck.Gen.(
+         map
+           (C.create ~name:"random" ~num_qubits:8)
+           (list_size (int_range 0 40) lowering_gate_gen)))
+    (fun c ->
+      let one = D.to_scheduler_gates c and four = four_pass c in
+      C.name one = C.name four
+      && C.num_qubits one = C.num_qubits four
+      && C.gates one = C.gates four)
+
 let () =
   Alcotest.run "decompose"
     [
@@ -145,5 +194,6 @@ let () =
           Alcotest.test_case "pipeline idempotent" `Quick test_pipeline_idempotent;
           QCheck_alcotest.to_alcotest prop_mcx_qubit_support;
           QCheck_alcotest.to_alcotest prop_swap_preserves_two_qubit_pairs;
+          QCheck_alcotest.to_alcotest prop_one_pass_equals_four_pass;
         ] );
     ]

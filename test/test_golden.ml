@@ -315,6 +315,51 @@ let check_qasm ~kinds computed =
     Alcotest.failf "QASM front-end digests moved; this build computes:\n%s"
       (String.concat "\n" (qasm_lines_sources () @ qasm_lines_mutants ()))
 
+(* ---------------- lowering ---------------- *)
+
+(* fixtures/golden_lowering.txt pins Decompose.to_scheduler_gates: for
+   every source, the circuit digest (name, width, every gate's mnemonic
+   and operands, floats in %h) of its lowered circuit. *)
+
+let lowering_path = fixture "golden_lowering.txt"
+
+(* (name, circuit): registry families at size 64 (grover 16), the
+   Table-2 RevLib instances as the registry builds them, and the QASM
+   and RevLib .real fixtures. *)
+let lowering_sources () =
+  let build name = (name, Qec_benchmarks.Registry.build name) in
+  let files suffix load =
+    let dir = Filename.dirname lowering_path in
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.filter (fun f -> Filename.check_suffix f suffix)
+    |> List.map (fun f -> (f, load (Filename.concat dir f)))
+  in
+  List.map
+    (fun (e : Qec_benchmarks.Registry.entry) ->
+      build (e.name ^ if e.name = "grover" then "16" else "64"))
+    Qec_benchmarks.Registry.families
+  @ List.map build Qec_benchmarks.Building_blocks.names
+  @ files ".qasm" Frontend.of_file
+  @ files ".real" Qec_revlib.Real_parser.of_file
+
+let lowering_lines () =
+  List.map
+    (fun (name, c) ->
+      Printf.sprintf "lowering %s %s" name
+        (circuit_digest (Qec_circuit.Decompose.to_scheduler_gates c)))
+    (lowering_sources ())
+
+let test_lowering () =
+  let fixture =
+    In_channel.with_open_text lowering_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"lowering ")
+  in
+  let computed = lowering_lines () in
+  if computed <> fixture then
+    Alcotest.failf "lowering digests moved; this build computes:\n%s"
+      (String.concat "\n" computed)
+
 let () =
   Qec_engine.Engine.ensure_backends ();
   Alcotest.run "golden"
@@ -351,5 +396,9 @@ let () =
               check_qasm ~kinds:[ "tokens"; "circuit" ] qasm_lines_sources);
           Alcotest.test_case "mutants: outcomes" `Slow (fun () ->
               check_qasm ~kinds:[ "mutant" ] qasm_lines_mutants);
+        ] );
+      ( "lowering",
+        [
+          Alcotest.test_case "to_scheduler_gates digests" `Quick test_lowering;
         ] );
     ]

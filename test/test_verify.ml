@@ -377,6 +377,113 @@ let test_check_never_executed () =
   expect_witness "gate/exactly-once: gate 1: gate 1 never executed"
     (mk_trace (c4 [ G.H 0; G.H 1 ]) [ Trace.Local { gates = [ 0 ] } ])
 
+(* Exact witness lists, in emission order, for path shapes the
+   certifier must judge on its own. Path.of_vertices refuses repeated,
+   non-adjacent and off-grid vertices, and the certifier must not rely on
+   that, so [raw_path] builds the value with Path.t's runtime layout (a
+   vertex list and its length); the guard fails loudly if that layout
+   ever changes. *)
+let raw_path vs =
+  let p : Qec_lattice.Path.t = Obj.magic (vs, List.length vs) in
+  if
+    Qec_lattice.Path.vertices p <> vs
+    || Qec_lattice.Path.length p <> List.length vs
+  then Alcotest.fail "raw_path: Path.t layout changed";
+  p
+
+let expect_witnesses what expected trace =
+  Alcotest.(check (list string))
+    what expected
+    (List.map V.witness_to_string (certified trace).V.witnesses)
+
+let one_braid circuit ops =
+  mk_trace circuit [ Trace.Braid { braids = ops; locals = [] } ]
+
+let test_pin_shared_vertices () =
+  (* gate 2's path 8-7-4-1 shares 8 and 7 with gate 1 and 1 with gate 0,
+     listed in descending order: one witness per shared vertex,
+     ascending *)
+  let shares v =
+    Printf.sprintf
+      "path/disjoint: round 0, gate 2: gate 2's path shares vertex %d with \
+       an earlier path in the round"
+      v
+  in
+  expect_witnesses "three shared vertices" [ shares 1; shares 7; shares 8 ]
+    (one_braid
+       (c4 [ G.Cx (0, 1); G.Cx (2, 3); G.Cx (1, 3) ])
+       [
+         (task 0 0 1, path [ 0; 1 ]);
+         (task 1 2 3, path [ 7; 8 ]);
+         (task 2 1 3, path [ 8; 7; 4; 1 ]);
+       ])
+
+let test_pin_channel_before_disjoint () =
+  (* every path's channel witnesses come before the round's disjointness
+     witnesses; a revisited vertex shared with an earlier path is named
+     once *)
+  expect_witnesses "channel then disjoint"
+    [
+      "path/channel: round 0, gate 1: path revisits vertex 4";
+      "path/disjoint: round 0, gate 1: gate 1's path shares vertex 4 with an \
+       earlier path in the round";
+    ]
+    (one_braid
+       (c4 [ G.Cx (0, 1); G.Cx (2, 3) ])
+       [
+         (task 0 0 1, path [ 1; 4 ]);
+         (task 1 2 3, raw_path [ 7; 4; 3; 4; 7 ]);
+       ])
+
+let test_pin_revisit () =
+  (* the channel walk stops at the first revisit (no adjacency witness
+     for 1 -> 8), the endpoint check still runs *)
+  expect_witnesses "revisit"
+    [
+      "path/channel: round 0, gate 0: path revisits vertex 1";
+      "path/channel: round 0, gate 0: path endpoints are not corners of the \
+       operand tiles of gate 0";
+    ]
+    (one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, raw_path [ 0; 1; 4; 1; 8 ]) ])
+
+let test_pin_non_adjacent () =
+  let not_adjacent v w =
+    Printf.sprintf
+      "path/channel: round 0, gate 0: path vertices %d and %d are not \
+       channel-adjacent"
+      v w
+  in
+  (* 2 -> 3 and 3 -> 2 wrap between rows: consecutive ids, not adjacent *)
+  expect_witnesses "row wrap forward" [ not_adjacent 2 3 ]
+    (one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, raw_path [ 1; 2; 3; 4 ]) ]);
+  expect_witnesses "row wrap backward" [ not_adjacent 3 2 ]
+    (one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, raw_path [ 4; 3; 2; 1 ]) ]);
+  expect_witnesses "jump and diagonal"
+    [
+      not_adjacent 0 2;
+      not_adjacent 4 8;
+      "path/channel: round 0, gate 0: path endpoints are not corners of the \
+       operand tiles of gate 0";
+    ]
+    (one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, raw_path [ 0; 2; 5; 4; 8 ]) ])
+
+let test_pin_off_grid () =
+  (* a vertex off the 3x3 vertex grid is not reported as a witness:
+     certify raises Invalid_argument, wherever the vertex sits *)
+  List.iter
+    (fun vs ->
+      check_bool
+        (Printf.sprintf "off-grid path [%s] raises Invalid_argument"
+           (String.concat ";" (List.map string_of_int vs)))
+        true
+        (match
+           certified
+             (one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, raw_path vs) ])
+         with
+        | (_ : V.t) -> false
+        | exception Invalid_argument _ -> true))
+    [ [ 0; 1; 9 ]; [ -1; 0; 1 ]; [ 1; 4; 1; 12 ] ]
+
 let merge_round ?(split_overlapped = false) ops =
   Trace.Merge { merges = ops; locals = []; split_overlapped }
 
@@ -620,6 +727,16 @@ let () =
           Alcotest.test_case "overlap shares qubits" `Quick
             test_check_overlap_shares_qubits;
           Alcotest.test_case "never executed" `Quick test_check_never_executed;
+        ] );
+      ( "witness order",
+        [
+          Alcotest.test_case "shared vertices ascending" `Quick
+            test_pin_shared_vertices;
+          Alcotest.test_case "channel before disjoint" `Quick
+            test_pin_channel_before_disjoint;
+          Alcotest.test_case "revisited vertex" `Quick test_pin_revisit;
+          Alcotest.test_case "non-adjacent steps" `Quick test_pin_non_adjacent;
+          Alcotest.test_case "off-grid vertex" `Quick test_pin_off_grid;
         ] );
       ( "mutations",
         [
