@@ -171,6 +171,10 @@ profile-smoke: build
 		|| { echo "profile-smoke: missing embed phase"; exit 1; }; \
 	grep -q '"stack_finder.first_pass"' "$$out" \
 		|| { echo "profile-smoke: missing stack_finder.first_pass timer"; exit 1; }; \
+	grep -q '"decompose.lower"' "$$out" \
+		|| { echo "profile-smoke: missing decompose.lower timer"; exit 1; }; \
+	grep -q '"dag.build"' "$$out" \
+		|| { echo "profile-smoke: missing dag.build timer"; exit 1; }; \
 	grep -q '"traceEvents"' "$$trace" \
 		|| { echo "profile-smoke: missing traceEvents"; exit 1; }; \
 	if command -v jq >/dev/null 2>&1; then \

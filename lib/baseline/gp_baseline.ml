@@ -46,6 +46,7 @@ let of_backend_options opts base =
   }
 
 let route kind ~round:_ ~router ~occ ~placement tasks =
+  Qec_telemetry.Telemetry.timed "gp_baseline.route" @@ fun () ->
   let order = Task.shortest_first placement tasks in
   let routed, failed =
     match kind with

@@ -4,21 +4,39 @@ type t = { name : string; num_qubits : int; gates : Gate.t array }
 
 let invalidf fmt = Format.kasprintf (fun s -> raise (Invalid s)) fmt
 
+let check_range ~num_qubits i g q =
+  if q < 0 || q >= num_qubits then
+    invalidf "gate %d (%s): qubit q%d out of range [0,%d)" i (Gate.name g) q
+      num_qubits
+
+let duplicate_operand i g =
+  invalidf "gate %d (%s): duplicate operand qubit" i (Gate.name g)
+
+(* Every operand is range-checked in operand order before any duplicate
+   check. Fixed-arity gates compare their operands directly; only [Mcx]
+   and [Barrier] build an operand list and sort it. *)
 let check_gate ~num_qubits i g =
-  let qs = Gate.qubits g in
-  List.iter
-    (fun q ->
-      if q < 0 || q >= num_qubits then
-        invalidf "gate %d (%s): qubit q%d out of range [0,%d)" i (Gate.name g)
-          q num_qubits)
-    qs;
-  let sorted = List.sort compare qs in
-  let rec has_dup = function
-    | a :: (b :: _ as rest) -> a = b || has_dup rest
-    | [ _ ] | [] -> false
-  in
-  if has_dup sorted then
-    invalidf "gate %d (%s): duplicate operand qubit" i (Gate.name g)
+  match (g : Gate.t) with
+  | H q | X q | Y q | Z q | S q | Sdg q | T q | Tdg q | Measure q
+  | Rx (q, _) | Ry (q, _) | Rz (q, _) | U3 (q, _, _, _) ->
+    check_range ~num_qubits i g q
+  | Cx (a, b) | Cz (a, b) | Cphase (a, b, _) | Swap (a, b) ->
+    check_range ~num_qubits i g a;
+    check_range ~num_qubits i g b;
+    if a = b then duplicate_operand i g
+  | Ccx (a, b, c) ->
+    check_range ~num_qubits i g a;
+    check_range ~num_qubits i g b;
+    check_range ~num_qubits i g c;
+    if a = b || a = c || b = c then duplicate_operand i g
+  | Mcx _ | Barrier _ ->
+    let qs = Gate.qubits g in
+    List.iter (check_range ~num_qubits i g) qs;
+    let rec has_dup = function
+      | a :: (b :: _ as rest) -> a = b || has_dup rest
+      | [ _ ] | [] -> false
+    in
+    if has_dup (List.sort Int.compare qs) then duplicate_operand i g
 
 let validate t =
   if t.num_qubits <= 0 then invalidf "circuit %s: no qubits" t.name;
@@ -48,12 +66,24 @@ let append a b =
     invalidf "append: width mismatch (%d vs %d)" a.num_qubits b.num_qubits;
   { a with gates = Array.append a.gates b.gates }
 
-let map_gates f t =
-  let out = ref [] in
-  Array.iter (fun g -> List.iter (fun g' -> out := g' :: !out) (f g)) t.gates;
-  let t' = { t with gates = Array.of_list (List.rev !out) } in
+let with_gates t gates =
+  let t' = { t with gates } in
   validate t';
   t'
+
+(* Each replacement list is built once and copied into an array of the
+   exact output length. *)
+let map_gates f t =
+  let parts = Array.map f t.gates in
+  let total = Array.fold_left (fun n gs -> n + List.length gs) 0 parts in
+  let out = Array.make total (Gate.H 0) in
+  let k = ref 0 in
+  Array.iter
+    (List.iter (fun g ->
+         out.(!k) <- g;
+         incr k))
+    parts;
+  with_gates t out
 
 let with_name name t = { t with name }
 

@@ -27,7 +27,12 @@ val length : t -> int
 (** Number of gates. *)
 
 val validate : t -> unit
-(** Re-check all invariants; raises {!Invalid} with a descriptive message. *)
+(** Re-check all invariants; raises {!Invalid} with a descriptive message:
+    for a gate, the first out-of-range operand in operand order, else a
+    duplicate operand. Fixed-arity gates are checked by comparing their
+    operands directly, with no allocation; only [Mcx] and [Barrier] build
+    and sort an operand list. {!create} and {!Builder.add} run the same
+    per-gate check. *)
 
 val count_if : (Gate.t -> bool) -> t -> int
 
@@ -44,7 +49,13 @@ val append : t -> t -> t
 
 val map_gates : (Gate.t -> Gate.t list) -> t -> t
 (** Rewrite every gate to a (possibly empty) replacement sequence, keeping
-    name and width; the result is re-validated. *)
+    name and width; the result is re-validated. Each replacement list is
+    built once and copied into an array of the exact output length. *)
+
+val with_gates : t -> Gate.t array -> t
+(** [with_gates c gates] is [c] (name and width) over the gate sequence
+    [gates], validated. The result owns [gates]: callers must not mutate
+    it afterwards. *)
 
 val with_name : string -> t -> t
 

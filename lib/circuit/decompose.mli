@@ -37,7 +37,15 @@ val lower_mcx : ?ancillas:int list -> Circuit.t -> Circuit.t
 (** Rewrite every [Mcx] via {!mcx_gates}. *)
 
 val to_scheduler_gates : Circuit.t -> Circuit.t
-(** Full lowering pipeline: strip barriers, lower [Mcx] (ancilla-free),
-    lower [Ccx], expand [Swap]. The result contains only gates for which
-    [Gate.is_single_qubit] or [Gate.is_two_qubit] holds, which is what
-    {!Autobraid.Scheduler} and {!Gp_baseline} require. *)
+(** Full lowering: the same circuit as
+    [strip_barriers], then [lower_mcx] (ancilla-free), then
+    [ccx_to_clifford_t], then [swaps_to_cx], computed in one pass over the
+    gates. Each gate gets the four rewrites in that order: a [Barrier] is
+    dropped, an [Mcx] is expanded by {!mcx_gates}, and every [Ccx] and
+    [Swap] of the result is rewritten; other gates are kept as they are.
+    The output length is counted first (each [Mcx] expansion is kept for
+    the fill), so the output array is allocated once at its exact size,
+    and the result is validated once. The result contains only gates for
+    which [Gate.is_single_qubit] or [Gate.is_two_qubit] holds, which is
+    what {!Autobraid.Scheduler} and {!Gp_baseline} require. Raises
+    [Invalid_argument] like {!mcx_gates} on an [Mcx] it cannot lower. *)

@@ -12,7 +12,18 @@
 
     A certificate reports every invariant individually with failure
     witnesses (round / gate / detail), and serializes to the
-    [autobraid-cert/v1] JSON schema via [Qec_report.Export]. *)
+    [autobraid-cert/v1] JSON schema via [Qec_report.Export].
+
+    Cost: one call allocates its scratch arrays once: the replayed
+    qubit->cell array, the per-gate execution counts and program-order
+    predecessors, and one vertex-stamp array that serves both the
+    per-path repeat check and the per-round disjointness check. Channel
+    adjacency and tile corners come from index arithmetic on the grid's
+    row-major numbering, not from {!Qec_lattice.Grid} neighbour lists.
+    Vertices are sorted only for a path that shares vertices with an
+    earlier path of its round, when its witnesses are written. None of
+    this reads {!Qec_lattice.Path}'s constructor invariant or
+    {!Qec_lattice.Placement}. *)
 
 type witness = {
   invariant : Invariant.t;
@@ -39,8 +50,9 @@ val certify :
   Autobraid.Trace.t ->
   t
 (** Replay and certify. With [~result], the scheduler-reported
-    [total_cycles] joins the cycle-accounting cross-check. Never raises on
-    malformed traces — corruption becomes witnesses. *)
+    [total_cycles] joins the cycle-accounting cross-check. Malformed traces
+    become witnesses, with one exception: a path vertex off the grid
+    raises [Invalid_argument]. *)
 
 val ok : t -> bool
 (** No invariant failed. *)
