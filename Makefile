@@ -262,6 +262,16 @@ serve-smoke: build
 		|| { echo "serve-smoke: stats missing cache counters"; exit 1; }; \
 	grep -q '"serve.request_s"' "$$dir/stats.json" \
 		|| { echo "serve-smoke: stats missing latency histogram"; exit 1; }; \
+	python3 -c 'import json, sys; s = json.load(open(sys.argv[1])); \
+		t = s["telemetry"]; c = t["counters"]; \
+		assert any(h["name"] == "serve.queue_wait_s" and "p95" in h \
+			for h in t["histograms"]), "no serve.queue_wait_s p95"; \
+		assert "serve.cache.misses" in c, "no serve.cache. counters"; \
+		bad = [k for k in ("memory_hits", "disk_hits", "misses") \
+			if c.get("serve.cache." + k, 0) != s["cache"][k]]; \
+		assert not bad, "serve.cache. counters disagree: %s" % bad' \
+		"$$dir/stats.json" \
+		|| { echo "serve-smoke: stats missing queue-wait p95 or cache verdicts"; exit 1; }; \
 	$(CLI) serve --connect "$$sock" --shutdown > /dev/null || exit 1; \
 	wait $$pid || { echo "serve-smoke: daemon exited nonzero"; \
 		cat "$$dir/daemon.log"; exit 1; }; \

@@ -7,9 +7,9 @@ module Tel = Qec_telemetry.Telemetry
 
 type method_ = Identity | Bisected | Partitioned | Annealed
 
-(* Two-qubit tasks of each ASAP layer, with layers optionally subsampled
+(* Two-qubit tasks of each ASAP layer, subsampled to at most [sample_layers]
    (evenly spaced) to bound the census cost on deep circuits. *)
-let layer_tasks ?(sample_layers = 48) ?dag circuit =
+let layer_tasks ~sample_layers ?dag circuit =
   let dag =
     match dag with Some d -> d | None -> Dag.of_circuit circuit
   in
@@ -36,8 +36,8 @@ let census_of_layers placement layers =
     (fun acc tasks -> acc + Llg.count_oversize placement tasks)
     0 layers
 
-let oversize_census ?sample_layers circuit placement =
-  census_of_layers placement (layer_tasks ?sample_layers circuit)
+let oversize_census circuit placement =
+  census_of_layers placement (layer_tasks ~sample_layers:48 circuit)
 
 (* Simulated annealing over qubit swaps. Energy is the oversize-LLG census
    (primary) with total task distance as a small tie-breaker so plateaus
@@ -165,14 +165,9 @@ let anneal ~rng ~iters placement layers =
     Tel.gauge "anneal.final_census" (float_of_int (total_census ()))
   end
 
-let place ?(seed = 23) ?rng ?coupling ?dag ?anneal_iters ?sample_layers
-    ~method_ circuit grid =
+let place ?(seed = 23) ?coupling ?dag ~method_ circuit grid =
   Tel.with_span "initial_layout" @@ fun () ->
   let n = Circuit.num_qubits circuit in
-  (* One explicit state drives both sampling stages when the caller passes
-     [rng]; otherwise each stage derives its historical seed-keyed state,
-     keeping seed-addressed callers byte-stable. *)
-  let embed_rng = Option.map Qec_util.Rng.split rng in
   let embed ~snake =
     let coupling =
       match coupling with
@@ -180,7 +175,7 @@ let place ?(seed = 23) ?rng ?coupling ?dag ?anneal_iters ?sample_layers
       | None -> Coupling.of_circuit circuit
     in
     Tel.with_span "embed" (fun () ->
-        Qec_partition.Embed.layout ~seed ?rng:embed_rng ~snake coupling grid)
+        Qec_partition.Embed.layout ~seed ~snake coupling grid)
   in
   match method_ with
   | Identity -> Placement.identity grid ~num_qubits:n
@@ -191,27 +186,17 @@ let place ?(seed = 23) ?rng ?coupling ?dag ?anneal_iters ?sample_layers
     (* The anneal samples fewer layers than the reported census: the
        O(front^2) group decomposition runs on every proposal. *)
     let layers =
-      layer_tasks ~sample_layers:(Option.value sample_layers ~default:16)
-        ?dag:(Option.map Lazy.force dag) circuit
+      layer_tasks ~sample_layers:16 ?dag:(Option.map Lazy.force dag) circuit
     in
     let iters =
-      (* The census is O(front^2) per touched layer, so the default budget
+      (* The census is O(front^2) per touched layer, so the budget
          shrinks for wide circuits to keep compile time in line with the
          paper's 1-2% claim. *)
-      match anneal_iters with
-      | Some i -> i
-      | None ->
-        if n <= 200 then min 1200 (max 150 (6 * n))
-        else max 80 (120_000 / n)
+      if n <= 200 then min 1200 (max 150 (6 * n)) else max 80 (120_000 / n)
     in
     Tel.gauge "anneal.iters_budget" (float_of_int iters);
     (* The census-driven fine-tune is the static half of layout
        optimization; Layout_opt.plan is the dynamic half. *)
-    let anneal_rng =
-      match rng with
-      | Some r -> r
-      | None -> Qec_util.Rng.create (seed + 1)
-    in
     Tel.with_span "layout_optimization" (fun () ->
-        anneal ~rng:anneal_rng ~iters placement layers);
+        anneal ~rng:(Qec_util.Rng.create (seed + 1)) ~iters placement layers);
     placement

@@ -17,22 +17,16 @@ type method_ =
 
 val place :
   ?seed:int ->
-  ?rng:Qec_util.Rng.t ->
   ?coupling:Qec_circuit.Coupling.t Lazy.t ->
   ?dag:Qec_circuit.Dag.t Lazy.t ->
-  ?anneal_iters:int ->
-  ?sample_layers:int ->
   method_:method_ ->
   Qec_circuit.Circuit.t ->
   Qec_lattice.Grid.t ->
   Qec_lattice.Placement.t
-(** Deterministic in [seed]. [rng] threads one explicit sampling state
-    through both the bisection partitioner and the annealer (advancing the
-    caller's generator); when absent, fresh states are derived from [seed]
-    exactly as before, so seed-addressed callers are byte-stable. The
-    global [Random] is never consulted. [anneal_iters] defaults to a
-    size-scaled bound; [sample_layers] caps how many ASAP layers the
-    census inspects (evenly spaced; default 48). [coupling] and [dag],
+(** Deterministic in [seed]: the bisection and the anneal each derive
+    their own sampling state from it, and the global [Random] is never
+    consulted. The anneal runs a size-scaled number of iterations over at
+    most 16 evenly spaced ASAP layers. [coupling] and [dag],
     when given, must be the coupling graph and DAG of [circuit]; a caller
     that needs them too passes its own so each is built once per job.
     [coupling] is forced only by the methods that bisect, [dag] only by
@@ -40,9 +34,8 @@ val place :
     [Invalid_argument] if the grid is too small. *)
 
 val oversize_census :
-  ?sample_layers:int ->
   Qec_circuit.Circuit.t ->
   Qec_lattice.Placement.t ->
   int
-(** Total number of LLGs of size > 3 over the (sampled) ASAP layers — the
-    "# of LLG's (size > 3)" column of Table 1. *)
+(** Total number of LLGs of size > 3 over at most 48 evenly spaced ASAP
+    layers — the "# of LLG's (size > 3)" column of Table 1. *)

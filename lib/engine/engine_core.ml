@@ -159,16 +159,15 @@ let exec cache (spec : Spec.t) =
         let side =
           max 1 (Qec_surface.Resources.lattice_side ~num_logical:n)
         in
-        let before = Placement_cache.counters cache in
-        let p =
+        let p, verdict =
           Placement_cache.find_or_place cache ~circuit:lowered ~side
             ~method_:spec.initial ~seed:spec.seed
         in
-        let after = Placement_cache.counters cache in
         cache_status :=
-          if after.misses > before.misses then Miss
-          else if after.disk_hits > before.disk_hits then Disk_hit
-          else Memory_hit;
+          (match verdict with
+          | Placement_cache.Memory_hit -> Memory_hit
+          | Disk_hit -> Disk_hit
+          | Miss -> Miss);
         Some p
     in
     let config = { CB.initial = spec.initial; seed = spec.seed; placement } in

@@ -27,6 +27,7 @@ type t = {
 }
 
 type counters = { memory_hits : int; disk_hits : int; misses : int }
+type verdict = Memory_hit | Disk_hit | Miss
 
 let create ?dir () : t =
   Option.iter
@@ -196,7 +197,7 @@ let find_or_place t ~circuit ~side ~method_ ~seed =
   match cached with
   | Some e ->
     Atomic.incr t.memory_hits;
-    placement_of_entry e
+    (placement_of_entry e, Memory_hit)
   | None -> (
     let remember e =
       Mutex.lock t.lock;
@@ -221,7 +222,7 @@ let find_or_place t ~circuit ~side ~method_ ~seed =
     | Some (e, p) ->
       Atomic.incr t.disk_hits;
       remember e;
-      p
+      (p, Disk_hit)
     | None ->
       Atomic.incr t.misses;
       let placement =
@@ -236,4 +237,4 @@ let find_or_place t ~circuit ~side ~method_ ~seed =
       in
       remember e;
       write_disk t k e;
-      placement)
+      (placement, Miss))

@@ -37,6 +37,8 @@ type counters = {
   misses : int;  (** placements actually computed *)
 }
 
+type verdict = Memory_hit | Disk_hit | Miss
+
 val create : ?dir:string -> unit -> t
 (** In-memory cache; with [dir] also persist placements there (the
     directory is created if missing). *)
@@ -63,8 +65,9 @@ val find_or_place :
   side:int ->
   method_:Autobraid.Initial_layout.method_ ->
   seed:int ->
-  Qec_lattice.Placement.t
+  Qec_lattice.Placement.t * verdict
 (** The placement {!Autobraid.Initial_layout.place} would produce for the
     (lowered) circuit on a fresh [side]×[side] grid — computed on miss,
-    replayed from memory or disk on hit. Every call returns a fresh
+    replayed from memory or disk on hit — and which of the three this
+    call was, counted in {!counters} too. Every call returns a fresh
     [Placement.t] on its own grid, so callers may mutate freely. *)

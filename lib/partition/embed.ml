@@ -6,15 +6,13 @@ type rect = { x0 : int; y0 : int; x1 : int; y1 : int (* inclusive cells *) }
 
 let rect_area r = (r.x1 - r.x0 + 1) * (r.y1 - r.y0 + 1)
 
-let layout ?(seed = 17) ?rng ?(snake = true) coupling grid =
+let layout ?(seed = 17) ?(snake = true) coupling grid =
   let n = Coupling.num_qubits coupling in
   if n > Grid.num_cells grid then invalid_arg "Embed.layout: grid too small";
   match (if snake then Coupling.chain_order coupling else None) with
   | Some order -> Placement.of_order grid order
   | None ->
-    let rng =
-      match rng with Some r -> r | None -> Qec_util.Rng.create seed
-    in
+    let rng = Qec_util.Rng.create seed in
     let graph = Bisect.prepare coupling in
     let cells = Array.make n (-1) in
     let rec place rect qubits =

@@ -11,14 +11,12 @@
 
 val layout :
   ?seed:int ->
-  ?rng:Qec_util.Rng.t ->
   ?snake:bool ->
   Qec_circuit.Coupling.t ->
   Qec_lattice.Grid.t ->
   Qec_lattice.Placement.t
-(** Deterministic in [seed]. [rng] supplies the sampling state explicitly
-    (advancing the caller's generator); when absent a fresh state is
-    derived from [seed] — no code path ever touches the global [Random].
-    [snake] (default true) enables the degree-2 special case; disable it
-    for the plain-bisection ablation. Raises [Invalid_argument] if the
-    grid has fewer cells than qubits. *)
+(** Deterministic in [seed]: the sampling state is derived from it, and
+    the global [Random] is never consulted. [snake] (default true) enables
+    the degree-2 special case; disable it for the plain-bisection
+    ablation. Raises [Invalid_argument] if the grid has fewer cells than
+    qubits. *)

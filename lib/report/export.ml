@@ -124,6 +124,38 @@ let backend_outcome_to_json ?max_rounds timing
       ("exposure", exposure_to_json ~d exposure);
     ]
 
+let metrics_members records =
+  let module Tel = Qec_telemetry.Telemetry in
+  let hist_obj (h : Tel.histogram) =
+    Json.Obj
+      [
+        ("name", Json.String h.hist_name);
+        ("count", Json.Int h.count);
+        ("sum", Json.Float h.sum);
+        ("min", Json.Float h.min_v);
+        ("max", Json.Float h.max_v);
+        ("mean", Json.Float h.mean);
+        ("p50", Json.Float h.p50);
+        ("p95", Json.Float h.p95);
+      ]
+  in
+  let pick f = List.filter_map f records in
+  [
+    ( "counters",
+      Json.Obj
+        (pick (function
+          | Tel.Counter { name; value } -> Some (name, Json.Int value)
+          | _ -> None)) );
+    ( "gauges",
+      Json.Obj
+        (pick (function
+          | Tel.Gauge { name; value } -> Some (name, Json.Float value)
+          | _ -> None)) );
+    ( "histograms",
+      Json.List
+        (pick (function Tel.Histogram h -> Some (hist_obj h) | _ -> None)) );
+  ]
+
 let telemetry_to_json collector =
   let module Tel = Qec_telemetry.Telemetry in
   let module Col = Qec_telemetry.Collector in
@@ -137,19 +169,6 @@ let telemetry_to_json collector =
         ("start_s", Json.Float s.start_s);
         ("total_s", Json.Float s.total_s);
         ("self_s", Json.Float s.self_s);
-      ]
-  in
-  let hist_obj (h : Tel.histogram) =
-    Json.Obj
-      [
-        ("name", Json.String h.hist_name);
-        ("count", Json.Int h.count);
-        ("sum", Json.Float h.sum);
-        ("min", Json.Float h.min_v);
-        ("max", Json.Float h.max_v);
-        ("mean", Json.Float h.mean);
-        ("p50", Json.Float h.p50);
-        ("p95", Json.Float h.p95);
       ]
   in
   let timer_obj (name, calls, total_s) =
@@ -166,20 +185,12 @@ let telemetry_to_json collector =
       ]
   in
   Json.Obj
-    [
-      ( "counters",
-        Json.Obj
-          (List.map (fun (n, v) -> (n, Json.Int v)) (Col.counters collector))
-      );
-      ( "gauges",
-        Json.Obj
-          (List.map (fun (n, v) -> (n, Json.Float v)) (Col.gauges collector))
-      );
-      ("histograms", Json.List (List.map hist_obj (Col.histograms collector)));
-      ("timers", Json.Obj (List.map timer_obj (Col.timers collector)));
-      ("spans", Json.List (List.map span_obj (Col.spans collector)));
-      ("phases", Json.List (List.map phase_obj (Col.phases collector)));
-    ]
+    (metrics_members (Col.records collector)
+    @ [
+        ("timers", Json.Obj (List.map timer_obj (Col.timers collector)));
+        ("spans", Json.List (List.map span_obj (Col.spans collector)));
+        ("phases", Json.List (List.map phase_obj (Col.phases collector)));
+      ])
 
 let coupling_to_dot coupling =
   let buf = Buffer.create 512 in

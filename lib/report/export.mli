@@ -28,6 +28,14 @@ val backend_outcome_to_json :
     (generic float-valued keys, e.g. surgery's pipelining counters), the
     trace, and reliability exposure at the timing's distance. *)
 
+val metrics_members :
+  Qec_telemetry.Telemetry.record list -> (string * Json.t) list
+(** The [counters] and [gauges] objects and the [histograms] list of the
+    given records, in record order; each histogram object carries
+    [name]/[count]/[sum]/[min]/[max]/[mean]/[p50]/[p95]. The first three
+    members of {!telemetry_to_json}, and the serve daemon's live
+    [telemetry] statistics. *)
+
 val telemetry_to_json : Qec_telemetry.Collector.t -> Json.t
 (** Everything a collector gathered: counters, gauges and timers
     ([{"calls", "total_s"}] per name) as objects, histograms / spans /

@@ -111,9 +111,28 @@ type t = {
   nonempty : Condition.t;
   mutable pending : int;
   draining : bool Atomic.t;
-  metrics : Metrics.t;
+  tally : Tel.Tally.t;  (* the live [stats] numbers, under [tally_lock] *)
+  tally_lock : Mutex.t;
+  started_at : float;
   cache : PC.t;
 }
+
+(* ---------------- live metrics ---------------- *)
+
+(* The daemon does not record into the telemetry session: pool workers
+   never leave their scope, so they would never merge, and an installed
+   session would switch on every hot-path probe of every request. It keeps
+   its own tally, readable by a [stats] request at any moment. A
+   long-lived daemon must not grow without bound, so each series keeps its
+   most recent [window] samples: percentiles follow current behaviour
+   while count/sum/min/max stay exact. *)
+let window = 16384
+
+let with_tally t f = Mutex.protect t.tally_lock (fun () -> f t.tally)
+let count t name = with_tally t (fun m -> Tel.Tally.count m name)
+let gauge t name v = with_tally t (fun m -> Tel.Tally.gauge m name v)
+let sample t name v = with_tally t (fun m -> Tel.Tally.sample m name v)
+let counter t name = with_tally t (fun m -> Tel.Tally.counter m name)
 
 (* ---------------- admission control ---------------- *)
 
@@ -160,7 +179,7 @@ let admit t conn ~request specs ~batch =
             t.queue)
         specs;
       t.pending <- t.pending + n;
-      Metrics.gauge t.metrics "serve.queue_depth" (float_of_int t.pending);
+      gauge t "serve.queue_depth" (float_of_int t.pending);
       for _ = 1 to n do
         Condition.signal t.nonempty
       done;
@@ -171,7 +190,7 @@ let admit t conn ~request specs ~batch =
   match verdict with
   | Ok () -> ()
   | Error e ->
-    Metrics.count t.metrics ("serve.rejected." ^ e.Core.kind);
+    count t ("serve.rejected." ^ e.Core.kind);
     send conn (Protocol.error_record ~request e)
 
 (* ---------------- workers ---------------- *)
@@ -194,7 +213,7 @@ let handle t (w : work) =
     match t.config.timeout_s with Some s -> queue_wait > s | None -> false
   in
   if timed_out then begin
-    Metrics.count t.metrics "serve.rejected.timeout";
+    count t "serve.rejected.timeout";
     send w.w_conn
       (Protocol.error_record ~request:w.w_request
          {
@@ -209,21 +228,21 @@ let handle t (w : work) =
     finish_batch t w ~ok:false
   end
   else begin
-    Metrics.sample t.metrics "serve.queue_wait_s" queue_wait;
+    sample t "serve.queue_wait_s" queue_wait;
     let outcome, cache_status =
       Tel.with_span "serve.request" @@ fun () ->
       Core.exec_safe (Some t.cache) w.w_spec
     in
     let elapsed_s = Unix.gettimeofday () -. t0 in
-    Metrics.sample t.metrics "serve.request_s" elapsed_s;
-    Metrics.count t.metrics
+    sample t "serve.request_s" elapsed_s;
+    count t
       (match cache_status with
       | Core.Memory_hit -> "serve.cache.memory_hits"
       | Core.Disk_hit -> "serve.cache.disk_hits"
       | Core.Miss -> "serve.cache.misses"
       | Core.Uncached -> "serve.cache.uncached");
     let ok = Result.is_ok outcome in
-    Metrics.count t.metrics
+    count t
       (if ok then "serve.results_ok" else "serve.results_failed");
     let job =
       {
@@ -250,7 +269,7 @@ let worker t _id =
     | None -> Mutex.unlock t.lock
     | Some w ->
       t.pending <- t.pending - 1;
-      Metrics.gauge t.metrics "serve.queue_depth" (float_of_int t.pending);
+      gauge t "serve.queue_depth" (float_of_int t.pending);
       Mutex.unlock t.lock;
       handle t w;
       loop ()
@@ -274,7 +293,7 @@ let stats_json t =
         Json.Obj
           [
             ("version", Json.String Protocol.version);
-            ("uptime_s", Json.Float (Metrics.uptime_s t.metrics));
+            ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started_at));
             ("jobs", Json.Int t.config.jobs);
             ("max_pending", Json.Int t.config.max_pending);
             ("queue_depth", Json.Int queue_depth);
@@ -287,7 +306,10 @@ let stats_json t =
             ("disk_hits", Json.Int k.PC.disk_hits);
             ("misses", Json.Int k.PC.misses);
           ] );
-      ("telemetry", Metrics.to_json t.metrics);
+      ( "telemetry",
+        Json.Obj
+          (Qec_report.Export.metrics_members (with_tally t Tel.Tally.records))
+      );
     ]
 
 let drain t =
@@ -331,10 +353,10 @@ let reader t conn =
          | Error e ->
            (* A malformed line is answered, never disconnected on: a
               client bug must not tear down its other in-flight work. *)
-           Metrics.count t.metrics ("serve.rejected." ^ e.Core.kind);
+           count t ("serve.rejected." ^ e.Core.kind);
            send conn (Protocol.error_record ~request:None e)
          | Ok req -> (
-           Metrics.count t.metrics ("serve.requests." ^ op_name req);
+           count t ("serve.requests." ^ op_name req);
            match req with
            | Protocol.Ping { id } -> send conn (Protocol.pong_record ~request:id)
            | Protocol.Stats { id } ->
@@ -362,7 +384,7 @@ let accept_loop t =
         if Atomic.get t.draining then (
           try Unix.close fd with Unix.Unix_error _ -> ())
         else begin
-          Metrics.count t.metrics "serve.connections";
+          count t "serve.connections";
           let conn =
             {
               fd;
@@ -403,7 +425,9 @@ let run config =
       nonempty = Condition.create ();
       pending = 0;
       draining = Atomic.make false;
-      metrics = Metrics.create ();
+      tally = Tel.Tally.create ~window ();
+      tally_lock = Mutex.create ();
+      started_at = Unix.gettimeofday ();
       cache = PC.create ?dir:config.cache_dir ();
     }
   in
@@ -454,6 +478,6 @@ let run config =
   (try Unix.unlink config.socket with Unix.Unix_error _ | Sys_error _ -> ());
   config.log
     (Printf.sprintf "serve: drained (%d ok, %d failed, %d connections)"
-       (Metrics.counter t.metrics "serve.results_ok")
-       (Metrics.counter t.metrics "serve.results_failed")
-       (Metrics.counter t.metrics "serve.connections"))
+       (counter t "serve.results_ok")
+       (counter t "serve.results_failed")
+       (counter t "serve.connections"))

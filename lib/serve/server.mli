@@ -19,9 +19,10 @@
     pool, writes the optional Perfetto trace ([trace_out]), removes the
     socket file and returns.
 
-    Live metrics ({!Metrics}) back the [stats] response: request-latency
-    and queue-wait histograms, a queue-depth gauge, and per-kind
-    cache/rejection counters. *)
+    A live {!Qec_telemetry.Telemetry.Tally} backs the [stats] response:
+    request-latency and queue-wait histograms (percentiles over each
+    series' most recent 16,384 samples), a queue-depth gauge, and
+    per-kind cache/rejection counters. *)
 
 type config = {
   socket : string;  (** socket path; an existing file is replaced *)

@@ -39,14 +39,171 @@ let tee = function
       close = (fun () -> List.iter (fun s -> s.close ()) sinks);
     }
 
-type frame = { frame_name : string; start : float; mutable child_total : float }
+module Tally = struct
+  type timer = { mutable calls : int; mutable seconds : float }
+  type gauge = { rank : int; value : float }
 
-type timer = { mutable calls : int; mutable seconds : float }
+  (* An all-float record is stored flat, so updating it allocates
+     nothing on the sampling path. *)
+  type moments = { mutable sum : float; mutable lo : float; mutable hi : float }
+
+  type series = {
+    mutable n : int;  (* observations, exact *)
+    moments : moments;  (* exact over all [n] *)
+    mutable kept : float array;  (* grows to [window], then a ring *)
+    mutable pushed : int;  (* samples ever written into [kept] *)
+  }
+
+  type t = {
+    window : int;  (* [max_int]: keep every sample *)
+    rank : int;
+    counters : (string, int ref) Hashtbl.t;
+    gauges : (string, gauge) Hashtbl.t;
+    series : (string, series) Hashtbl.t;
+    timers : (string, timer) Hashtbl.t;
+  }
+
+  let create ?(window = max_int) ?(rank = 0) () =
+    if window < 1 then invalid_arg "Tally.create: window < 1";
+    {
+      window;
+      rank;
+      counters = Hashtbl.create 64;
+      gauges = Hashtbl.create 16;
+      series = Hashtbl.create 16;
+      timers = Hashtbl.create 8;
+    }
+
+  let reset t =
+    Hashtbl.reset t.counters;
+    Hashtbl.reset t.gauges;
+    Hashtbl.reset t.series;
+    Hashtbl.reset t.timers
+
+  let count ?(by = 1) t name =
+    match Hashtbl.find_opt t.counters name with
+    | Some r -> r := !r + by
+    | None -> Hashtbl.add t.counters name (ref by)
+
+  let counter t name =
+    match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+
+  let gauge t name value =
+    Hashtbl.replace t.gauges name { rank = t.rank; value }
+
+  let series t name =
+    match Hashtbl.find_opt t.series name with
+    | Some s -> s
+    | None ->
+      let s =
+        {
+          n = 0;
+          moments = { sum = 0.; lo = infinity; hi = neg_infinity };
+          kept = [||];
+          pushed = 0;
+        }
+      in
+      Hashtbl.add t.series name s;
+      s
+
+  (* Double [kept] up to the window, then overwrite the oldest sample. *)
+  let keep t s v =
+    let len = Array.length s.kept in
+    if s.pushed = len && len < t.window then begin
+      let grown = Array.make (min t.window (max 16 (2 * len))) 0. in
+      Array.blit s.kept 0 grown 0 len;
+      s.kept <- grown
+    end;
+    s.kept.(s.pushed mod t.window) <- v;
+    s.pushed <- s.pushed + 1
+
+  let observe s ~n ~sum ~lo ~hi =
+    let m = s.moments in
+    s.n <- s.n + n;
+    m.sum <- m.sum +. sum;
+    if lo < m.lo then m.lo <- lo;
+    if hi > m.hi then m.hi <- hi
+
+  let sample t name v =
+    let s = series t name in
+    observe s ~n:1 ~sum:v ~lo:v ~hi:v;
+    keep t s v
+
+  let add_timer t name ~calls ~seconds =
+    match Hashtbl.find_opt t.timers name with
+    | Some tm ->
+      tm.calls <- tm.calls + calls;
+      tm.seconds <- tm.seconds +. seconds
+    | None -> Hashtbl.add t.timers name { calls; seconds }
+
+  let time t name seconds = add_timer t name ~calls:1 ~seconds
+
+  let oldest_first s =
+    let len = Array.length s.kept in
+    if s.pushed <= len then Array.sub s.kept 0 s.pushed
+    else
+      let oldest = s.pushed mod len in
+      Array.append
+        (Array.sub s.kept oldest (len - oldest))
+        (Array.sub s.kept 0 oldest)
+
+  let merge ~into src =
+    Hashtbl.iter (fun name r -> count ~by:!r into name) src.counters;
+    Hashtbl.iter
+      (fun name (g : gauge) ->
+        match Hashtbl.find_opt into.gauges name with
+        | Some cur when cur.rank <= g.rank -> ()
+        | Some _ | None -> Hashtbl.replace into.gauges name g)
+      src.gauges;
+    Hashtbl.iter
+      (fun name s ->
+        let d = series into name in
+        let m = s.moments in
+        observe d ~n:s.n ~sum:m.sum ~lo:m.lo ~hi:m.hi;
+        Array.iter (keep into d) (oldest_first s))
+      src.series;
+    Hashtbl.iter
+      (fun name tm -> add_timer into name ~calls:tm.calls ~seconds:tm.seconds)
+      src.timers
+
+  let sorted tbl =
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+  let histogram (name, s) =
+    let xs = oldest_first s in
+    Array.stable_sort Float.compare xs;
+    let m = s.moments in
+    Histogram
+      {
+        hist_name = name;
+        count = s.n;
+        sum = m.sum;
+        min_v = m.lo;
+        max_v = m.hi;
+        mean = m.sum /. float_of_int s.n;
+        p50 = Qec_util.Stats.nearest_rank 50. xs;
+        p95 = Qec_util.Stats.nearest_rank 95. xs;
+      }
+
+  let records t =
+    List.map (fun (name, r) -> Counter { name; value = !r }) (sorted t.counters)
+    @ List.map
+        (fun (name, g) -> Gauge { name; value = g.value })
+        (sorted t.gauges)
+    @ List.map histogram (sorted t.series)
+    @ List.map
+        (fun (name, tm) ->
+          Timer { name; calls = tm.calls; total_s = tm.seconds })
+        (sorted t.timers)
+end
+
+type frame = { frame_name : string; start : float; mutable child_total : float }
 
 (* The cross-domain half of an installed sink. The installing (root)
    domain owns the sink; worker domains attach with [worker_scope], record
-   into domain-local buffers, and merge them here — under [lock] — when
-   their scope ends (i.e. at join). The root drains the merged buffers on
+   into domain-local tallies, and merge them into [pending] — under [lock]
+   — when their scope ends (i.e. at join). The root drains [pending] on
    [flush], so the sink itself is only ever driven from one domain. *)
 type session = {
   sink : sink;
@@ -55,25 +212,20 @@ type session = {
   lock : Mutex.t;
   mutable wspans : (int * record list) list;
       (* per-scope span buffers tagged with the worker id, in merge order *)
-  wcounters : (string, int) Hashtbl.t;
-  wgauges : (string, int * float) Hashtbl.t;  (* worker id, value *)
-  wsamples : (string, float list) Hashtbl.t;
-  wtimers : (string, timer) Hashtbl.t;
+  pending : Tally.t;
 }
 
 (* Per-domain probe state. [root] distinguishes the installing domain
    (spans stream straight to the sink) from attached workers (spans buffer
-   locally until the scope merges). All tables are domain-local, so probes
-   never contend. *)
+   locally until the scope merges). The tally is domain-local, so probes
+   never contend; its rank is the worker id, so on merge the root's gauges
+   win, then the lowest worker's. *)
 type state = {
   session : session;
   domain : int;
   worker : int;
   root : bool;
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float) Hashtbl.t;
-  samples : (string, float list ref) Hashtbl.t;
-  timers : (string, timer) Hashtbl.t;
+  tally : Tally.t;
   mutable stack : frame list;
   mutable buffered : record list;  (* worker spans, newest first *)
 }
@@ -92,10 +244,7 @@ let make_state ~session ~worker ~root =
     domain = (Domain.self () :> int);
     worker;
     root;
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    samples = Hashtbl.create 16;
-    timers = Hashtbl.create 8;
+    tally = Tally.create ~rank:worker ();
     stack = [];
     buffered = [];
   }
@@ -108,42 +257,20 @@ let install ?(clock = Unix.gettimeofday) sink =
       epoch = clock ();
       lock = Mutex.create ();
       wspans = [];
-      wcounters = Hashtbl.create 16;
-      wgauges = Hashtbl.create 8;
-      wsamples = Hashtbl.create 8;
-      wtimers = Hashtbl.create 8;
+      pending = Tally.create ();
     }
   in
   Atomic.set current_session (Some session);
   Domain.DLS.set dls (Some (make_state ~session ~worker:0 ~root:true))
 
-let count ?(by = 1) name =
-  match active () with
-  | None -> ()
-  | Some st -> (
-    match Hashtbl.find_opt st.counters name with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add st.counters name (ref by))
+let count ?by name =
+  match active () with None -> () | Some st -> Tally.count ?by st.tally name
 
 let gauge name v =
-  match active () with
-  | None -> ()
-  | Some st -> Hashtbl.replace st.gauges name v
+  match active () with None -> () | Some st -> Tally.gauge st.tally name v
 
 let sample name v =
-  match active () with
-  | None -> ()
-  | Some st -> (
-    match Hashtbl.find_opt st.samples name with
-    | Some r -> r := v :: !r
-    | None -> Hashtbl.add st.samples name (ref [ v ]))
-
-let add_timer timers name ~calls ~seconds =
-  match Hashtbl.find_opt timers name with
-  | Some t ->
-    t.calls <- t.calls + calls;
-    t.seconds <- t.seconds +. seconds
-  | None -> Hashtbl.add timers name { calls; seconds }
+  match active () with None -> () | Some st -> Tally.sample st.tally name v
 
 let timed name f =
   match active () with
@@ -151,7 +278,7 @@ let timed name f =
   | Some st -> (
     let t0 = st.session.clock () in
     let stop () =
-      add_timer st.timers name ~calls:1 ~seconds:(st.session.clock () -. t0)
+      Tally.time st.tally name (st.session.clock () -. t0)
     in
     match f () with
     | x ->
@@ -231,26 +358,7 @@ let merge_into_session st =
   let s = st.session in
   Mutex.protect s.lock @@ fun () ->
   s.wspans <- (st.worker, List.rev st.buffered) :: s.wspans;
-  Hashtbl.iter
-    (fun name r ->
-      let cur = Option.value ~default:0 (Hashtbl.find_opt s.wcounters name) in
-      Hashtbl.replace s.wcounters name (cur + !r))
-    st.counters;
-  Hashtbl.iter
-    (fun name v ->
-      (* Deterministic cross-worker rule: the lowest worker id wins. *)
-      match Hashtbl.find_opt s.wgauges name with
-      | Some (w, _) when w <= st.worker -> ()
-      | Some _ | None -> Hashtbl.replace s.wgauges name (st.worker, v))
-    st.gauges;
-  Hashtbl.iter
-    (fun name r ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt s.wsamples name) in
-      Hashtbl.replace s.wsamples name (cur @ List.rev !r))
-    st.samples;
-  Hashtbl.iter
-    (fun name t -> add_timer s.wtimers name ~calls:t.calls ~seconds:t.seconds)
-    st.timers
+  Tally.merge ~into:s.pending st.tally
 
 let worker_scope ~worker f =
   match active () with
@@ -273,92 +381,28 @@ let worker_scope ~worker f =
 
 (* Drain worker buffers into the root state: spans go to the sink ordered
    by worker id (stable, so repeated merges from one worker keep their
-   chronological order), aggregates fold into the root tables so [flush]
+   chronological order), aggregates merge into the root's tally so [flush]
    emits one record per name. *)
 let drain_workers st =
   let s = st.session in
-  let wspans, wcounters, wgauges, wsamples, wtimers =
+  let wspans =
     Mutex.protect s.lock @@ fun () ->
-    let spans = List.stable_sort (fun (a, _) (b, _) -> compare a b)
-        (List.rev s.wspans)
+    let spans =
+      List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.rev s.wspans)
     in
-    let counters = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wcounters [] in
-    let gauges = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wgauges [] in
-    let samples = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wsamples [] in
-    let timers = Hashtbl.fold (fun k v acc -> (k, v) :: acc) s.wtimers [] in
     s.wspans <- [];
-    Hashtbl.reset s.wcounters;
-    Hashtbl.reset s.wgauges;
-    Hashtbl.reset s.wsamples;
-    Hashtbl.reset s.wtimers;
-    (spans, counters, gauges, samples, timers)
+    Tally.merge ~into:st.tally s.pending;
+    Tally.reset s.pending;
+    spans
   in
-  List.iter (fun (_, rs) -> List.iter s.sink.emit rs) wspans;
-  List.iter
-    (fun (name, v) ->
-      match Hashtbl.find_opt st.counters name with
-      | Some r -> r := !r + v
-      | None -> Hashtbl.add st.counters name (ref v))
-    wcounters;
-  List.iter
-    (fun (name, (_, v)) ->
-      (* The root's own value wins over any worker's. *)
-      if not (Hashtbl.mem st.gauges name) then Hashtbl.replace st.gauges name v)
-    wgauges;
-  List.iter
-    (fun (name, xs) ->
-      match Hashtbl.find_opt st.samples name with
-      | Some r -> r := List.rev_append xs !r
-      | None -> Hashtbl.add st.samples name (ref (List.rev xs)))
-    wsamples;
-  List.iter
-    (fun (name, t) ->
-      add_timer st.timers name ~calls:t.calls ~seconds:t.seconds)
-    wtimers
-
-let sorted_keys tbl =
-  Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort compare
+  List.iter (fun (_, rs) -> List.iter s.sink.emit rs) wspans
 
 let flush () =
   match active () with
   | Some st when st.root ->
     drain_workers st;
-    List.iter
-      (fun name ->
-        st.session.sink.emit
-          (Counter { name; value = !(Hashtbl.find st.counters name) }))
-      (sorted_keys st.counters);
-    Hashtbl.reset st.counters;
-    List.iter
-      (fun name ->
-        st.session.sink.emit (Gauge { name; value = Hashtbl.find st.gauges name }))
-      (sorted_keys st.gauges);
-    Hashtbl.reset st.gauges;
-    List.iter
-      (fun name ->
-        let xs = !(Hashtbl.find st.samples name) in
-        let min_v, max_v = Qec_util.Stats.min_max xs in
-        st.session.sink.emit
-          (Histogram
-             {
-               hist_name = name;
-               count = List.length xs;
-               sum = List.fold_left ( +. ) 0. xs;
-               min_v;
-               max_v;
-               mean = Qec_util.Stats.mean xs;
-               p50 = Qec_util.Stats.percentile 50. xs;
-               p95 = Qec_util.Stats.percentile 95. xs;
-             }))
-      (sorted_keys st.samples);
-    Hashtbl.reset st.samples;
-    List.iter
-      (fun name ->
-        let t = Hashtbl.find st.timers name in
-        st.session.sink.emit
-          (Timer { name; calls = t.calls; total_s = t.seconds }))
-      (sorted_keys st.timers);
-    Hashtbl.reset st.timers
+    List.iter st.session.sink.emit (Tally.records st.tally);
+    Tally.reset st.tally
   | Some _ | None -> ()
 
 let uninstall () =

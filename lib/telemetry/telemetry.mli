@@ -10,10 +10,11 @@
     stream to the sink as they close. Worker domains spawned by
     [Qec_util.Parallel] attach via {!worker_scope} (registered as the
     Parallel probe at link time): their spans and aggregates buffer
-    per-domain, tagged [(domain, worker)], and merge into the root's
-    collector when the scope ends at join. Counters, gauges, sample
-    histograms and aggregate timers are emitted (sorted by name, so output
-    is deterministic) on {!flush} / {!uninstall}. *)
+    per-domain, tagged [(domain, worker)], and merge into the session
+    when the scope ends at join. Counters, gauges, sample histograms and
+    aggregate timers live in one {!Tally} per domain and are emitted
+    (sorted by name, so output is deterministic) on {!flush} /
+    {!uninstall}. *)
 
 type span = {
   span_name : string;
@@ -45,6 +46,49 @@ type record =
       (** An aggregate timer: calls and summed wall seconds. *)
 
 type sink = { emit : record -> unit; close : unit -> unit }
+
+(** One aggregate table: counters, gauges, sample series and timers.
+    Every domain's probe state, the session's cross-domain buffer and the
+    serve daemon's live statistics are each one tally. Not thread-safe:
+    a tally shared between threads needs its owner's lock. *)
+module Tally : sig
+  type t
+
+  val create : ?window:int -> ?rank:int -> unit -> t
+  (** [window] (default unbounded) caps how many recent samples each
+      series keeps for its percentiles; count/sum/min/max stay exact
+      regardless. [rank] (default 0) tags this tally's gauges for
+      {!merge}. Raises [Invalid_argument] if [window < 1]. *)
+
+  val count : ?by:int -> t -> string -> unit
+  (** Add [by] (default 1) to the named counter. *)
+
+  val counter : t -> string -> int
+  (** Current value, 0 if never counted. *)
+
+  val gauge : t -> string -> float -> unit
+  (** Set the named gauge; the last write wins. *)
+
+  val sample : t -> string -> float -> unit
+  (** Record one observation of the named series. *)
+
+  val time : t -> string -> float -> unit
+  (** Add one call of the given seconds to the named timer. *)
+
+  val merge : into:t -> t -> unit
+  (** Fold the second tally into [into]: counters, timer calls and
+      seconds sum; series fold their exact moments and append their kept
+      samples; a gauge keeps the value of the lower rank, [into]'s on a
+      tie. The second tally is left unchanged. *)
+
+  val records : t -> record list
+  (** Counters, then gauges, histograms and timers, each sorted by name.
+      Histogram percentiles are nearest-rank
+      ({!Qec_util.Stats.percentile}) over the kept samples. *)
+
+  val reset : t -> unit
+  (** Forget everything recorded. *)
+end
 
 val null : sink
 (** Discards everything. *)
@@ -95,8 +139,8 @@ val gauge : string -> float -> unit
 
 val sample : string -> float -> unit
 (** Record one observation of the named sample histogram. Worker samples
-    append to the root's series; histogram statistics are order-
-    insensitive, so merged results don't depend on scheduling. *)
+    append to the root's series; count, min, max and percentiles are
+    order-insensitive, while the sum adds in merge order. *)
 
 val timed : string -> (unit -> 'a) -> 'a
 (** [timed name f] runs [f ()] and adds its wall time and one call to the

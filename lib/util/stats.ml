@@ -27,14 +27,17 @@ let min_max = function
   | x :: rest ->
     List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) rest
 
-let percentile p xs =
-  if xs = [] then invalid_arg "Stats.percentile: empty";
+let nearest_rank p sorted =
+  let n = Array.length sorted in
+  if n = 0 then invalid_arg "Stats.percentile: empty";
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
-  let sorted = List.sort compare xs in
-  let n = List.length sorted in
   let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
-  let rank = max 1 (min n rank) in
-  List.nth sorted (rank - 1)
+  sorted.(max 1 (min n rank) - 1)
+
+let percentile p xs =
+  let sorted = Array.of_list xs in
+  Array.stable_sort Float.compare sorted;
+  nearest_rank p sorted
 
 let histogram ~buckets xs =
   if buckets <= 0 then invalid_arg "Stats.histogram: buckets <= 0";

@@ -17,6 +17,10 @@ val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]], nearest-rank method. Raises
     [Invalid_argument] on empty input or out-of-range [p]. *)
 
+val nearest_rank : float -> float array -> float
+(** [nearest_rank p sorted] is {!percentile} over an array already sorted
+    ascending by [Float.compare]; it raises as {!percentile} does. *)
+
 val histogram : buckets:int -> float list -> (float * float * int) array
 (** Equal-width histogram: [(lo, hi, count)] per bucket over the data range.
     A degenerate range (all samples equal) collapses to the single bucket

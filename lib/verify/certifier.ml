@@ -145,12 +145,17 @@ let certify ?backend ?result timing (trace : Trace.t) =
      [first]: distinct, consecutively adjacent vertices. The Path module
      enforces this at construction; re-deriving it here keeps the
      certificate independent of that invariant. The check stops at the
-     first revisited vertex, but every vertex is stamped, since
-     disjointness counts them all. Returns [shared] extended by the
-     vertices earlier paths of the round visit. A vertex off the grid
-     raises [Invalid_argument] at its stamp. *)
+     first revisited vertex, but every vertex on the grid is stamped,
+     since disjointness counts them all. A vertex off the grid is a
+     channel witness of its own, wherever it sits, and is not stamped.
+     Returns [shared] extended by the vertices earlier paths of the round
+     visit. *)
+  let on_grid v = v >= 0 && v < n_vertices in
   let rec walk ~round ~gate ~id ~first ~checking shared = function
     | [] -> shared
+    | v :: rest when not (on_grid v) ->
+      add I.Path_channel ~round ~gate "path vertex %d is off the grid" v;
+      walk ~round ~gate ~id ~first ~checking shared rest
     | v :: rest ->
       let m = mark.(v) in
       if m = id then begin
@@ -161,7 +166,7 @@ let certify ?backend ?result timing (trace : Trace.t) =
       else begin
         mark.(v) <- id;
         (match rest with
-        | w :: _ when checking && not (adjacent v w) ->
+        | w :: _ when checking && on_grid w && not (adjacent v w) ->
           add I.Path_channel ~round ~gate
             "path vertices %d and %d are not channel-adjacent" v w
         | _ -> ());

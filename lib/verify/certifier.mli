@@ -51,8 +51,8 @@ val certify :
   t
 (** Replay and certify. With [~result], the scheduler-reported
     [total_cycles] joins the cycle-accounting cross-check. Malformed traces
-    become witnesses, with one exception: a path vertex off the grid
-    raises [Invalid_argument]. *)
+    become witnesses, a path vertex off the trace's grid included (a
+    [path/channel] witness). *)
 
 val ok : t -> bool
 (** No invariant failed. *)

@@ -501,9 +501,7 @@ let test_fixture_manifest_compat () =
     List.find Sys.file_exists
       [ "../fixtures/batch_manifest.json"; "fixtures/batch_manifest.json" ]
   in
-  let ic = open_in path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   match Spec.manifest_of_string text with
   | Error e -> Alcotest.failf "fixture manifest failed to decode: %s" e
   | Ok specs ->
@@ -540,8 +538,13 @@ let test_cache_find_or_place () =
   let c = lowered "qft9" in
   let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:(Qec_circuit.Circuit.num_qubits c)) in
   let cache = Cache.create () in
-  let p1 = Cache.find_or_place cache ~circuit:c ~side ~method_:IL.Annealed ~seed:11 in
-  let p2 = Cache.find_or_place cache ~circuit:c ~side ~method_:IL.Annealed ~seed:11 in
+  let place () =
+    Cache.find_or_place cache ~circuit:c ~side ~method_:IL.Annealed ~seed:11
+  in
+  let p1, v1 = place () in
+  let p2, v2 = place () in
+  check_bool "first call misses" true (v1 = Cache.Miss);
+  check_bool "second call hits memory" true (v2 = Cache.Memory_hit);
   let k = Cache.counters cache in
   check_int "one miss" 1 k.Cache.misses;
   check_int "one memory hit" 1 k.Cache.memory_hits;
@@ -567,7 +570,7 @@ let test_cache_disk_roundtrip () =
     Cache.find_or_place cache ~circuit:c ~side ~method_:IL.Annealed ~seed:7
   in
   let cold = Cache.create ~dir () in
-  let p_cold = place cold in
+  let p_cold, _ = place cold in
   check_int "cold miss" 1 (Cache.counters cold).Cache.misses;
   check_bool "entry on disk" true
     (Array.exists
@@ -575,7 +578,8 @@ let test_cache_disk_roundtrip () =
        (Sys.readdir dir));
   (* a fresh cache over the same directory replays from disk *)
   let warm = Cache.create ~dir () in
-  let p_warm = place warm in
+  let p_warm, verdict = place warm in
+  check_bool "warm verdict" true (verdict = Cache.Disk_hit);
   let k = Cache.counters warm in
   check_int "warm disk hit" 1 k.Cache.disk_hits;
   check_int "warm no misses" 0 k.Cache.misses;
@@ -608,17 +612,14 @@ let test_cache_bit_flip_is_miss () =
   with_temp_dir @@ fun dir ->
   let c = lowered "bv12" in
   let place cache =
-    Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7
+    fst
+      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed
+         ~seed:7)
   in
   let reference = place (Cache.create ~dir ()) in
   let key = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7 in
   let path = Filename.concat dir (key ^ ".placement") in
-  let pristine =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let pristine = In_channel.with_open_bin path In_channel.input_all in
   (* flip one bit in a spread of byte positions across the entry *)
   let positions =
     List.filter
@@ -648,17 +649,14 @@ let test_cache_truncated_entry_is_miss () =
   with_temp_dir @@ fun dir ->
   let c = lowered "bv12" in
   let place cache =
-    Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7
+    fst
+      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed
+         ~seed:7)
   in
   let reference = place (Cache.create ~dir ()) in
   let key = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7 in
   let path = Filename.concat dir (key ^ ".placement") in
-  let pristine =
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
+  let pristine = In_channel.with_open_bin path In_channel.input_all in
   List.iter
     (fun keep ->
       let oc = open_out_bin path in
@@ -686,16 +684,15 @@ let test_cache_torn_write_is_miss () =
   with_temp_dir @@ fun dir ->
   let c = lowered "bv12" in
   let place ?(seed = 7) cache =
-    Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed
+    fst
+      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed)
   in
   let reference = place (Cache.create ~dir ()) in
   let _other = place ~seed:8 (Cache.create ~dir ()) in
   let read key =
-    let path = Filename.concat dir (key ^ ".placement") in
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
+    In_channel.with_open_bin
+      (Filename.concat dir (key ^ ".placement"))
+      In_channel.input_all
   in
   let k7 = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7 in
   let k8 = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:8 in
@@ -727,7 +724,8 @@ let test_cache_concurrent_writers () =
   let c = lowered "bv12" in
   let seeds = [ 3; 4; 5 ] in
   let place cache seed =
-    Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed
+    fst
+      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed)
   in
   let reference =
     let cache = Cache.create () in
@@ -872,6 +870,32 @@ let test_run_batch_jsonl_deterministic_across_jobs () =
           (fun l -> l <> "")
           (String.split_on_char '\n' one)))
 
+(* Each job's cache verdict is its own lookup's: with two workers
+   missing and hitting side by side, the statuses add up to the cache's
+   counters exactly. *)
+let test_run_batch_cache_verdicts () =
+  let specs =
+    List.concat_map
+      (fun seed ->
+        List.concat_map
+          (fun circuit ->
+            let s = { (spec circuit) with Spec.seed } in
+            [ s; s ])
+          [ "ghz3"; "bv12"; "qft9" ])
+      [ 1; 2; 3; 4 ]
+  in
+  let cache = Cache.create () in
+  let jobs = Engine.run_batch ~jobs:2 ~cache specs in
+  let labelled status =
+    List.length (List.filter (fun j -> j.Engine.cache = status) jobs)
+  in
+  let k = Cache.counters cache in
+  check_int "misses" k.Cache.misses (labelled Engine.Miss);
+  check_int "memory hits" k.Cache.memory_hits (labelled Engine.Memory_hit);
+  check_int "disk hits" k.Cache.disk_hits (labelled Engine.Disk_hit);
+  check_int "every job looked up" (List.length specs)
+    (k.Cache.misses + k.Cache.memory_hits + k.Cache.disk_hits)
+
 let test_run_batch_cache_determinism () =
   with_temp_dir @@ fun dir ->
   (* cold (computes + writes disk), warm-memory, warm-disk: all three must
@@ -983,6 +1007,8 @@ let () =
             test_run_batch_jsonl_deterministic_across_jobs;
           Alcotest.test_case "cache determinism" `Quick
             test_run_batch_cache_determinism;
+          Alcotest.test_case "cache verdicts" `Quick
+            test_run_batch_cache_verdicts;
           Alcotest.test_case "record shape" `Quick test_job_json_shape;
           Alcotest.test_case "baseline certified" `Quick
             test_run_spec_baseline_certified;

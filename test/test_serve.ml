@@ -1,13 +1,14 @@
-(* Tests for Qec_serve: wire-protocol totality and round-trips, the live
-   Metrics module, and an in-process daemon exercised end-to-end over
-   real Unix-domain sockets — correlation of out-of-order responses,
-   byte-identity with the one-shot engine, admission control, malformed
-   input resilience, queue-wait timeouts and graceful drain. *)
+(* Tests for Qec_serve: wire-protocol totality and round-trips, the
+   windowed tally behind the live statistics, and an in-process daemon
+   exercised end-to-end over real Unix-domain sockets — correlation of
+   out-of-order responses, byte-identity with the one-shot engine,
+   admission control, malformed input resilience, queue-wait timeouts
+   and graceful drain. *)
 
 module P = Qec_serve.Protocol
 module C = Qec_serve.Client
 module Server = Qec_serve.Server
-module Metrics = Qec_serve.Metrics
+module Tally = Qec_telemetry.Telemetry.Tally
 module Spec = Qec_engine.Spec
 module Engine = Qec_engine.Engine
 module Json = Qec_report.Json
@@ -112,16 +113,20 @@ let test_response_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                              *)
 
+(* A tally windowed like the daemon's, rendered as its [stats] member. *)
+let windowed () = Tally.create ~window:16384 ()
+let stats_json m =
+  Json.Obj (Qec_report.Export.metrics_members (Tally.records m))
+
 let test_metrics () =
-  let m = Metrics.create () in
-  Metrics.count m "a";
-  Metrics.count ~by:4 m "a";
-  Metrics.gauge m "g" 2.5;
-  List.iter (Metrics.sample m "s") [ 0.1; 0.2; 0.3; 0.4 ];
-  check_int "counter" 5 (Metrics.counter m "a");
-  check_int "unknown counter" 0 (Metrics.counter m "nope");
-  check_bool "uptime moves" true (Metrics.uptime_s m >= 0.);
-  let j = Metrics.to_json m in
+  let m = windowed () in
+  Tally.count m "a";
+  Tally.count ~by:4 m "a";
+  Tally.gauge m "g" 2.5;
+  List.iter (Tally.sample m "s") [ 0.3; 0.1; 0.4; 0.2 ];
+  check_int "counter" 5 (Tally.counter m "a");
+  check_int "unknown counter" 0 (Tally.counter m "nope");
+  let j = stats_json m in
   check_bool "counter exported" true
     (Option.bind (Json.member "counters" j) (Json.member "a")
     = Some (Json.Int 5));
@@ -143,13 +148,15 @@ let test_metrics () =
 (* Percentiles follow the most recent samples: after a full window of
    1.0s is displaced by a full window of 3.0s, the median is 3.0. *)
 let test_metrics_percentiles_follow_recent () =
-  let m = Metrics.create () in
-  for _ = 1 to 16384 do Metrics.sample m "s" 1.0 done;
-  for _ = 1 to 16384 do Metrics.sample m "s" 3.0 done;
-  match Json.member "histograms" (Metrics.to_json m) with
+  let m = windowed () in
+  for _ = 1 to 16384 do Tally.sample m "s" 1.0 done;
+  for _ = 1 to 16384 do Tally.sample m "s" 3.0 done;
+  match Json.member "histograms" (stats_json m) with
   | Some (Json.List [ h ]) ->
     check_bool "count stays exact" true
       (Json.member "count" h = Some (Json.Int 32768));
+    check_bool "min stays exact" true
+      (Json.member "min" h = Some (Json.Float 1.0));
     check_bool "p50 tracks recent samples" true
       (Json.member "p50" h = Some (Json.Float 3.0))
   | _ -> Alcotest.fail "expected exactly one histogram"
@@ -363,6 +370,26 @@ let test_timeout () =
   | _ -> Alcotest.fail "daemon died after timeout");
   C.close c
 
+let fetch_stats socket =
+  let c = connect socket in
+  let stats =
+    match get_ok "stats" (C.stats ~id:"s" c) with
+    | P.Stats_resp { request = Some "s"; stats } -> stats
+    | _ -> Alcotest.fail "expected stats"
+  in
+  C.close c;
+  stats
+
+let member_at stats path =
+  List.fold_left
+    (fun acc name -> Option.bind acc (Json.member name))
+    (Some stats) path
+
+let int_at stats path =
+  match member_at stats path with
+  | Some (Json.Int i) -> i
+  | _ -> Alcotest.failf "stats missing %s" (String.concat "." path)
+
 let test_stats_and_cache_sharing () =
   with_server ~jobs:2 @@ fun socket ->
   let compile_once () =
@@ -376,27 +403,16 @@ let test_stats_and_cache_sharing () =
      shared in-memory placement cache *)
   compile_once ();
   compile_once ();
-  let c = connect socket in
-  let stats =
-    match get_ok "stats" (C.stats ~id:"s" c) with
-    | P.Stats_resp { request = Some "s"; stats } -> stats
-    | _ -> Alcotest.fail "expected stats"
-  in
-  C.close c;
-  let int_at path =
-    match
-      List.fold_left
-        (fun acc name -> Option.bind acc (Json.member name))
-        (Some stats) path
-    with
-    | Some (Json.Int i) -> i
-    | _ -> Alcotest.failf "stats missing %s" (String.concat "." path)
-  in
+  let stats = fetch_stats socket in
+  let int_at = int_at stats in
   check_int "one miss" 1 (int_at [ "cache"; "misses" ]);
   check_int "one shared memory hit" 1 (int_at [ "cache"; "memory_hits" ]);
   check_int "both results ok" 2
     (int_at [ "telemetry"; "counters"; "serve.results_ok" ]);
   check_int "queue drained" 0 (int_at [ "server"; "queue_depth" ]);
+  (match member_at stats [ "server"; "uptime_s" ] with
+  | Some (Json.Float u) -> check_bool "uptime moves" true (u >= 0.)
+  | _ -> Alcotest.fail "stats missing server.uptime_s");
   (match Json.member "server" stats with
   | Some server ->
     check_bool "version advertised" true
@@ -409,6 +425,42 @@ let test_stats_and_cache_sharing () =
          (fun h -> Json.member "name" h = Some (Json.String "serve.request_s"))
          hists)
   | _ -> Alcotest.fail "stats missing telemetry histograms"
+
+(* Each request's cache verdict comes from its own lookup: after two
+   concurrent clients missing and hitting side by side, the per-verdict
+   counters equal the cache's own totals. *)
+let test_cache_verdict_counters () =
+  with_server ~jobs:2 @@ fun socket ->
+  let specs =
+    List.concat_map
+      (fun seed -> List.map (spec ~seed) [ "ghz3"; "bv12"; "qft9" ])
+      [ 1; 2; 3; 4 ]
+  in
+  let client () =
+    let c = connect socket in
+    let _, ok, _ = get_ok "batch" (C.batch c specs) in
+    C.close c;
+    ok
+  in
+  let oks = Qec_util.Parallel.map_jobs ~jobs:2 client [ (); () ] in
+  check_int "every job ok" (2 * List.length specs) (List.fold_left ( + ) 0 oks);
+  let stats = fetch_stats socket in
+  let counter name =
+    match member_at stats [ "telemetry"; "counters"; name ] with
+    | Some (Json.Int i) -> i
+    | _ -> 0
+  in
+  List.iter
+    (fun kind ->
+      check_int kind
+        (int_at stats [ "cache"; kind ])
+        (counter ("serve.cache." ^ kind)))
+    [ "memory_hits"; "disk_hits"; "misses" ];
+  check_int "one lookup per job" (2 * List.length specs)
+    (List.fold_left
+       (fun acc kind -> acc + int_at stats [ "cache"; kind ])
+       0
+       [ "memory_hits"; "disk_hits"; "misses" ])
 
 let test_graceful_drain () =
   with_server ~jobs:1 @@ fun socket ->
@@ -459,6 +511,8 @@ let () =
           Alcotest.test_case "timeout" `Quick test_timeout;
           Alcotest.test_case "stats + cache sharing" `Quick
             test_stats_and_cache_sharing;
+          Alcotest.test_case "cache verdict counters" `Quick
+            test_cache_verdict_counters;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
         ] );
     ]

@@ -266,6 +266,73 @@ let test_gauge_merge_deterministic () =
   in
   check_float "root beats workers" 10. (Option.get (Collector.gauge_opt c2 "g"))
 
+(* The tally alone: merge sums counters and timers, keeps the lower
+   rank's gauge whatever the merge order, and folds series moments
+   exactly; a windowed series keeps only its most recent samples for
+   percentiles, also across a merge. *)
+let test_tally_merge_and_window () =
+  let module T = Tel.Tally in
+  let root = T.create () and w1 = T.create ~rank:1 ()
+  and w2 = T.create ~rank:2 () in
+  T.count root "c";
+  T.count ~by:2 w1 "c";
+  T.count ~by:3 w2 "c";
+  T.gauge w2 "g" 2.;
+  T.gauge w1 "g" 1.;
+  T.gauge root "r" 0.;
+  T.gauge w1 "r" 1.;
+  List.iter (T.sample w1 "s") [ 5.; 1. ];
+  T.sample w2 "s" 3.;
+  T.time w1 "t" 0.5;
+  T.time w2 "t" 0.25;
+  let pending = T.create () in
+  T.merge ~into:pending w2;
+  T.merge ~into:pending w1;
+  T.merge ~into:root pending;
+  Alcotest.(check bool)
+    "merged records, sorted by kind then name" true
+    (T.records root
+    = [
+        Tel.Counter { name = "c"; value = 6 };
+        Tel.Gauge { name = "g"; value = 1. };
+        Tel.Gauge { name = "r"; value = 0. };
+        Tel.Histogram
+          {
+            hist_name = "s";
+            count = 3;
+            sum = 9.;
+            min_v = 1.;
+            max_v = 5.;
+            mean = 3.;
+            p50 = 3.;
+            p95 = 5.;
+          };
+        Tel.Timer { name = "t"; calls = 2; total_s = 0.75 };
+      ]);
+  T.reset root;
+  check_int "reset" 0 (List.length (T.records root));
+  let windowed = T.create ~window:3 () in
+  List.iter (T.sample windowed "s") [ 1.; 2.; 3.; 4.; 5. ];
+  let hist t =
+    match T.records t with
+    | [ Tel.Histogram h ] -> h
+    | _ -> Alcotest.fail "expected one histogram"
+  in
+  let h = hist windowed in
+  check_int "count exact" 5 h.Tel.count;
+  check_float "min exact" 1. h.Tel.min_v;
+  check_float "p50 over the window" 4. h.Tel.p50;
+  let into = T.create ~window:3 () in
+  T.sample into "s" 10.;
+  T.merge ~into windowed;
+  let h = hist into in
+  check_int "merged count exact" 6 h.Tel.count;
+  check_float "merged max exact" 10. h.Tel.max_v;
+  check_float "merged p50 over the window" 4. h.Tel.p50;
+  Alcotest.check_raises "empty window"
+    (Invalid_argument "Tally.create: window < 1") (fun () ->
+      ignore (T.create ~window:0 ()))
+
 (* Aggregate telemetry of a map_jobs run is identical for any worker
    count >= 2 under a constant clock (jobs=1 short-circuits to List.map
    with no pool, hence no pool telemetry). *)
@@ -459,6 +526,8 @@ let () =
             test_gauge_merge_deterministic;
           Alcotest.test_case "merge determinism across jobs" `Quick
             test_merge_determinism_across_jobs;
+          Alcotest.test_case "tally merge and window" `Quick
+            test_tally_merge_and_window;
         ] );
       ( "sinks",
         [

@@ -468,21 +468,37 @@ let test_pin_non_adjacent () =
     (one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, raw_path [ 0; 2; 5; 4; 8 ]) ])
 
 let test_pin_off_grid () =
-  (* a vertex off the 3x3 vertex grid is not reported as a witness:
-     certify raises Invalid_argument, wherever the vertex sits *)
-  List.iter
-    (fun vs ->
-      check_bool
-        (Printf.sprintf "off-grid path [%s] raises Invalid_argument"
-           (String.concat ";" (List.map string_of_int vs)))
-        true
-        (match
-           certified
-             (one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, raw_path vs) ])
-         with
-        | (_ : V.t) -> false
-        | exception Invalid_argument _ -> true))
-    [ [ 0; 1; 9 ]; [ -1; 0; 1 ]; [ 1; 4; 1; 12 ] ]
+  (* a vertex off the 3x3 vertex grid is one path/channel witness of its
+     own, wherever it sits, and no adjacency witness with its
+     neighbours *)
+  let off v =
+    Printf.sprintf
+      "path/channel: round 0, gate 0: path vertex %d is off the grid" v
+  in
+  let endpoints =
+    "path/channel: round 0, gate 0: path endpoints are not corners of the \
+     operand tiles of gate 0"
+  in
+  let braid p = one_braid (c4 [ G.Cx (0, 1) ]) [ (task 0 0 1, p) ] in
+  expect_witnesses "off-grid target" [ off 9; endpoints ]
+    (braid (raw_path [ 0; 1; 9 ]));
+  expect_witnesses "off-grid source" [ off (-1); endpoints ]
+    (braid (raw_path [ -1; 0; 1 ]));
+  expect_witnesses "off-grid after a revisit"
+    [
+      "path/channel: round 0, gate 0: path revisits vertex 1";
+      off 12;
+      endpoints;
+    ]
+    (braid (raw_path [ 1; 4; 1; 12 ]));
+  (* a path built legally on a larger grid, in a trace on the smaller one:
+     vertex 4 of the 5x5 vertex grid's right column is on the 3x3 grid,
+     the rest of the column is not *)
+  expect_witnesses "path from a larger grid"
+    [ off 9; off 14; off 19; off 24; endpoints ]
+    (braid
+       (Qec_lattice.Path.of_vertices (Qec_lattice.Grid.create 4)
+          [ 4; 9; 14; 19; 24 ]))
 
 let merge_round ?(split_overlapped = false) ops =
   Trace.Merge { merges = ops; locals = []; split_overlapped }
