@@ -74,9 +74,18 @@ bench-smoke: build
 
 # Batch-engine smoke: the fixtures manifest must compile on a 2-worker
 # pool, a second pass over the same --cache-dir must replay placements
-# from disk, and both passes must emit byte-identical JSONL.
+# from disk, and both passes must emit byte-identical JSONL. A
+# --cache-dir under a regular file must exit 2 naming the directory.
 batch-smoke: build
 	@dir=$$(mktemp -d); \
+	touch "$$dir/file"; \
+	$(CLI) batch fixtures/batch_manifest.json \
+		--cache-dir "$$dir/file/cache" > /dev/null 2> "$$dir/bad.log"; \
+	[ $$? -eq 2 ] || { echo "batch-smoke: unusable --cache-dir should exit 2"; \
+		cat "$$dir/bad.log"; exit 1; }; \
+	grep -qF "$$dir/file/cache" "$$dir/bad.log" \
+		|| { echo "batch-smoke: unusable --cache-dir message omits it"; \
+		     cat "$$dir/bad.log"; exit 1; }; \
 	$(CLI) batch fixtures/batch_manifest.json --jobs 2 \
 		--cache-dir "$$dir/cache" -o "$$dir/cold.jsonl" \
 		2> "$$dir/cold.log" || { cat "$$dir/cold.log"; exit 1; }; \

@@ -770,11 +770,12 @@ let engine ~full:_ =
   let jobs = Qec_util.Parallel.default_jobs () in
   let dir = Filename.temp_file "autobraid_bench_cache" "" in
   Sys.remove dir;
-  let cold_cache = PC.create ~dir () in
+  let cache () = Result.get_ok (PC.create ~dir ()) in
+  let cold_cache = cache () in
   let batch cache = timed (fun () -> E.run_batch ~jobs ~cache engine_specs) in
   let cold_jobs, cold_s = batch cold_cache in
   let warm_jobs, warm_memory_s = batch cold_cache in
-  let disk_jobs, warm_disk_s = batch (PC.create ~dir ()) in
+  let disk_jobs, warm_disk_s = batch (cache ()) in
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Unix.rmdir dir;
   let jsonl = List.map E.jobs_to_jsonl [ cold_jobs; warm_jobs; disk_jobs ] in
@@ -931,7 +932,9 @@ let serve ~full:_ =
   in
   let workers = min 2 (Qec_util.Parallel.default_jobs ()) in
   let config = { (Server.default_config ~socket ()) with jobs = workers } in
-  let daemon = Domain.spawn (fun () -> Server.run config) in
+  let daemon =
+    Domain.spawn (fun () -> Result.iter_error failwith (Server.run config))
+  in
   let ok = function Ok x -> x | Error msg -> die "serve bench: %s" msg in
   let client = ok (Client.connect_retry socket) in
   (* distinct (circuit, seed) pairs: every request of the cold pass

@@ -118,7 +118,8 @@ let best_p_arg =
   Arg.(
     value & flag
     & info [ "best-p" ]
-        ~doc:"Sweep p over 0.0-0.9 and keep the best (slower)")
+        ~doc:"Sweep p over 0.0-0.9 and keep the best (slower; braid backend, \
+             full scheduler only)")
 
 let certify_arg =
   Arg.(
@@ -450,7 +451,7 @@ let compile_cmd =
                threshold_p = p;
                initial;
                optimize;
-               best_p = best_p && scheduler = Spec.Full;
+               best_p;
              })
       in
       print_peephole payload;
@@ -638,7 +639,13 @@ let batch_cmd =
             })
           specs
     in
-    let cache = Qec_engine.Placement_cache.create ?dir:cache_dir () in
+    let cache =
+      match Qec_engine.Placement_cache.create ?dir:cache_dir () with
+      | Ok cache -> cache
+      | Error msg ->
+        prerr_endline ("batch: " ^ msg);
+        exit 2
+    in
     let t0 = Unix.gettimeofday () in
     let results = Engine.run_batch ?jobs ~cache specs in
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -949,7 +956,7 @@ let export_cmd =
         in
         Qec_report.Export.coupling_to_dot
           (Qec_circuit.Coupling.of_circuit lowered)
-      | `Csv -> Qec_report.Export.p_curve_to_csv (best_p_curve ~d spec)
+      | `Csv -> Qec_report.Export.p_curve_to_csv timing (best_p_curve ~d spec)
     in
     print_or_write out payload
   in
@@ -1479,11 +1486,7 @@ let serve_cmd =
           log = prerr_endline;
         }
       in
-      (try Qec_serve.Server.run config
-       with Unix.Unix_error (e, _, arg) ->
-         die "serve: cannot listen on %s%s: %s" path
-           (if arg = "" then "" else " (" ^ arg ^ ")")
-           (Unix.error_message e))
+      Result.iter_error (die "serve: %s") (Qec_serve.Server.run config)
     | None, Some path -> (
       let client =
         match C.connect path with Ok c -> c | Error msg -> die "serve: %s" msg

@@ -110,7 +110,7 @@ let prepare options circuit =
     Tel.timed "decompose.lower" (fun () -> Decompose.to_scheduler_gates circuit)
   in
   let n = Circuit.num_qubits circuit in
-  let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:n) in
+  let side = Qec_surface.Resources.lattice_side ~num_logical:n in
   let grid = Grid.create side in
   (* Each built once, on first use: the coupling graph by the initial
      placement or the first time the layout optimizer fires ([Sp] runs

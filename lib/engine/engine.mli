@@ -13,8 +13,9 @@
 
     {!run_spec} executes a single declarative {!Spec.t}: load the circuit,
     optionally peephole-optimize, resolve the communication backend from
-    the {!Autobraid.Comm_backend} registry, obtain the initial placement
-    (through the {!Placement_cache} when one is supplied), schedule, and
+    the {!Autobraid.Comm_backend} registry, replay or keep its initial
+    placement (through the {!Placement_cache} when one is supplied),
+    schedule, and
     package the requested outputs. The CLI's [compile] and
     [schedule --backend ...] are thin wrappers over this function, so
     their byte-identity is structural rather than promised; the

@@ -17,7 +17,6 @@
 
 module Json = Qec_report.Json
 module Circuit = Qec_circuit.Circuit
-module Decompose = Qec_circuit.Decompose
 module Scheduler = Autobraid.Scheduler
 module CB = Autobraid.Comm_backend
 module Timing = Qec_surface.Timing
@@ -92,22 +91,17 @@ let load_circuit spec =
 
 let exec cache (spec : Spec.t) =
   let ( let* ) = Result.bind in
-  let cache_status = ref Uncached in
   let* opts =
     Result.map_error
       (fun message -> { kind = "invalid-spec"; message })
       (Spec.resolve_options spec)
   in
   let* circuit = load_circuit spec in
-  let peephole = ref None in
-  let circuit =
-    if spec.optimize then begin
-      let before = Circuit.length circuit in
+  let circuit, peephole =
+    if spec.optimize then
       let c', stats = Qec_circuit.Optimize.peephole circuit in
-      peephole := Some (stats, before, Circuit.length c');
-      c'
-    end
-    else circuit
+      (c', Some (stats, Circuit.length circuit, Circuit.length c'))
+    else (circuit, None)
   in
   let timing = Timing.make ~d:spec.d () in
   (* Self-certification happens here, on the caller's own domain, so
@@ -120,6 +114,11 @@ let exec cache (spec : Spec.t) =
          Qec_verify.Certifier.certify ~backend ~result timing trace)
     else None
   in
+  let ok ?(stats = []) ?trace ?curve ?certificate ~backend result status =
+    Ok
+      ( { backend; result; stats; trace; curve; peephole; certificate },
+        status )
+  in
   match spec.scheduler with
   | Spec.Baseline ->
     let options =
@@ -129,88 +128,59 @@ let exec cache (spec : Spec.t) =
     let backend = "gp-baseline" in
     (* Record only when an output needs the trace: a greedy paper-scale
        trace costs more memory than the schedule itself. *)
-    let result, trace, certificate =
-      if spec.outputs.Spec.certificate || spec.outputs.Spec.trace then
-        let result, trace = Gp_baseline.run_traced ~options timing circuit in
-        (result, Some trace, certify ~backend ~result trace)
-      else (Gp_baseline.run ~options timing circuit, None, None)
+    if spec.outputs.Spec.certificate || spec.outputs.Spec.trace then
+      let result, trace = Gp_baseline.run_traced ~options timing circuit in
+      ok ~trace
+        ?certificate:(certify ~backend ~result trace)
+        ~backend result Uncached
+    else ok ~backend (Gp_baseline.run ~options timing circuit) Uncached
+  | Spec.Full | Spec.Sp when spec.best_p ->
+    (* A threshold sweep records no trace, so it has no placement to
+       store: it bypasses the cache. *)
+    let options =
+      {
+        Scheduler.default_options with
+        threshold_p = spec.threshold_p;
+        initial = spec.initial;
+        seed = spec.seed;
+      }
     in
-    Ok
-      ( {
-          backend;
-          result;
-          stats = [];
-          trace;
-          curve = None;
-          peephole = !peephole;
-          certificate;
-        },
-        !cache_status )
-  | Spec.Full | Spec.Sp -> (
-    (* The placement the scheduler would compute internally, replayed
-       through the cache when one is installed. The lowering mirrors the
-       schedulers' own entry so key and placement agree with them. *)
-    let placement =
-      match cache with
-      | None -> None
-      | Some cache ->
-        let lowered = Decompose.to_scheduler_gates circuit in
-        let n = Circuit.num_qubits lowered in
-        let side =
-          max 1 (Qec_surface.Resources.lattice_side ~num_logical:n)
-        in
-        let p, verdict =
-          Placement_cache.find_or_place cache ~circuit:lowered ~side
-            ~method_:spec.initial ~seed:spec.seed
-        in
-        cache_status :=
-          (match verdict with
-          | Placement_cache.Memory_hit -> Memory_hit
-          | Disk_hit -> Disk_hit
-          | Miss -> Miss);
-        Some p
+    let best, curve = Scheduler.run_best_p ~options timing circuit in
+    ok ~curve ~backend:spec.backend best Uncached
+  | Spec.Full | Spec.Sp ->
+    (* The backend places the circuit. The cache replays what an earlier
+       run with the same key placed, and keeps what a miss placed. *)
+    let lookup =
+      Option.map
+        (fun cache ->
+          let key =
+            Placement_cache.key ~circuit ~method_:spec.initial ~seed:spec.seed
+          in
+          let num_qubits = Circuit.num_qubits circuit in
+          (cache, key, Placement_cache.find cache key ~num_qubits))
+        cache
     in
+    let placement = Option.bind lookup (fun (_, _, (_, p)) -> p) in
     let config = { CB.initial = spec.initial; seed = spec.seed; placement } in
-    if spec.best_p then begin
-      let options =
-        {
-          Scheduler.default_options with
-          threshold_p = spec.threshold_p;
-          initial = spec.initial;
-          seed = spec.seed;
-          placement_override = placement;
-        }
-      in
-      let best, curve = Scheduler.run_best_p ~options timing circuit in
-      Ok
-        ( {
-            backend = spec.backend;
-            result = best;
-            stats = [];
-            trace = None;
-            curve = Some curve;
-            peephole = !peephole;
-            certificate = None;
-          },
-          !cache_status )
-    end
-    else
-      (* resolve_options has rejected an unregistered backend. *)
-      let entry = Option.get (CB.of_name spec.backend) in
-      let outcome = (entry.CB.ctor config opts).CB.run timing circuit in
-      Ok
-        ( {
-            backend = outcome.CB.backend;
-            result = outcome.CB.result;
-            stats = outcome.CB.stats;
-            trace = Some outcome.CB.trace;
-            curve = None;
-            peephole = !peephole;
-            certificate =
-              certify ~backend:outcome.CB.backend ~result:outcome.CB.result
-                outcome.CB.trace;
-          },
-          !cache_status ))
+    (* resolve_options has rejected an unregistered backend. *)
+    let entry = Option.get (CB.of_name spec.backend) in
+    let { CB.backend; result; trace; stats } =
+      (entry.CB.ctor config opts).CB.run timing circuit
+    in
+    let status =
+      match lookup with
+      | None -> Uncached
+      | Some (_, _, (Placement_cache.Memory_hit, _)) -> Memory_hit
+      | Some (_, _, (Disk_hit, _)) -> Disk_hit
+      | Some (cache, key, (Miss, _)) ->
+        Placement_cache.store cache key
+          ~side:(Qec_lattice.Grid.side trace.Autobraid.Trace.grid)
+          ~cells:trace.initial_cells;
+        Miss
+    in
+    ok ~stats ~trace
+      ?certificate:(certify ~backend ~result trace)
+      ~backend result status
 
 let exec_safe cache spec =
   match exec cache spec with

@@ -67,8 +67,14 @@ val exec :
   Placement_cache.t option ->
   Spec.t ->
   (payload * cache_status, error) result
-(** Execute one validated spec end to end. Raises only if a lower layer
-    raises something unexpected; use {!exec_safe} to capture that too. *)
+(** Execute one validated spec end to end. With a cache, a registered
+    backend's job looks up {!Placement_cache.key} of the request circuit
+    (after [Spec.optimize], before lowering): a hit hands the placement to
+    the backend, and a miss runs it with none and stores the placement
+    the run made, before certifying. Baseline and [best_p] jobs are
+    [Uncached]. This module neither lowers nor sizes nor places a
+    circuit. Raises only if a lower layer raises something unexpected;
+    use {!exec_safe} to capture that too. *)
 
 val exec_safe :
   Placement_cache.t option -> Spec.t -> (payload, error) result * cache_status

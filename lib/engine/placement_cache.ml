@@ -6,10 +6,12 @@ module Placement = Qec_lattice.Placement
 
 (* Bump on any change to Initial_layout's algorithm, defaults, or this
    key's encoding: old disk entries must never replay as stale hits.
-   v2: disk entries carry an md5 trailer so corruption is a miss. *)
-let format_version = "autobraid-placement-cache v2"
+   v2: disk entries carry an md5 trailer so corruption is a miss.
+   v3: the key hashes the request circuit, not its lowering, and drops
+   the lattice side; entries drop their qubit count (the cells' length). *)
+let format_version = "autobraid-placement-cache v3"
 
-type entry = { side : int; num_qubits : int; cells : int array }
+type entry = { side : int; cells : int array }
 
 type t = {
   dir : string option;
@@ -29,21 +31,29 @@ type t = {
 type counters = { memory_hits : int; disk_hits : int; misses : int }
 type verdict = Memory_hit | Disk_hit | Miss
 
-let create ?dir () : t =
-  Option.iter
-    (fun d -> if not (Sys.file_exists d) then Unix.mkdir d 0o755)
-    dir;
-  {
-    dir;
-    table = Hashtbl.create 64;
-    lock = Mutex.create ();
-    disk_lock = Mutex.create ();
-    memory_hits = Atomic.make 0;
-    disk_hits = Atomic.make 0;
-    misses = Atomic.make 0;
-  }
-
-let dir t = t.dir
+let create ?dir () =
+  let unusable =
+    match Option.iter (fun d -> Unix.mkdir d 0o755) dir with
+    | () -> None
+    | exception Unix.Unix_error (Unix.EEXIST, _, d) ->
+      if Sys.file_exists d && Sys.is_directory d then None
+      else Some (d, "not a directory")
+    | exception Unix.Unix_error (e, _, d) -> Some (d, Unix.error_message e)
+  in
+  match unusable with
+  | Some (d, why) ->
+    Error (Printf.sprintf "cannot use cache directory %s: %s" d why)
+  | None ->
+    Ok
+      {
+        dir;
+        table = Hashtbl.create 64;
+        lock = Mutex.create ();
+        disk_lock = Mutex.create ();
+        memory_hits = Atomic.make 0;
+        disk_hits = Atomic.make 0;
+        misses = Atomic.make 0;
+      }
 
 let counters (t : t) : counters =
   {
@@ -52,20 +62,21 @@ let counters (t : t) : counters =
     misses = Atomic.get t.misses;
   }
 
-let key ~circuit ~side ~method_ ~seed =
+let key ~circuit ~method_ ~seed =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf format_version;
   Buffer.add_char buf '\n';
-  Printf.bprintf buf "method=%s seed=%d side=%d qubits=%d\n"
+  Printf.bprintf buf "method=%s seed=%d qubits=%d\n"
     (match method_ with
     | IL.Identity -> "identity"
     | IL.Bisected -> "bisect"
     | IL.Partitioned -> "metis"
     | IL.Annealed -> "anneal")
-    seed side (Circuit.num_qubits circuit);
+    seed (Circuit.num_qubits circuit);
   (* The gate stream without angles: placement (partitioning, snake
      embedding, LLG-census annealing) sees interaction structure and
-     layering only. *)
+     layering only. Lowering rewrites a gate from its name and operands
+     alone, so this stream determines the lowered one. *)
   Circuit.iter
     (fun _ g ->
       Buffer.add_string buf (Gate.name g);
@@ -85,7 +96,7 @@ let path_of t key =
    placement. *)
 let entry_payload (e : entry) =
   let buf = Buffer.create 256 in
-  Printf.bprintf buf "side %d\nqubits %d\ncells" e.side e.num_qubits;
+  Printf.bprintf buf "side %d\ncells" e.side;
   Array.iter (fun c -> Printf.bprintf buf " %d" c) e.cells;
   Buffer.add_char buf '\n';
   Buffer.contents buf
@@ -126,115 +137,86 @@ let write_disk t key (e : entry) =
       (* disk_lock first: only one domain of this process may hold the
          lockf lock at a time (see the field's comment), then the
          cross-process lock, then the atomic tmp+rename publish. *)
-      Mutex.lock t.disk_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.disk_lock)
-        (fun () ->
-          with_file_lock (Option.get t.dir) @@ fun () ->
-          let tmp, oc =
-            Filename.open_temp_file
-              ~temp_dir:(Option.get t.dir)
-              ("." ^ key) ".tmp"
-          in
-          Printf.fprintf oc "%s\n%smd5 %s\n" format_version (entry_payload e)
-            (entry_digest e);
-          close_out oc;
-          Sys.rename tmp path)
+      Mutex.protect t.disk_lock @@ fun () ->
+      with_file_lock (Option.get t.dir) @@ fun () ->
+      let tmp, oc =
+        Filename.open_temp_file ~temp_dir:(Option.get t.dir) ("." ^ key) ".tmp"
+      in
+      Printf.fprintf oc "%s\n%smd5 %s\n" format_version (entry_payload e)
+        (entry_digest e);
+      close_out oc;
+      Sys.rename tmp path
     with Sys_error _ | Unix.Unix_error _ ->
       (* A cache write failure must never fail the compilation. *)
       ())
 
+(* A trailing newline lost alone still verifies: the digest is intact. *)
 let read_disk t key =
-  match path_of t key with
-  | None -> None
-  | Some path -> (
-    match open_in path with
-    | exception Sys_error _ -> None
-    | ic -> (
-      let parse () =
-        let line () = input_line ic in
-        if line () <> format_version then None
-        else
-          match
-            ( String.split_on_char ' ' (line ()),
-              String.split_on_char ' ' (line ()),
-              String.split_on_char ' ' (line ()),
-              String.split_on_char ' ' (line ()) )
-          with
-          | ( [ "side"; side ],
-              [ "qubits"; num_qubits ],
-              "cells" :: cells,
-              [ "md5"; digest ] ) -> (
-            try
-              let e =
-                {
-                  side = int_of_string side;
-                  num_qubits = int_of_string num_qubits;
-                  cells = Array.of_list (List.map int_of_string cells);
-                }
-              in
-              if String.equal (entry_digest e) digest then Some e else None
-            with Failure _ -> None)
-          | _ -> None
-      in
-      match parse () with
-      | entry -> close_in ic; entry
-      | exception (End_of_file | Sys_error _) -> close_in ic; None))
+  let parse text =
+    match String.split_on_char '\n' text with
+    | ([ version; side; cells; digest ] | [ version; side; cells; digest; "" ])
+      when String.equal version format_version -> (
+      match
+        ( String.split_on_char ' ' side,
+          String.split_on_char ' ' cells,
+          String.split_on_char ' ' digest )
+      with
+      | [ "side"; side ], "cells" :: cells, [ "md5"; digest ] -> (
+        match
+          {
+            side = int_of_string side;
+            cells = Array.of_list (List.map int_of_string cells);
+          }
+        with
+        | e when String.equal (entry_digest e) digest -> Some e
+        | _ | (exception Failure _) -> None)
+      | _ -> None)
+    | _ -> None
+  in
+  Option.bind (path_of t key) (fun path ->
+      match In_channel.with_open_bin path In_channel.input_all with
+      | text -> parse text
+      | exception Sys_error _ -> None)
 
 (* ---------------- lookup ---------------- *)
 
 let placement_of_entry (e : entry) =
-  Placement.create (Grid.create e.side) ~num_qubits:e.num_qubits ~cells:e.cells
+  Placement.create (Grid.create e.side)
+    ~num_qubits:(Array.length e.cells)
+    ~cells:e.cells
 
-let find_or_place t ~circuit ~side ~method_ ~seed =
-  let k = key ~circuit ~side ~method_ ~seed in
-  let cached =
-    Mutex.lock t.lock;
-    let found = Hashtbl.find_opt t.table k in
-    Mutex.unlock t.lock;
-    found
+let remember t key e =
+  (* Last writer wins: the value is deterministic, so racing workers
+     insert identical entries. *)
+  Mutex.protect t.lock (fun () -> Hashtbl.replace t.table key e)
+
+let find (t : t) key ~num_qubits =
+  let miss () =
+    Atomic.incr t.misses;
+    (Miss, None)
   in
-  match cached with
+  match Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.table key) with
   | Some e ->
     Atomic.incr t.memory_hits;
-    (placement_of_entry e, Memory_hit)
+    (Memory_hit, Some (placement_of_entry e))
   | None -> (
-    let remember e =
-      Mutex.lock t.lock;
-      (* Last writer wins: the value is deterministic, so racing workers
-         insert identical entries. *)
-      Hashtbl.replace t.table k e;
-      Mutex.unlock t.lock
-    in
-    let valid e = e.side = side && e.num_qubits = Circuit.num_qubits circuit in
-    (* [placement_of_entry] re-validates the cells (range, distinctness);
-       an entry that defeats the digest but not Placement's invariants is
-       still a miss, never a crash. *)
-    let replayed =
-      match read_disk t k with
-      | Some e when valid e -> (
-        match placement_of_entry e with
-        | p -> Some (e, p)
-        | exception Invalid_argument _ -> None)
-      | Some _ | None -> None
-    in
-    match replayed with
-    | Some (e, p) ->
-      Atomic.incr t.disk_hits;
-      remember e;
-      (p, Disk_hit)
-    | None ->
-      Atomic.incr t.misses;
-      let placement =
-        IL.place ~seed ~method_ circuit (Grid.create side)
-      in
-      let e =
-        {
-          side;
-          num_qubits = Placement.num_qubits placement;
-          cells = Placement.to_array placement;
-        }
-      in
-      remember e;
-      write_disk t k e;
-      (placement, Miss))
+    match read_disk t key with
+    | Some e
+      when Array.length e.cells = num_qubits
+           && e.side = Qec_surface.Resources.lattice_side ~num_logical:num_qubits
+      -> (
+      (* [placement_of_entry] re-validates the cells (range,
+         distinctness); an entry that defeats the digest but not
+         Placement's invariants is still a miss, never a crash. *)
+      match placement_of_entry e with
+      | p ->
+        Atomic.incr t.disk_hits;
+        remember t key e;
+        (Disk_hit, Some p)
+      | exception Invalid_argument _ -> miss ())
+    | Some _ | None -> miss ())
+
+let store t key ~side ~cells =
+  let e = { side; cells = Array.copy cells } in
+  remember t key e;
+  write_disk t key e

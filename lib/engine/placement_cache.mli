@@ -1,73 +1,69 @@
-(** Content-addressed cache of annealed initial placements.
+(** Content-addressed store of the initial placements backends made.
 
-    Simulated-annealing placement dominates compile time for repeated and
-    swept workloads, yet its output depends only on the lowered circuit's
-    gate structure, the lattice side, the placement method and the seed —
-    so identical requests are pure recomputation. This cache memoizes
-    placements under a versioned content key in memory (shared across the
-    worker pool, mutex-protected) and optionally on disk ([?dir]), so a
-    second batch over the same manifest skips the annealing entirely.
+    Annealed placement dominates compile time for repeated and swept
+    workloads, yet it depends only on the circuit's gate structure, the
+    placement method and the seed. The cache never places anything:
+    {!Autobraid.Scheduler.prepare} is the only code that lowers, sizes and
+    places a circuit. On a miss the engine runs the backend without a
+    placement and {!store}s the run's [trace.initial_cells] and lattice
+    side; on a hit it hands the replayed placement to the backend. The
+    table lives in memory (shared across domains, mutex-protected) and
+    optionally on disk ([?dir]).
 
-    Cache key ([key]): hex MD5 over a canonical description —
-    format-version tag, method name, seed, lattice side, qubit count, and
-    the lowered gate stream (mnemonic + operand qubits per gate, in
-    order). Rotation angles are deliberately excluded: placement depends
-    on interaction structure and layering, never on angles. Any change to
-    {!Autobraid.Initial_layout}'s algorithm or defaults must bump the
-    version tag, invalidating old disk entries.
+    [key] is the hex MD5 of the format-version tag, method, seed, qubit
+    count and the request circuit's gate stream (mnemonic + operand
+    qubits per gate; angles excluded), taken before lowering. Lowering
+    rewrites each gate from its operands alone and keeps the qubit count,
+    so equal keys give equal lowered circuits and equal placements
+    (docs/engine.md). Any change to {!Autobraid.Initial_layout}'s
+    algorithm or defaults must bump the version tag.
 
-    Disk entries are one text file per key, written atomically
-    (temp file + rename), so concurrent batches sharing a [--cache-dir]
-    never observe torn files. Writers additionally serialize on a
-    cross-process advisory lock ([<dir>/.lock], best-effort [lockf]) so
-    two daemons or batches sharing the directory cannot interleave entry
-    writes; within one process a mutex keeps at most one domain in the
-    locked section (POSIX drops all of a process's [fcntl] locks when any
-    descriptor on the file closes). Reads take no lock at all: every
-    entry ends with an md5 trailer over its payload, so unreadable,
-    truncated, torn, or bit-flipped entries — even ones that still
-    parse — fail the digest check, count as misses, and are recomputed
-    and rewritten, never replayed or crashed on. *)
+    Disk entries are one text file per key, published by temp file +
+    rename under a best-effort cross-process [lockf] lock on
+    [<dir>/.lock] (one domain per process at a time: POSIX drops all of a
+    process's [fcntl] locks when any descriptor on the file closes).
+    Reads take no lock: every entry ends with an md5 trailer over its
+    payload, so unreadable, truncated, torn or bit-flipped entries count
+    as misses, whose runs rewrite them. *)
 
 type t
 
 type counters = {
   memory_hits : int;
   disk_hits : int;
-  misses : int;  (** placements actually computed *)
+  misses : int;  (** lookups that found nothing usable *)
 }
 
 type verdict = Memory_hit | Disk_hit | Miss
 
-val create : ?dir:string -> unit -> t
+val create : ?dir:string -> unit -> (t, string) result
 (** In-memory cache; with [dir] also persist placements there (the
-    directory is created if missing). *)
-
-val dir : t -> string option
+    directory is created if missing, its parent is not). [Error] names
+    [dir] when it cannot be created or exists but is not a directory. *)
 
 val counters : t -> counters
 (** Monotone totals since [create]; safe to read concurrently. *)
 
 val key :
   circuit:Qec_circuit.Circuit.t ->
-  side:int ->
   method_:Autobraid.Initial_layout.method_ ->
   seed:int ->
   string
-(** The content key described above. [circuit] must already be lowered
-    ({!Qec_circuit.Decompose.to_scheduler_gates}) — the schedulers place
-    lowered circuits, so hashing anything else would alias distinct
-    placements. *)
+(** The content key described above. [circuit] is the request circuit as
+    the backend receives it (after any peephole optimization, before
+    lowering). *)
 
-val find_or_place :
-  t ->
-  circuit:Qec_circuit.Circuit.t ->
-  side:int ->
-  method_:Autobraid.Initial_layout.method_ ->
-  seed:int ->
-  Qec_lattice.Placement.t * verdict
-(** The placement {!Autobraid.Initial_layout.place} would produce for the
-    (lowered) circuit on a fresh [side]×[side] grid — computed on miss,
-    replayed from memory or disk on hit — and which of the three this
-    call was, counted in {!counters} too. Every call returns a fresh
-    [Placement.t] on its own grid, so callers may mutate freely. *)
+val find :
+  t -> string -> num_qubits:int -> verdict * Qec_lattice.Placement.t option
+(** Look [key] up in memory, then on disk: [(Memory_hit | Disk_hit, Some p)]
+    on a hit, [(Miss, None)] otherwise, counted in {!counters} too. A
+    disk entry whose qubit count is not [num_qubits], or whose side is not
+    {!Qec_surface.Resources.lattice_side} of it, is a miss. Every hit
+    returns a fresh [Placement.t] on its own grid, so callers may mutate
+    freely. *)
+
+val store : t -> string -> side:int -> cells:int array -> unit
+(** Record the placement a run made under [key]: [cells] (one per qubit,
+    a trace's [initial_cells]) on a [side]×[side] grid. Memory first,
+    then disk; a failed disk write is ignored. Concurrent stores of one
+    key are harmless, since its value is deterministic. *)

@@ -497,9 +497,9 @@ let engine_cache_identity =
              with_temp_qasm c @@ fun path ->
              with_temp_dir @@ fun dir ->
              let spec = spec_for path in
-             let cold_cache = PC.create ~dir () in
+             let cold_cache = Result.get_ok (PC.create ~dir ()) in
              let cold = run_spec_exn ~cache:cold_cache spec in
-             let warm_cache = PC.create ~dir () in
+             let warm_cache = Result.get_ok (PC.create ~dir ()) in
              let warm = run_spec_exn ~cache:warm_cache spec in
              let uncached = run_spec_exn spec in
              let kc = PC.counters cold_cache

@@ -228,14 +228,14 @@ let interference_to_dot placement tasks =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let p_curve_to_csv curve =
+let p_curve_to_csv timing curve =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "p,cycles,time_us,rounds,swaps\n";
   List.iter
     (fun (p, (r : S.result)) ->
       Buffer.add_string buf
         (Printf.sprintf "%.1f,%d,%.1f,%d,%d\n" p r.total_cycles
-           (2.2 *. float_of_int r.total_cycles)
+           (S.time_us timing r)
            r.rounds r.swaps_inserted))
     curve;
   Buffer.contents buf

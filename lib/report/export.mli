@@ -48,8 +48,10 @@ val interference_to_dot :
   Qec_lattice.Placement.t -> Autobraid.Task.t list -> string
 (** The CX interference graph of one round's tasks under a placement. *)
 
-val p_curve_to_csv : (float * Autobraid.Scheduler.result) list -> string
-(** "p,cycles,time_us,rounds,swaps" rows, one per threshold. *)
+val p_curve_to_csv :
+  Qec_surface.Timing.t -> (float * Autobraid.Scheduler.result) list -> string
+(** "p,cycles,time_us,rounds,swaps" rows, one per threshold;
+    [time_us] is {!Autobraid.Scheduler.time_us}. *)
 
 val diagnostic_to_json : Qec_lint.Diagnostic.t -> Json.t
 (** Fields [code], [severity], [file], [line], [col] (0 when the

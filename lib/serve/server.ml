@@ -411,11 +411,25 @@ let run config =
      not the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
+  (* The cache first: an unusable cache directory must fail before the
+     socket file exists. *)
+  let ( let* ) = Result.bind in
+  let* cache = PC.create ?dir:config.cache_dir () in
   if Sys.file_exists config.socket then (
     try Unix.unlink config.socket with Unix.Unix_error _ | Sys_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind listen_fd (Unix.ADDR_UNIX config.socket);
-  Unix.listen listen_fd 64;
+  let* listen_fd =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match
+      Unix.bind fd (Unix.ADDR_UNIX config.socket);
+      Unix.listen fd 64
+    with
+    | () -> Ok fd
+    | exception Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      Error
+        (Printf.sprintf "cannot listen on %s: %s" config.socket
+           (Unix.error_message e))
+  in
   let t =
     {
       config;
@@ -428,7 +442,7 @@ let run config =
       tally = Tel.Tally.create ~window ();
       tally_lock = Mutex.create ();
       started_at = Unix.gettimeofday ();
-      cache = PC.create ?dir:config.cache_dir ();
+      cache;
     }
   in
   if config.handle_signals then begin
@@ -480,4 +494,5 @@ let run config =
     (Printf.sprintf "serve: drained (%d ok, %d failed, %d connections)"
        (counter t "serve.results_ok")
        (counter t "serve.results_failed")
-       (counter t "serve.connections"))
+       (counter t "serve.connections"));
+  Ok ()

@@ -39,7 +39,9 @@ val default_config : socket:string -> unit -> config
 (** [jobs = Parallel.default_jobs ()], [max_pending = 128], no timeout,
     no cache dir, no trace, no signal handlers, silent log. *)
 
-val run : config -> unit
-(** Serve until drained. Raises [Unix.Unix_error] if the socket cannot
-    be bound. Ignores SIGPIPE process-wide (a disconnecting client must
-    surface as an IO error, not kill the daemon). *)
+val run : config -> (unit, string) result
+(** Serve until drained, then [Ok ()]. [Error] names the [cache_dir] that
+    cannot be used (checked before the socket file is created) or the
+    socket that cannot be bound. Ignores SIGPIPE process-wide (a
+    disconnecting client must surface as an IO error, not kill the
+    daemon). *)

@@ -52,7 +52,12 @@ let test_compile_baseline_and_sp () =
   check_int "baseline certifies" 0 code;
   check_bool "certificate printed" true (contains out "certified");
   let code, _ = run "compile qft9 -s sp --initial metis" in
-  check_int "sp ok" 0 code
+  check_int "sp ok" 0 code;
+  (* rejected as the same manifest job is, not silently dropped *)
+  let code, out = run "compile qft9 -s sp --best-p" in
+  check_int "sp --best-p exit 1" 1 code;
+  check_bool "sp --best-p message" true
+    (contains out "best_p requires the braid backend with the full scheduler")
 
 let test_compile_optimize () =
   let code, out = run "compile 4gt11_8 -O" in
@@ -374,6 +379,41 @@ let test_batch_bad_manifest () =
       check_int "unknown key exit 2" 2 code;
       check_bool "names the key" true (contains out "frobnicate"))
 
+(* An unusable --cache-dir is a usage error naming the directory: batch
+   exits 2, and serve exits 2 before it creates its socket. *)
+let test_unusable_cache_dir () =
+  let file = Filename.temp_file "autobraid_cachefile" "" in
+  let socket = Filename.temp_file "autobraid_sock" ".sock" in
+  Sys.remove socket;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      if Sys.file_exists socket then Sys.remove socket)
+    (fun () ->
+      List.iter
+        (fun dir ->
+          with_manifest {|[{"circuit": "qft9"}]|} (fun manifest ->
+              let code, out =
+                run
+                  (Printf.sprintf "batch %s --cache-dir %s"
+                     (Filename.quote manifest) (Filename.quote dir))
+              in
+              check_int ("batch exit 2 for " ^ dir) 2 code;
+              check_bool "batch names the directory" true (contains out dir);
+              check_bool "no uncaught exception" false
+                (contains out "uncaught exception"));
+          let code, out =
+            run
+              (Printf.sprintf "serve --socket %s --cache-dir %s"
+                 (Filename.quote socket) (Filename.quote dir))
+          in
+          check_int ("serve exit 2 for " ^ dir) 2 code;
+          check_bool "serve names the directory" true (contains out dir);
+          check_bool "serve does not blame the socket" false
+            (contains out "cannot listen");
+          check_bool "no socket left behind" false (Sys.file_exists socket))
+        [ file; Filename.concat file "cache"; "/nonexistent/autobraid/cache" ])
+
 (* The greedy baseline certifies like any other job; only best_p sweeps,
    which record no trace, are skipped by verify. *)
 let test_baseline_jobs_certify () =
@@ -463,7 +503,7 @@ let test_sweep_csv_match_best_p () =
       check_int "csv exit 0" 0 code;
       Alcotest.(check string)
         ("csv " ^ target)
-        (Qec_report.Export.p_curve_to_csv curve)
+        (Qec_report.Export.p_curve_to_csv timing curve)
         out)
     (agreement_targets ())
 
@@ -594,6 +634,7 @@ let () =
           Alcotest.test_case "warm cache identical" `Quick
             test_batch_cache_warm_identical;
           Alcotest.test_case "bad manifest" `Quick test_batch_bad_manifest;
+          Alcotest.test_case "unusable cache dir" `Quick test_unusable_cache_dir;
           Alcotest.test_case "baseline jobs certify" `Quick
             test_baseline_jobs_certify;
         ] );

@@ -517,92 +517,128 @@ let test_fixture_manifest_compat () =
 (* ------------------------------------------------------------------ *)
 (* Placement cache                                                      *)
 
-let lowered name =
-  Qec_circuit.Decompose.to_scheduler_gates (B.Registry.build name)
+let cells = Qec_lattice.Placement.to_array
+
+(* The placement an uncached braid run of [circuit] makes: its trace's
+   lattice side and initial cells. *)
+let uncached_run ?(seed = 7) circuit =
+  let timing = Qec_surface.Timing.make ~d:Qec_surface.Timing.default_d () in
+  let _, trace =
+    Autobraid.Scheduler.run_traced
+      ~options:{ Autobraid.Scheduler.default_options with seed }
+      timing circuit
+  in
+  (Qec_lattice.Grid.side trace.Autobraid.Trace.grid, trace.initial_cells)
+
+let cache_key ?(seed = 7) circuit =
+  Cache.key ~circuit ~method_:IL.Annealed ~seed
+
+(* What the engine does: look the request up; on a miss, run uncached and
+   store the placement the run made. The placement's cells and the
+   verdict. *)
+let cached ?(seed = 7) cache circuit =
+  let key = cache_key ~seed circuit in
+  match
+    Cache.find cache key ~num_qubits:(Qec_circuit.Circuit.num_qubits circuit)
+  with
+  | verdict, Some p -> (cells p, verdict)
+  | verdict, None ->
+    let side, initial = uncached_run ~seed circuit in
+    Cache.store cache key ~side ~cells:initial;
+    (initial, verdict)
+
+let create ?dir () =
+  match Cache.create ?dir () with
+  | Ok cache -> cache
+  | Error msg -> Alcotest.fail msg
+
+let entry_path dir key = Filename.concat dir (key ^ ".placement")
 
 let test_cache_key_sensitivity () =
-  let c = lowered "qft9" in
-  let k ?(side = 3) ?(method_ = IL.Annealed) ?(seed = 11) circuit =
-    Cache.key ~circuit ~side ~method_ ~seed
+  let c = B.Registry.build "qft9" in
+  let k ?(method_ = IL.Annealed) ?(seed = 11) circuit =
+    Cache.key ~circuit ~method_ ~seed
   in
   check_string "deterministic" (k c) (k c);
   check_bool "seed changes key" true (k c <> k ~seed:12 c);
-  check_bool "side changes key" true (k c <> k ~side:4 c);
   check_bool "method changes key" true (k c <> k ~method_:IL.Identity c);
-  check_bool "circuit changes key" true (k c <> k (lowered "bv12"));
+  check_bool "circuit changes key" true (k c <> k (B.Registry.build "bv12"));
   (* angles are excluded: rz(θ) streams identically for any θ *)
-  let rz theta = Qec_circuit.Circuit.create ~num_qubits:1 [ Qec_circuit.Gate.Rz (0, theta) ] in
-  check_string "angle-blind" (k (rz 0.1)) (k (rz 0.9))
-
-let test_cache_find_or_place () =
-  let c = lowered "qft9" in
-  let side = max 1 (Qec_surface.Resources.lattice_side ~num_logical:(Qec_circuit.Circuit.num_qubits c)) in
-  let cache = Cache.create () in
-  let place () =
-    Cache.find_or_place cache ~circuit:c ~side ~method_:IL.Annealed ~seed:11
+  let rz ?(num_qubits = 1) theta =
+    Qec_circuit.Circuit.create ~num_qubits [ Qec_circuit.Gate.Rz (0, theta) ]
   in
-  let p1, v1 = place () in
-  let p2, v2 = place () in
-  check_bool "first call misses" true (v1 = Cache.Miss);
-  check_bool "second call hits memory" true (v2 = Cache.Memory_hit);
+  check_string "angle-blind" (k (rz 0.1)) (k (rz 0.9));
+  check_bool "qubit count changes key" true
+    (k (rz 0.1) <> k (rz ~num_qubits:2 0.1))
+
+let test_cache_lookup_and_store () =
+  let c = B.Registry.build "qft9" in
+  let key = cache_key c in
+  let cache = create () in
+  let find () = Cache.find cache key ~num_qubits:9 in
+  (match find () with
+  | Cache.Miss, None -> ()
+  | _ -> Alcotest.fail "an empty cache must miss");
+  let side, initial = uncached_run c in
+  Cache.store cache key ~side ~cells:initial;
+  let hit () =
+    match find () with
+    | Cache.Memory_hit, Some p -> p
+    | _ -> Alcotest.fail "a stored key must hit memory"
+  in
+  let p1 = hit () in
+  let p2 = hit () in
   let k = Cache.counters cache in
   check_int "one miss" 1 k.Cache.misses;
-  check_int "one memory hit" 1 k.Cache.memory_hits;
-  Alcotest.(check (array int))
-    "replayed placement identical"
-    (Qec_lattice.Placement.to_array p1)
-    (Qec_lattice.Placement.to_array p2);
+  check_int "two memory hits" 2 k.Cache.memory_hits;
   check_bool "fresh placement objects" true (p1 != p2);
   (* the cached value matches an uncached computation *)
-  let direct =
-    IL.place ~seed:11 ~method_:IL.Annealed c (Qec_lattice.Grid.create side)
-  in
-  Alcotest.(check (array int))
-    "matches Initial_layout.place"
-    (Qec_lattice.Placement.to_array direct)
-    (Qec_lattice.Placement.to_array p1)
+  Alcotest.(check (array int)) "matches the uncached run" initial (cells p1);
+  check_int "on the run's lattice" side
+    (Qec_lattice.Grid.side (Qec_lattice.Placement.grid p1))
 
 let test_cache_disk_roundtrip () =
   with_temp_dir @@ fun dir ->
-  let c = lowered "bv12" in
-  let side = 4 in
-  let place cache =
-    Cache.find_or_place cache ~circuit:c ~side ~method_:IL.Annealed ~seed:7
-  in
-  let cold = Cache.create ~dir () in
-  let p_cold, _ = place cold in
+  let c = B.Registry.build "bv12" in
+  let cold = create ~dir () in
+  let p_cold, verdict = cached cold c in
+  check_bool "cold verdict" true (verdict = Cache.Miss);
   check_int "cold miss" 1 (Cache.counters cold).Cache.misses;
   check_bool "entry on disk" true
     (Array.exists
        (fun f -> Filename.check_suffix f ".placement")
        (Sys.readdir dir));
   (* a fresh cache over the same directory replays from disk *)
-  let warm = Cache.create ~dir () in
-  let p_warm, verdict = place warm in
+  let warm = create ~dir () in
+  let p_warm, verdict = cached warm c in
   check_bool "warm verdict" true (verdict = Cache.Disk_hit);
   let k = Cache.counters warm in
   check_int "warm disk hit" 1 k.Cache.disk_hits;
   check_int "warm no misses" 0 k.Cache.misses;
-  Alcotest.(check (array int))
-    "disk placement identical"
-    (Qec_lattice.Placement.to_array p_cold)
-    (Qec_lattice.Placement.to_array p_warm)
+  Alcotest.(check (array int)) "disk placement identical" p_cold p_warm
 
 let test_cache_corrupt_entry_is_miss () =
   with_temp_dir @@ fun dir ->
-  let c = lowered "bv12" in
-  let key = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7 in
-  let path = Filename.concat dir (key ^ ".placement") in
-  let oc = open_out path in
-  output_string oc "not a cache entry\n";
-  close_out oc;
-  let cache = Cache.create ~dir () in
-  let _ =
-    Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7
-  in
+  let c = B.Registry.build "bv12" in
+  Out_channel.with_open_bin (entry_path dir (cache_key c)) (fun oc ->
+      output_string oc "not a cache entry\n");
+  let cache = create ~dir () in
+  let _ = cached cache c in
   let k = Cache.counters cache in
   check_int "corrupt = miss" 1 k.Cache.misses;
   check_int "no disk hit" 0 k.Cache.disk_hits
+
+(* Overwrite the entry at [path] with [bytes]; then a fresh cache over
+   [dir] must miss and the rerun must place exactly as [reference]. *)
+let check_rewritten_is_miss ~dir ~path ~reference c what bytes =
+  Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+  let cache = create ~dir () in
+  let p, verdict = cached cache c in
+  let k = Cache.counters cache in
+  check_bool (what ^ " is a miss") true (verdict = Cache.Miss);
+  check_int (what ^ " counts one miss") 1 k.Cache.misses;
+  check_int (what ^ " no disk hit") 0 k.Cache.disk_hits;
+  Alcotest.(check (array int)) (what ^ " recomputes identically") reference p
 
 (* Every single-bit corruption of a valid on-disk entry must behave as a
    miss — the md5 trailer rejects it — and the recomputed placement must
@@ -610,67 +646,33 @@ let test_cache_corrupt_entry_is_miss () =
    parses must never be silently replayed. *)
 let test_cache_bit_flip_is_miss () =
   with_temp_dir @@ fun dir ->
-  let c = lowered "bv12" in
-  let place cache =
-    fst
-      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed
-         ~seed:7)
-  in
-  let reference = place (Cache.create ~dir ()) in
-  let key = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7 in
-  let path = Filename.concat dir (key ^ ".placement") in
+  let c = B.Registry.build "bv12" in
+  let reference, _ = cached (create ~dir ()) c in
+  let path = entry_path dir (cache_key c) in
   let pristine = In_channel.with_open_bin path In_channel.input_all in
   (* flip one bit in a spread of byte positions across the entry *)
-  let positions =
-    List.filter
-      (fun i -> i < String.length pristine)
-      [ 0; 7; String.length pristine / 2; String.length pristine - 2 ]
-  in
   List.iter
     (fun i ->
       let b = Bytes.of_string pristine in
       Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
-      let oc = open_out_bin path in
-      output_bytes oc b;
-      close_out oc;
-      let cache = Cache.create ~dir () in
-      let p = place cache in
-      let k = Cache.counters cache in
-      check_int (Printf.sprintf "bit flip at %d is a miss" i) 1 k.Cache.misses;
-      check_int (Printf.sprintf "bit flip at %d no disk hit" i) 0
-        k.Cache.disk_hits;
-      Alcotest.(check (array int))
-        (Printf.sprintf "bit flip at %d recomputes identically" i)
-        (Qec_lattice.Placement.to_array reference)
-        (Qec_lattice.Placement.to_array p))
-    positions
+      check_rewritten_is_miss ~dir ~path ~reference c
+        (Printf.sprintf "bit flip at %d" i)
+        (Bytes.to_string b))
+    (List.filter
+       (fun i -> i < String.length pristine)
+       [ 0; 7; String.length pristine / 2; String.length pristine - 2 ])
 
 let test_cache_truncated_entry_is_miss () =
   with_temp_dir @@ fun dir ->
-  let c = lowered "bv12" in
-  let place cache =
-    fst
-      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed
-         ~seed:7)
-  in
-  let reference = place (Cache.create ~dir ()) in
-  let key = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7 in
-  let path = Filename.concat dir (key ^ ".placement") in
+  let c = B.Registry.build "bv12" in
+  let reference, _ = cached (create ~dir ()) c in
+  let path = entry_path dir (cache_key c) in
   let pristine = In_channel.with_open_bin path In_channel.input_all in
   List.iter
     (fun keep ->
-      let oc = open_out_bin path in
-      output_string oc (String.sub pristine 0 keep);
-      close_out oc;
-      let cache = Cache.create ~dir () in
-      let p = place cache in
-      let k = Cache.counters cache in
-      check_int (Printf.sprintf "truncation to %d is a miss" keep) 1
-        k.Cache.misses;
-      Alcotest.(check (array int))
-        (Printf.sprintf "truncation to %d recomputes identically" keep)
-        (Qec_lattice.Placement.to_array reference)
-        (Qec_lattice.Placement.to_array p))
+      check_rewritten_is_miss ~dir ~path ~reference c
+        (Printf.sprintf "truncation to %d" keep)
+        (String.sub pristine 0 keep))
     (* len-2 cuts into the md5 hex; bare trailing-newline loss alone
        still verifies, which is fine — the digest is intact *)
     [ 0; 1; String.length pristine / 3; String.length pristine - 2 ]
@@ -682,38 +684,51 @@ let test_cache_truncated_entry_is_miss () =
    for everything else (NFS, kill -9 mid-rename, foreign writers). *)
 let test_cache_torn_write_is_miss () =
   with_temp_dir @@ fun dir ->
-  let c = lowered "bv12" in
-  let place ?(seed = 7) cache =
-    fst
-      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed)
-  in
-  let reference = place (Cache.create ~dir ()) in
-  let _other = place ~seed:8 (Cache.create ~dir ()) in
-  let read key =
+  let c = B.Registry.build "bv12" in
+  let reference, _ = cached (create ~dir ()) c in
+  let _other = cached ~seed:8 (create ~dir ()) c in
+  let read seed =
     In_channel.with_open_bin
-      (Filename.concat dir (key ^ ".placement"))
+      (entry_path dir (cache_key ~seed c))
       In_channel.input_all
   in
-  let k7 = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:7 in
-  let k8 = Cache.key ~circuit:c ~side:4 ~method_:IL.Annealed ~seed:8 in
-  let e7 = read k7 and e8 = read k8 in
+  let e7 = read 7 and e8 = read 8 in
   let cut = String.length e7 / 2 in
-  let torn =
-    String.sub e7 0 cut ^ String.sub e8 cut (String.length e8 - cut)
-  in
+  let torn = String.sub e7 0 cut ^ String.sub e8 cut (String.length e8 - cut) in
   check_bool "splice really differs" true (torn <> e7 && torn <> e8);
-  let oc = open_out_bin (Filename.concat dir (k7 ^ ".placement")) in
-  output_string oc torn;
-  close_out oc;
-  let cache = Cache.create ~dir () in
-  let p = place cache in
-  let k = Cache.counters cache in
-  check_int "torn write is a miss" 1 k.Cache.misses;
-  check_int "torn write no disk hit" 0 k.Cache.disk_hits;
-  Alcotest.(check (array int))
-    "torn write recomputes identically"
-    (Qec_lattice.Placement.to_array reference)
-    (Qec_lattice.Placement.to_array p)
+  check_rewritten_is_miss ~dir
+    ~path:(entry_path dir (cache_key c))
+    ~reference c "torn write" torn
+
+(* An entry written by the previous format (it keyed the lowered circuit
+   and the side) must never replay, even with an intact digest. *)
+let test_cache_v2_entry_is_miss () =
+  with_temp_dir @@ fun dir ->
+  let c = B.Registry.build "bv12" in
+  let reference, _ = cached (create ~dir ()) c in
+  let path = entry_path dir (cache_key c) in
+  let pristine = In_channel.with_open_bin path In_channel.input_all in
+  let header, payload =
+    match String.index_opt pristine '\n' with
+    | Some i ->
+      (String.sub pristine 0 i, String.sub pristine i (String.length pristine - i))
+    | None -> Alcotest.fail "entry has no header line"
+  in
+  check_string "current format" "autobraid-placement-cache v3" header;
+  check_rewritten_is_miss ~dir ~path ~reference c "v2 entry"
+    ("autobraid-placement-cache v2" ^ payload)
+
+(* A digest-valid entry whose side is not the lattice side of its qubit
+   count reads as a miss. *)
+let test_cache_wrong_side_is_miss () =
+  with_temp_dir @@ fun dir ->
+  let c = B.Registry.build "bv12" in
+  let key = cache_key c in
+  let side, initial = uncached_run c in
+  Cache.store (create ~dir ()) key ~side:(side + 1) ~cells:initial;
+  match Cache.find (create ~dir ()) key ~num_qubits:12 with
+  | Cache.Miss, None -> ()
+  | _ -> Alcotest.fail "an entry on the wrong side must miss"
 
 (* Several cache instances hammering the same directory concurrently
    (the serve daemon next to a batch run) must leave only valid entries
@@ -721,27 +736,21 @@ let test_cache_torn_write_is_miss () =
    the sequential reference. *)
 let test_cache_concurrent_writers () =
   with_temp_dir @@ fun dir ->
-  let c = lowered "bv12" in
+  let c = B.Registry.build "bv12" in
   let seeds = [ 3; 4; 5 ] in
-  let place cache seed =
-    fst
-      (Cache.find_or_place cache ~circuit:c ~side:4 ~method_:IL.Annealed ~seed)
-  in
   let reference =
-    let cache = Cache.create () in
-    List.map (fun s -> Qec_lattice.Placement.to_array (place cache s)) seeds
+    let cache = create () in
+    List.map (fun seed -> fst (cached ~seed cache c)) seeds
   in
   let writers =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
-            let cache = Cache.create ~dir () in
-            List.iter (fun s -> ignore (place cache s)) seeds))
+            let cache = create ~dir () in
+            List.iter (fun seed -> ignore (cached ~seed cache c)) seeds))
   in
   List.iter Domain.join writers;
-  let warm = Cache.create ~dir () in
-  let replayed =
-    List.map (fun s -> Qec_lattice.Placement.to_array (place warm s)) seeds
-  in
+  let warm = create ~dir () in
+  let replayed = List.map (fun seed -> fst (cached ~seed warm c)) seeds in
   let k = Cache.counters warm in
   check_int "all keys replay from disk" (List.length seeds) k.Cache.disk_hits;
   check_int "no recomputation" 0 k.Cache.misses;
@@ -751,6 +760,20 @@ let test_cache_concurrent_writers () =
         (Printf.sprintf "concurrent entry %d identical" i)
         r p)
     (List.combine reference replayed)
+
+(* An unusable directory is an error naming it, never an exception. *)
+let test_cache_unusable_dir () =
+  let file = Filename.temp_file "autobraid_cache" ".file" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun dir ->
+          match Cache.create ~dir () with
+          | Ok _ -> Alcotest.failf "%s accepted as a cache directory" dir
+          | Error msg ->
+            check_bool ("error names " ^ dir) true (contains msg dir))
+        [ file; Filename.concat file "cache" ])
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                               *)
@@ -858,7 +881,7 @@ let test_run_batch_order_and_errors () =
 
 let test_run_batch_jsonl_deterministic_across_jobs () =
   let render jobs_n =
-    let cache = Cache.create () in
+    let cache = create () in
     Engine.jobs_to_jsonl (Engine.run_batch ~jobs:jobs_n ~cache batch_specs)
   in
   let one = render 1 in
@@ -884,7 +907,7 @@ let test_run_batch_cache_verdicts () =
           [ "ghz3"; "bv12"; "qft9" ])
       [ 1; 2; 3; 4 ]
   in
-  let cache = Cache.create () in
+  let cache = create () in
   let jobs = Engine.run_batch ~jobs:2 ~cache specs in
   let labelled status =
     List.length (List.filter (fun j -> j.Engine.cache = status) jobs)
@@ -900,11 +923,17 @@ let test_run_batch_cache_determinism () =
   with_temp_dir @@ fun dir ->
   (* cold (computes + writes disk), warm-memory, warm-disk: all three must
      schedule identically, trace included *)
-  let specs = [ spec "qft9"; spec ~backend:"surgery" "qft9" ] in
-  let cold_cache = Cache.create ~dir () in
+  let specs =
+    [ spec "qft9"; spec ~backend:"surgery" "qft9"; spec ~backend:"lookahead" "qft9" ]
+  in
+  let cold_cache = create ~dir () in
   let cold = Engine.run_batch ~jobs:2 ~cache:cold_cache specs in
+  (* the backends share one placement per (circuit, method, seed), so
+     jobs after the first may already hit it *)
+  check_bool "cold run stored a placement" true
+    ((Cache.counters cold_cache).Cache.misses > 0);
   let warm = Engine.run_batch ~jobs:2 ~cache:cold_cache specs in
-  let disk = Engine.run_batch ~jobs:2 ~cache:(Cache.create ~dir ()) specs in
+  let disk = Engine.run_batch ~jobs:2 ~cache:(create ~dir ()) specs in
   let uncached = Engine.run_batch ~jobs:2 specs in
   check_bool "warm run hit memory" true
     ((Cache.counters cold_cache).Cache.memory_hits > 0);
@@ -923,6 +952,21 @@ let test_run_batch_cache_determinism () =
         check_bool "same trace" true (pa.Engine.trace = pb.Engine.trace)
       | _ -> Alcotest.fail "job failed")
     cold disk
+
+(* A threshold sweep records no trace, so it has nothing to store: its
+   job bypasses the cache and renders the same record. *)
+let test_best_p_bypasses_cache () =
+  let specs = [ { (spec "qft9") with Spec.best_p = true } ] in
+  let cache = create () in
+  let cached = Engine.run_batch ~jobs:1 ~cache specs in
+  List.iter
+    (fun j -> check_bool "uncached" true (j.Engine.cache = Engine.Uncached))
+    cached;
+  let k = Cache.counters cache in
+  check_int "no lookups" 0 (k.Cache.misses + k.Cache.memory_hits + k.Cache.disk_hits);
+  check_string "same record bytes"
+    (Engine.jobs_to_jsonl (Engine.run_batch ~jobs:1 specs))
+    (Engine.jobs_to_jsonl cached)
 
 let test_job_json_shape () =
   let jobs =
@@ -984,7 +1028,8 @@ let () =
       ( "placement_cache",
         [
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
-          Alcotest.test_case "find_or_place" `Quick test_cache_find_or_place;
+          Alcotest.test_case "lookup and store" `Quick
+            test_cache_lookup_and_store;
           Alcotest.test_case "disk round-trip" `Quick test_cache_disk_roundtrip;
           Alcotest.test_case "corrupt entry" `Quick test_cache_corrupt_entry_is_miss;
           Alcotest.test_case "bit-flipped entry" `Quick
@@ -992,6 +1037,9 @@ let () =
           Alcotest.test_case "truncated entry" `Quick
             test_cache_truncated_entry_is_miss;
           Alcotest.test_case "torn write" `Quick test_cache_torn_write_is_miss;
+          Alcotest.test_case "v2 entry" `Quick test_cache_v2_entry_is_miss;
+          Alcotest.test_case "wrong side" `Quick test_cache_wrong_side_is_miss;
+          Alcotest.test_case "unusable dir" `Quick test_cache_unusable_dir;
           Alcotest.test_case "concurrent writers" `Quick
             test_cache_concurrent_writers;
         ] );
@@ -1009,6 +1057,8 @@ let () =
             test_run_batch_cache_determinism;
           Alcotest.test_case "cache verdicts" `Quick
             test_run_batch_cache_verdicts;
+          Alcotest.test_case "best_p bypasses the cache" `Quick
+            test_best_p_bypasses_cache;
           Alcotest.test_case "record shape" `Quick test_job_json_shape;
           Alcotest.test_case "baseline certified" `Quick
             test_run_spec_baseline_certified;

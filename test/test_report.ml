@@ -150,7 +150,7 @@ let test_p_curve_csv () =
   let _, curve =
     S.run_best_p ~grid_points:[ 0.0; 0.5 ] timing (B.Qft.circuit 9)
   in
-  let csv = Export.p_curve_to_csv curve in
+  let csv = Export.p_curve_to_csv timing curve in
   let lines = String.split_on_char '\n' csv |> List.filter (( <> ) "") in
   check_int "header + 2 rows" 3 (List.length lines);
   check_bool "header" true (contains (List.hd lines) "p,cycles")

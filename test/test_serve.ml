@@ -182,7 +182,9 @@ let with_server ?(jobs = 2) ?(max_pending = 64) ?timeout_s f =
       timeout_s;
     }
   in
-  let daemon = Domain.spawn (fun () -> Server.run config) in
+  let daemon =
+    Domain.spawn (fun () -> Result.iter_error failwith (Server.run config))
+  in
   Fun.protect
     ~finally:(fun () ->
       (match C.connect socket with
