@@ -5,19 +5,17 @@
      dune exec bench/main.exe                      # everything, medium sizes
      dune exec bench/main.exe -- table2            # one section
      dune exec bench/main.exe -- fig16 --full      # paper-scale sizes (slow)
-     dune exec bench/main.exe -- micro             # bechamel micro-benchmarks
      dune exec bench/main.exe -- backends --json BENCH_backends.json
-     dune exec bench/main.exe -- engine --json BENCH_engine.json
      dune exec bench/main.exe -- scale --json BENCH_scale.json
      dune exec bench/main.exe -- --check BENCH_backends.json --check \
        BENCH_scale.json --tolerance 0.02    # drift gate vs committed JSON
 
    Sections: table1 table2 fig16 fig17 fig18 compile-time ablation planar
-   backends scale scale-smoke engine prop verify serve micro all (every
-   section but scale and scale-smoke). Each is one entry of [sections]:
-   name, title, runner, and for the sections with a snapshot (backends
-   scale engine prop verify serve) a JSON projection, which `--json FILE`
-   writes (in `all`, for the first such section: backends).
+   backends scale scale-smoke verify all (every section but scale and
+   scale-smoke). Each is one entry of [sections]: name, title, runner, and
+   for the sections with a snapshot (backends scale verify) a JSON
+   projection, which `--json FILE` writes (in `all`, for the first such
+   section: backends).
 
    `scale` is the paper-size Table-2 sweep (QFT-100..400, adder, RevLib)
    of braid vs the greedy baseline, gated by `make bench-scale`.
@@ -31,6 +29,11 @@
    counts, default 2%) or `--wall-tolerance` (host timings, default
    200%) — see Qec_obs.Drift for the gating policy — or if that section
    has no snapshot. An unknown section exits 2.
+
+   The paper reports cycle counts, and one compile-time ratio (§4.2, the
+   compile-time section). Timing the compiler itself is the repository
+   benchmark's job (perfbench/, declared in BENCHMARK.json), not this
+   harness's.
 
    Absolute numbers differ from the paper (different host, regenerated
    benchmark netlists, re-implemented baseline); the claims under test are
@@ -92,9 +95,6 @@ let print_table ?group ?(closed = false) columns rows =
        None rows);
   if closed then TP.add_separator t;
   TP.print t
-
-(* The two-column tables of the prop and verify sections. *)
-let print_metrics rows = print_table [ left "metric" fst; right "value" snd ] rows
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -742,110 +742,9 @@ let scale_smoke ~full:_ =
     exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Engine: batch throughput and the placement cache's payoff            *)
-
-(* An annealing-heavy manifest: every spec repeats one of a few (circuit,
-   seed) pairs, the shape batch sweeps actually have, so a warmed
-   placement cache should convert most jobs' annealing into hits. *)
-let engine_specs =
-  let spec ?(backend = "braid") ?(seed = 11) circuit =
-    { Qec_engine.Spec.default with circuit; backend; seed }
-  in
-  [
-    spec "qft20";
-    spec "qft20" ~backend:"surgery";
-    spec "qft20" ~seed:12;
-    spec "lr24";
-    spec "lr24" ~backend:"surgery";
-    spec "qaoa12";
-    spec "qaoa12";
-    spec "qft16";
-    spec "qft16" ~backend:"surgery";
-    spec "qft20";
-  ]
-
-let engine ~full:_ =
-  let module PC = Qec_engine.Placement_cache in
-  let module E = Qec_engine.Engine in
-  let jobs = Qec_util.Parallel.default_jobs () in
-  let dir = Filename.temp_file "autobraid_bench_cache" "" in
-  Sys.remove dir;
-  let cache () = Result.get_ok (PC.create ~dir ()) in
-  let cold_cache = cache () in
-  let batch cache = timed (fun () -> E.run_batch ~jobs ~cache engine_specs) in
-  let cold_jobs, cold_s = batch cold_cache in
-  let warm_jobs, warm_memory_s = batch cold_cache in
-  let disk_jobs, warm_disk_s = batch (cache ()) in
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
-  let jsonl = List.map E.jobs_to_jsonl [ cold_jobs; warm_jobs; disk_jobs ] in
-  let identical = List.for_all (( = ) (List.hd jsonl)) jsonl in
-  if not identical then failwith "engine bench: cached results diverged";
-  let placements = (PC.counters cold_cache).PC.misses in
-  print_table
-    [
-      left "pass" fst;
-      right "wall (s)" (fun (_, s) -> Printf.sprintf "%.3f" s);
-      right "speedup" (fun (_, s) -> times (cold_s /. s));
-    ]
-    [
-      ("cold (anneal all)", cold_s);
-      ("warm (memory)", warm_memory_s);
-      ("warm (disk)", warm_disk_s);
-    ];
-  Printf.printf
-    "(%d specs on %d workers; cold pass: %d annealed placements, warm \
-     passes replay them; all three passes byte-identical)\n"
-    (List.length engine_specs) jobs placements;
-  [
-    ("jobs", J.Int jobs);
-    ("specs", J.Int (List.length engine_specs));
-    ("cold_s", J.Float cold_s);
-    ("warm_memory_s", J.Float warm_memory_s);
-    ("warm_disk_s", J.Float warm_disk_s);
-    ("speedup_memory", J.Float (cold_s /. warm_memory_s));
-    ("speedup_disk", J.Float (cold_s /. warm_disk_s));
-    ("placements_computed", J.Int placements);
-    ("results_identical", J.Bool identical);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Property-fuzzer throughput: how much generative coverage one CI
-   minute buys. Fixed seed, so the numbers are comparable run to run. *)
-
-let prop ~full:_ =
-  let module R = Qec_prop.Runner in
-  let count = 100 in
-  let report, wall = timed (fun () -> R.run ~seed:42 ~count ()) in
-  if report.R.failures <> [] then
-    failwith "prop bench: fixed-seed corpus has failures";
-  let properties = List.length report.R.properties in
-  let checks_per_s = float_of_int report.R.checks /. wall in
-  print_metrics
-    [
-      ("cases", string_of_int report.R.cases);
-      ("properties", string_of_int properties);
-      ("checks", string_of_int report.R.checks);
-      ("wall (s)", Printf.sprintf "%.2f" wall);
-      ("checks/s", Printf.sprintf "%.0f" checks_per_s);
-    ];
-  Printf.printf
-    "(every check schedules at least one backend end to end; the CI smoke \
-     run covers %d cases per property)\n"
-    count;
-  [
-    ("seed", J.Int report.R.seed);
-    ("cases", J.Int report.R.cases);
-    ("properties", J.Int properties);
-    ("checks", J.Int report.R.checks);
-    ("wall_s", J.Float wall);
-    ("checks_per_s", J.Float checks_per_s);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Verify: certifier throughput and the mutation corpus's kill rate.
-   Every schedule below must certify clean and every applicable mutation
-   must be caught — both are hard failures, so the drift-gated counts
+(* Verify: certification and the mutation corpus's kill rate. Every
+   schedule below must certify clean and every applicable mutation must
+   be caught — both are hard failures, so the drift-gated counts
    (certificates, invariants_checked, mutations_killed) are exact
    functions of the circuit set and Qec_verify's registries. *)
 
@@ -872,7 +771,7 @@ let verify ~full:_ =
       Printf.ksprintf failwith "verify bench: %s (%s): %s" name o.CB.backend
         (V.to_summary cert)
   in
-  let (), certify_s = timed (fun () -> List.iter certify outcomes) in
+  List.iter certify outcomes;
   (* a surviving mutation aborts, so every applied mutation is killed *)
   let mutations = ref 0 in
   List.iter
@@ -891,14 +790,12 @@ let verify ~full:_ =
     outcomes;
   let certificates = List.length outcomes and mutations = !mutations in
   let invariants = certificates * List.length Qec_verify.Invariant.all in
-  let per_s = float_of_int certificates /. certify_s in
-  print_metrics
+  print_table
+    [ left "metric" fst; right "value" snd ]
     [
       ("schedules certified", string_of_int certificates);
       ("invariants checked", string_of_int invariants);
       ("mutations killed", Printf.sprintf "%d/%d" mutations mutations);
-      ("certify wall (s)", Printf.sprintf "%.3f" certify_s);
-      ("certificates/s", Printf.sprintf "%.0f" per_s);
     ];
   print_endline
     "(certification re-derives every invariant from the trace alone; a \
@@ -909,136 +806,7 @@ let verify ~full:_ =
     ("invariants_checked", J.Int invariants);
     ("mutations_applied", J.Int mutations);
     ("mutations_killed", J.Int mutations);
-    ("certify_s", J.Float certify_s);
-    ("certificates_per_s", J.Float per_s);
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Serve: daemon round-trip latency/throughput against an in-process
-   server, cold placement cache vs warm. Every request crosses the real
-   socket + protocol + admission path, so requests/s is an end-to-end
-   number, not an engine microbenchmark. *)
-
-type serve_pass = { wall_s : float; p95_s : float }
-
-let serve ~full:_ =
-  let module Server = Qec_serve.Server in
-  let module Client = Qec_serve.Client in
-  let die fmt = Printf.ksprintf failwith fmt in
-  let socket =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "absrvb%d.sock" (Unix.getpid ()))
-  in
-  let workers = min 2 (Qec_util.Parallel.default_jobs ()) in
-  let config = { (Server.default_config ~socket ()) with jobs = workers } in
-  let daemon =
-    Domain.spawn (fun () -> Result.iter_error failwith (Server.run config))
-  in
-  let ok = function Ok x -> x | Error msg -> die "serve bench: %s" msg in
-  let client = ok (Client.connect_retry socket) in
-  (* distinct (circuit, seed) pairs: every request of the cold pass
-     anneals its own placement; the warm pass replays all of them from
-     the daemon's shared in-memory cache *)
-  let specs =
-    List.concat_map
-      (fun circuit ->
-        List.map
-          (fun seed -> { Qec_engine.Spec.default with circuit; seed })
-          [ 1; 2; 3; 4 ])
-      [ "qft9"; "bv12" ]
-  in
-  let request spec =
-    snd
-      (timed (fun () ->
-           match ok (Client.compile client spec) with
-           | Qec_serve.Protocol.Result _ -> ()
-           | _ -> die "serve bench: unexpected response"))
-  in
-  let pass () =
-    let latencies, wall_s = timed (fun () -> List.map request specs) in
-    { wall_s; p95_s = Qec_util.Stats.percentile 95. latencies }
-  in
-  let cold = pass () in
-  let warm = pass () in
-  ignore (ok (Client.shutdown client));
-  Client.close client;
-  Domain.join daemon;
-  let n = List.length specs in
-  let requests_per_s = float_of_int n /. warm.wall_s in
-  let warm_speedup = cold.wall_s /. warm.wall_s in
-  print_table
-    [
-      left "pass" fst;
-      right "wall (s)" (fun (_, p) -> Printf.sprintf "%.3f" p.wall_s);
-      right "p95 (ms)" (fun (_, p) -> Printf.sprintf "%.2f" (1e3 *. p.p95_s));
-    ]
-    [ ("cold (anneal per request)", cold); ("warm (shared cache)", warm) ];
-  Printf.printf
-    "(%d requests per pass over one connection, %d workers; warm pass: \
-     %.0f requests/s, %.2fx over cold)\n"
-    n workers requests_per_s warm_speedup;
-  [
-    ("jobs", J.Int workers);
-    ("requests", J.Int (2 * n));
-    ("cold_wall_s", J.Float cold.wall_s);
-    ("warm_wall_s", J.Float warm.wall_s);
-    ("p95_cold_s", J.Float cold.p95_s);
-    ("p95_warm_s", J.Float warm.p95_s);
-    ("requests_per_s", J.Float requests_per_s);
-    ("warm_speedup", J.Float warm_speedup);
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per table/figure driver     *)
-
-let micro ~full:_ =
-  let qft16 = B.Qft.circuit 16 and qaoa16 = B.Qaoa.circuit 16 in
-  let im16 = B.Ising.circuit ~steps:4 16 in
-  let grid4 = Qec_lattice.Grid.create 4 in
-  let run ?options c () = ignore (S.run ?options timing33 c) in
-  let cases =
-    [
-      ( "table1:llg-census",
-        fun () ->
-          ignore
-            (IL.oversize_census qft16
-               (IL.place ~method_:IL.Partitioned qft16 grid4)) );
-      ("table2:autobraid-full", run qft16);
-      ("table2:gp-baseline", fun () -> ignore (GP.run timing33 qft16));
-      ("fig16:scalability-point", run ~options:sp_options im16);
-      ("fig17:utilization-point", run ~options:sp_options qaoa16);
-      ( "fig18:p-sweep-point",
-        run ~options:{ S.default_options with threshold_p = 0.5 } qaoa16 );
-    ]
-  in
-  let open Bechamel in
-  let open Toolkit in
-  let test =
-    Test.make_grouped ~name:"autobraid" ~fmt:"%s %s"
-      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases)
-  in
-  let clock = Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results =
-    Analyze.merge ols [ clock ]
-      [ Analyze.all ols clock (Benchmark.all cfg [ clock ] test) ]
-  in
-  Bechamel_notty.Unit.add clock (Measure.unit clock);
-  let window =
-    match Notty_unix.winsize Unix.stdout with
-    | Some (w, h) -> { Bechamel_notty.w; h }
-    | None -> { Bechamel_notty.w = 100; h = 1 }
-  in
-  Notty_unix.output_image
-    (Notty_unix.eol
-       (Bechamel_notty.Multiple.image_of_ols_results ~rect:window
-          ~predictor:Measure.run results))
 
 (* ------------------------------------------------------------------ *)
 (* The sections, in usage and `all` order                               *)
@@ -1081,16 +849,8 @@ let sections =
       (fun ~full:_ -> scale_run (scale_circuits ()));
     section "scale-smoke" ~in_all:false
       "Scale smoke: qft100, braid vs greedy (d = 33)" scale_smoke;
-    section "engine" ~json:Fun.id "Engine: cached multicore batch compilation"
-      engine;
-    section "prop" ~json:Fun.id
-      "Property-fuzzer throughput (fixed seed, full registry)" prop;
     section "verify" ~json:Fun.id
       "Verify: independent schedule certification (d = 33)" verify;
-    section "serve" ~json:Fun.id
-      "Serve: daemon round-trips, cold vs warm placement cache" serve;
-    section "micro"
-      "Bechamel micro-benchmarks (one per table/figure, reduced size)" micro;
   ]
 
 let find_section name =

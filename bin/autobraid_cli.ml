@@ -438,7 +438,6 @@ let compile_cmd =
       tel =
     let code =
       with_telemetry tel @@ fun () ->
-      let timing = Qec_surface.Timing.make ~d () in
       let payload =
         run_or_die
           (finish_spec ~certify ~backend_opts
@@ -455,7 +454,7 @@ let compile_cmd =
              })
       in
       print_peephole payload;
-      print_result timing payload.Engine.result;
+      print_result (Qec_surface.Timing.make ~d ()) payload.Engine.result;
       if print_certificate payload then 1 else 0
     in
     if code <> 0 then exit code
@@ -525,7 +524,6 @@ let schedule_cmd =
   let run spec backend d seed p initial backend_opts certify tel =
     let code =
       with_telemetry tel @@ fun () ->
-      let timing = Qec_surface.Timing.make ~d () in
       if backend = "compare" && backend_opts <> [] then begin
         (* Each backend has its own schema; one key=value list cannot
            target three of them at once. *)
@@ -552,7 +550,7 @@ let schedule_cmd =
       match backend with
       | "compare" ->
         let payloads = List.map run_one [ "braid"; "surgery"; "lookahead" ] in
-        print_comparison timing
+        print_comparison (Qec_surface.Timing.make ~d ())
           (List.map
              (fun (p : Engine.payload) ->
                (p.Engine.backend, p.Engine.result))
@@ -561,7 +559,7 @@ let schedule_cmd =
         if List.exists Fun.id failures then 1 else 0
       | name ->
         let payload = run_one name in
-        print_result timing payload.Engine.result;
+        print_result (Qec_surface.Timing.make ~d ()) payload.Engine.result;
         print_backend_stats payload.Engine.stats;
         if print_certificate payload then 1 else 0
     in
@@ -742,10 +740,16 @@ let profile_cmd =
     let specs =
       if is_manifest target then read_manifest target
       else begin
-        (* An unknown or malformed circuit is an unusable target, not a
-           job that fails on every repeat. *)
+        (* An unknown or malformed circuit, or a spec the engine rejects
+           (an unknown backend, -d 0), is an unusable target, not a job
+           that fails on every repeat. *)
         let s = { Spec.default with circuit = target; backend; d; seed } in
         Result.iter_error die_engine_text (Engine.load_circuit s);
+        Result.iter_error
+          (fun msg ->
+            prerr_endline msg;
+            exit 2)
+          (Spec.validate s);
         [ s ]
       end
     in
@@ -887,8 +891,8 @@ let sweep_cmd =
   let run spec d tel =
     guarded @@ fun () ->
     with_telemetry tel @@ fun () ->
-    let timing = Qec_surface.Timing.make ~d () in
     let curve = best_p_curve ~d spec in
+    let timing = Qec_surface.Timing.make ~d () in
     Printf.printf "# p  cycles  time_us  normalized\n";
     match curve with
     | [] -> ()
@@ -910,7 +914,8 @@ let sweep_cmd =
 let export_cmd =
   let run spec d fmt backend out =
     guarded @@ fun () ->
-    let timing = Qec_surface.Timing.make ~d () in
+    (* built once the run has passed the engine's checks, -d included *)
+    let timing () = Qec_surface.Timing.make ~d () in
     let payload =
       match fmt with
       | `Json -> (
@@ -925,7 +930,8 @@ let export_cmd =
                  ("trace", Qec_report.Export.trace_to_json ~max_rounds:50 trace);
                  ( "reliability",
                    Qec_report.Export.exposure_to_json ~d
-                     (Autobraid.Reliability.exposure_of_result timing result) );
+                     (Autobraid.Reliability.exposure_of_result (timing ())
+                        result) );
                ])
         | Some which ->
           (* Per-backend export: run under a collector so the payload
@@ -939,8 +945,8 @@ let export_cmd =
           let outcome = { Autobraid.Comm_backend.backend; result; trace; stats } in
           let fields =
             match
-              Qec_report.Export.backend_outcome_to_json ~max_rounds:50 timing
-                outcome
+              Qec_report.Export.backend_outcome_to_json ~max_rounds:50
+                (timing ()) outcome
             with
             | Qec_report.Json.Obj fields -> fields
             | _ -> assert false
@@ -956,7 +962,9 @@ let export_cmd =
         in
         Qec_report.Export.coupling_to_dot
           (Qec_circuit.Coupling.of_circuit lowered)
-      | `Csv -> Qec_report.Export.p_curve_to_csv timing (best_p_curve ~d spec)
+      | `Csv ->
+        let curve = best_p_curve ~d spec in
+        Qec_report.Export.p_curve_to_csv (timing ()) curve
     in
     print_or_write out payload
   in

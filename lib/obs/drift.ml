@@ -11,8 +11,7 @@ type band = Cycle | Wall
 let classify key =
   match key with
   | "total_cycles" | "rounds" | "comm_rounds" | "braid_rounds"
-  | "swap_layers" | "swaps_inserted" | "critical_path_cycles"
-  | "placements_computed" ->
+  | "swap_layers" | "swaps_inserted" | "critical_path_cycles" ->
     Some (Lower_better, Cycle)
   | "speedup" | "lookahead_speedup" -> Some (Higher_better, Cycle)
   (* Scale section: the paper's Table-2 headline ratio is a pure cycle
@@ -24,21 +23,11 @@ let classify key =
   | "certificates" | "invariants_checked" | "mutations_applied"
   | "mutations_killed" ->
     Some (Higher_better, Cycle)
-  (* Serve section: throughput and the warm-cache payoff are
-     better-when-bigger wall metrics; they must be listed before the
-     [_s]-suffix fallback would misread requests_per_s as a latency. *)
-  | "speedup_memory" | "speedup_disk" | "checks_per_s"
-  | "certificates_per_s" | "requests_per_s" | "warm_speedup" ->
-    Some (Higher_better, Wall)
   | _ ->
-    (* Explicit *_wall_s spellings (scale section's qftN_wall_s keys) and
-       any other _s-suffixed leaf are host timings: lower is better, wall
-       tolerance. *)
+    (* Any _s-suffixed leaf (the scale section's *_wall_s keys) is a host
+       timing: lower is better, wall tolerance. *)
     let n = String.length key in
-    if n > 7 && String.sub key (n - 7) 7 = "_wall_s" then
-      Some (Lower_better, Wall)
-    else if n > 2 && String.sub key (n - 2) 2 = "_s" then
-      Some (Lower_better, Wall)
+    if n > 2 && String.sub key (n - 2) 2 = "_s" then Some (Lower_better, Wall)
     else None
 
 type finding = {

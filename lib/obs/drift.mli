@@ -4,12 +4,11 @@
     The two JSON trees are walked in parallel; numeric leaves are gated by
     key name. {e Cycle} metrics (deterministic compiler outputs:
     [total_cycles], [rounds], [comm_rounds], [braid_rounds],
-    [swap_layers], [swaps_inserted], [critical_path_cycles],
-    [placements_computed], and the cycle ratios [speedup] /
-    [lookahead_speedup]) are checked
-    against [tolerance]. {e Wall} metrics (host timings: keys ending in
-    [_s], plus the wall-derived [speedup_memory] / [speedup_disk] /
-    [checks_per_s]) are checked against the looser [wall_tolerance].
+    [swap_layers], [swaps_inserted], [critical_path_cycles], the cycle
+    ratios [speedup] / [lookahead_speedup] / [braid_vs_greedy_speedup],
+    and the verify section's exact counts) are checked against
+    [tolerance]. {e Wall} metrics (host timings: keys ending in [_s]) are
+    lower-is-better and checked against the looser [wall_tolerance].
     Other leaves — descriptors, utilization ratios, backend stats — are
     informational and skipped. A gated baseline metric missing from the
     current tree is an error, not a silent pass. *)

@@ -599,6 +599,39 @@ let test_profile_unknown_circuit () =
   check_int "exit 2" 2 code;
   check_bool "engine message" true (contains out "unknown circuit")
 
+(* A single-circuit spec the engine rejects is an unusable target too. *)
+let test_profile_invalid_spec () =
+  List.iter
+    (fun (flags, message) ->
+      let code, out = run ("profile qft9 " ^ flags) in
+      check_int (flags ^ " exit 2") 2 code;
+      check_bool (flags ^ " message") true (contains out message))
+    [
+      ("--backend nosuch", {|unknown backend "nosuch"|});
+      ("-d 0", "distance 0 out of range");
+    ]
+
+(* -d 0 is the engine's to reject: every compiling command exits 1 with
+   its message, none with an uncaught exception from building a timing
+   model first. *)
+let test_distance_zero () =
+  List.iter
+    (fun cmd ->
+      let code, out = run (cmd ^ " -d 0") in
+      check_int (cmd ^ " exit 1") 1 code;
+      check_bool (cmd ^ " message") true
+        (contains out "distance 0 out of range");
+      check_bool (cmd ^ " no exception") false (contains out "exception"))
+    [
+      "compile qft9";
+      "schedule qft9";
+      "schedule qft9 --backend compare";
+      "sweep qft9";
+      "export qft9 -f json";
+      "export qft9 -f csv";
+      "trace qft9";
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -626,6 +659,7 @@ let () =
           Alcotest.test_case "unknown backend" `Quick test_schedule_unknown_backend;
           Alcotest.test_case "schedule missing file jsonl" `Quick
             test_schedule_missing_file_jsonl;
+          Alcotest.test_case "distance 0" `Quick test_distance_zero;
         ] );
       ( "batch",
         [
@@ -658,5 +692,7 @@ let () =
           Alcotest.test_case "manifest errors" `Quick test_manifest_errors;
           Alcotest.test_case "profile unknown circuit" `Quick
             test_profile_unknown_circuit;
+          Alcotest.test_case "profile invalid spec" `Quick
+            test_profile_invalid_spec;
         ] );
     ]

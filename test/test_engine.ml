@@ -953,6 +953,50 @@ let test_run_batch_cache_determinism () =
       | _ -> Alcotest.fail "job failed")
     cold disk
 
+(* A manifest that repeats a few (circuit, seed) pairs across backends,
+   the shape batch sweeps have. Braid and surgery share a key, so a cold
+   pass places each of the 5 distinct pairs once; a warm pass and a fresh
+   cache over the same directory place nothing, and all three render the
+   same bytes. *)
+let test_run_batch_repeated_keys () =
+  with_temp_dir @@ fun dir ->
+  let job ?(backend = "braid") ?(seed = 11) circuit =
+    { Spec.default with circuit; backend; seed }
+  in
+  let specs =
+    [
+      job "qft20";
+      job "qft20" ~backend:"surgery";
+      job "qft20" ~seed:12;
+      job "lr24";
+      job "lr24" ~backend:"surgery";
+      job "qaoa12";
+      job "qaoa12";
+      job "qft16";
+      job "qft16" ~backend:"surgery";
+      job "qft20";
+    ]
+  in
+  let pass cache =
+    let before = Cache.counters cache in
+    let jobs = Engine.run_batch ~jobs:1 ~cache specs in
+    let after = Cache.counters cache in
+    (Engine.jobs_to_jsonl jobs, after.Cache.misses - before.Cache.misses)
+  in
+  let cache = create ~dir () in
+  let cold, cold_misses = pass cache in
+  let warm, warm_misses = pass cache in
+  let disk_cache = create ~dir () in
+  let disk, disk_misses = pass disk_cache in
+  check_int "cold pass places each distinct pair once" 5 cold_misses;
+  check_int "warm pass places nothing" 0 warm_misses;
+  check_int "fresh cache replays from disk" 0 disk_misses;
+  check_int "disk hits, one per distinct pair" 5
+    (Cache.counters disk_cache).Cache.disk_hits;
+  check_bool "no job failed" false (contains cold {|"status":"error"|});
+  check_string "warm bytes" cold warm;
+  check_string "disk bytes" cold disk
+
 (* A threshold sweep records no trace, so it has nothing to store: its
    job bypasses the cache and renders the same record. *)
 let test_best_p_bypasses_cache () =
@@ -1057,6 +1101,8 @@ let () =
             test_run_batch_cache_determinism;
           Alcotest.test_case "cache verdicts" `Quick
             test_run_batch_cache_verdicts;
+          Alcotest.test_case "repeated keys" `Quick
+            test_run_batch_repeated_keys;
           Alcotest.test_case "best_p bypasses the cache" `Quick
             test_best_p_bypasses_cache;
           Alcotest.test_case "record shape" `Quick test_job_json_shape;

@@ -95,13 +95,11 @@ let test_classify () =
   check_some "total_cycles" D.Lower_better D.Cycle;
   check_some "swaps_inserted" D.Lower_better D.Cycle;
   check_some "speedup" D.Higher_better D.Cycle;
+  check_some "braid_vs_greedy_speedup" D.Higher_better D.Cycle;
   check_some "cold_s" D.Lower_better D.Wall;
-  check_some "checks_per_s" D.Higher_better D.Wall;
-  check_some "speedup_memory" D.Higher_better D.Wall;
+  check_some "qft100_wall_s" D.Lower_better D.Wall;
   check_some "invariants_checked" D.Higher_better D.Cycle;
   check_some "mutations_killed" D.Higher_better D.Cycle;
-  check_some "certificates_per_s" D.Higher_better D.Wall;
-  check_some "certify_s" D.Lower_better D.Wall;
   Alcotest.(check bool) "utilization ungated" true
     (D.classify "avg_utilization" = None);
   Alcotest.(check bool) "descriptors ungated" true (D.classify "name" = None)
