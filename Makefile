@@ -180,6 +180,8 @@ profile-smoke: build
 		|| { echo "profile-smoke: missing decompose.lower timer"; exit 1; }; \
 	grep -q '"dag.build"' "$$out" \
 		|| { echo "profile-smoke: missing dag.build timer"; exit 1; }; \
+	grep -q '"coupling.build"' "$$out" \
+		|| { echo "profile-smoke: missing coupling.build timer"; exit 1; }; \
 	grep -q '"traceEvents"' "$$trace" \
 		|| { echo "profile-smoke: missing traceEvents"; exit 1; }; \
 	if command -v jq >/dev/null 2>&1; then \

@@ -767,6 +767,10 @@ let profile_cmd =
         Printf.eprintf "cannot write trace: %s\n" msg;
         exit 2
     end);
+    List.iter
+      (fun (i, circuit, msg) ->
+        Printf.eprintf "profile: job %d (%s): %s\n" i circuit msg)
+      report.Qec_obs.Profile.errors;
     if report.Qec_obs.Profile.jobs_failed > 0 then exit 1
   in
   let target_arg =

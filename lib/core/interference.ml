@@ -165,6 +165,24 @@ let max_degree t =
   done;
   !best
 
+let max_degree_index t areas =
+  let best = ref (-1) and best_deg = ref (-1) in
+  for i = 0 to Array.length t.tasks - 1 do
+    if t.present.(i) then begin
+      let d = t.deg.(i) and b = !best in
+      if
+        d > !best_deg
+        || d = !best_deg
+           && (areas.(i) > areas.(b)
+              || areas.(i) = areas.(b) && t.tasks.(i).Task.id < t.tasks.(b).Task.id)
+      then begin
+        best := i;
+        best_deg := d
+      end
+    end
+  done;
+  !best
+
 let max_degree_nodes t =
   if t.live = 0 then []
   else begin

@@ -58,6 +58,11 @@ val present_at : t -> int -> bool
 val degree_at : t -> int -> int
 (** Current degree of node [i]; 0 once removed. *)
 
+val max_degree_index : t -> int array -> int
+(** [max_degree_index t areas]: the present node of maximal degree, ties
+    going to the larger [areas.(i)], then to the lower task id; -1 when
+    empty. One pass over the nodes. *)
+
 val remove_at : t -> int -> unit
 (** {!remove} by dense index. Raises [Invalid_argument] if absent. *)
 

@@ -85,32 +85,18 @@ let planned_order_reference ?priority_of placement tasks =
 
 (* Peel max-degree (> 2) nodes onto the stack; ties prefer the largest
    bounding-box area, then the lowest gate id for determinism. Works on
-   dense indices into [arr] and returns them LIFO (head = last pushed). *)
-let peel_stack arr areas ig =
-  let stack = ref [] in
-  let continue = ref true in
-  while !continue do
-    let d = Interference.max_degree ig in
-    if d <= 2 then continue := false
+   dense indices and returns them LIFO (head = last pushed). *)
+let peel_stack areas ig =
+  let rec go stack =
+    let best = Interference.max_degree_index ig areas in
+    if best < 0 || Interference.degree_at ig best <= 2 then stack
     else begin
-      let best = ref (-1) in
-      Array.iteri
-        (fun i (t : Task.t) ->
-          if Interference.present_at ig i && Interference.degree_at ig i = d
-          then
-            let b = !best in
-            if
-              b < 0
-              || areas.(i) > areas.(b)
-              || (areas.(i) = areas.(b) && t.id < arr.(b).Task.id)
-            then best := i)
-        arr;
-      stack := !best :: !stack;
       Tel.count "stack_finder.stack_pushes";
-      Interference.remove_at ig !best
+      Interference.remove_at ig best;
+      go (best :: stack)
     end
-  done;
-  !stack
+  in
+  go []
 
 (* The round's routing order as indices into [arr]; [boxes.(i)] is the
    box of [arr.(i)], computed once by the caller. Peeling needs a node of
@@ -123,7 +109,7 @@ let plan_indices ?priority_of arr boxes =
     if n <= 3 then ([], List.init n Fun.id)
     else begin
       let ig = Interference.of_boxes arr boxes in
-      let stack = peel_stack arr areas ig in
+      let stack = peel_stack areas ig in
       (stack, List.filter (Interference.present_at ig) (List.init n Fun.id))
     end
   in

@@ -13,11 +13,12 @@ let cells placement t =
 
 let distance placement t = Qec_lattice.Placement.distance placement t.q1 t.q2
 
+(* Each task's distance once, then a stable sort on (distance, id) with
+   integer compares; equal keys keep their input order, as before. *)
 let shortest_first placement tasks =
-  List.sort
-    (fun a b ->
-      let da = distance placement a and db = distance placement b in
-      if da <> db then compare da db else compare a.id b.id)
-    tasks
+  List.map (fun t -> (distance placement t, t)) tasks
+  |> List.stable_sort (fun ((da : int), a) (db, b) ->
+         if da <> db then Int.compare da db else Int.compare a.id b.id)
+  |> List.map snd
 
 let pp ppf t = Format.fprintf ppf "cx#%d(q%d,q%d)" t.id t.q1 t.q2

@@ -31,8 +31,8 @@ type t = {
   mutable next_region : int;
   mutable session_start : int; (* first label of the current session *)
   mutable session_epoch : int; (* occupancy epoch the session belongs to *)
-  l_keys : int array; (* dimension-ordered candidates, sorted by length *)
-  l_cands : int array;
+  l_len : int array; (* dimension-ordered: length per corner pair *)
+  l_runs : int array; (* dimension-ordered: free runs, -1 until counted *)
 }
 
 let create grid =
@@ -69,8 +69,8 @@ let create grid =
     next_region = 0;
     session_start = 0;
     session_epoch = 0;
-    l_keys = Array.make 32 0;
-    l_cands = Array.make 32 0;
+    l_len = Array.make 16 0;
+    l_runs = Array.make 32 (-1);
   }
 
 let grid t = t.grid
@@ -453,78 +453,118 @@ let rec line acc first last step =
   if last = first then first :: acc
   else line (last :: acc) first (last - step) step
 
-let rec line_free occ first last step =
-  Occupancy.is_free occ first
-  && (first = last || line_free occ (first + step) last step)
+(* Free vertices from [v] on, [step] apart, counting at most [cap]. *)
+let free_run claimed v step cap =
+  let k = ref 0 in
+  while !k < cap && Bytes.get claimed (v + (!k * step)) = '\000' do
+    incr k
+  done;
+  !k
+
+(* Is a dimension-ordered leg free? The leg is the [need] vertices from
+   corner vertex [v], at coordinate [c] on the leg's axis, toward the
+   other cell, whose top-left coordinate on that axis is [o]; an odd
+   memo [slot] walks down the axis ([-step]). The corner's free run in
+   that direction is counted once per call of [route_dimension_ordered],
+   in [slot], capped at the farther of the other cell's two corner lines:
+   no leg from this corner in that direction is longer, and the run never
+   leaves the grid. *)
+let leg_free t claimed slot v c o step need =
+  let r = t.l_runs.(slot) in
+  let r =
+    if r >= 0 then r
+    else begin
+      let r =
+        if slot land 1 = 1 then free_run claimed v (-step) (c - o + 1)
+        else free_run claimed v step (o + 2 - c)
+      in
+      t.l_runs.(slot) <- r;
+      r
+    end
+  in
+  r >= need
 
 (* Dimension-ordered routing without candidate lists. Corner k of a cell
-   is its base vertex plus (k land 1) columns and (k lsr 1) rows, the
-   order of [Grid.cell_corners]. A candidate is encoded as
-   (pair * 2 + bend): pair = source corner * 4 + target corner, bend 0
-   runs along the source row first (also the straight and single-vertex
-   cases), bend 1 along the source column first. The candidates of the
-   16 corner pairs are inserted in pair order into [l_keys]/[l_cands],
-   insertion-sorted by path length; equal lengths keep insertion order,
-   so the first free candidate is the one a stable sort would pick. Only
-   the winner is built. *)
+   is its top-left vertex plus (k land 1) columns and (k lsr 1) rows, the
+   order of [Grid.cell_corners]; pair = source corner * 4 + target corner.
+   Bend 0 runs along the source row first (also the straight and
+   single-vertex cases), bend 1 along the source column first, which
+   exists only when the corners share neither row nor column. Candidates
+   are visited by length, then pair, then bend: each length from the
+   shortest to the longest of the 16 pair lengths, the pairs of that
+   length in pair order, the order a stable sort by length gives. A
+   candidate is free iff its first leg (source corner to the bend) and
+   its second (target corner back to the bend) are, so each test is two
+   lookups of memoised corner runs ([leg_free]): memo slots 0-15 hold the
+   source corners', 16-31 the target corners', 4 per corner (x up, x
+   down, y up, y down). Only the winner is built. *)
 let route_dimension_ordered t occ ~src_cell ~dst_cell =
   if src_cell = dst_cell then
     invalid_arg "Router.route_dimension_ordered: same cell";
   if Occupancy.grid occ != t.grid then
     invalid_arg "Router.route_dimension_ordered: occupancy grid mismatch";
-  let vside = t.vside and vx = t.vx and vy = t.vy and l = t.vside - 1 in
-  (* The top-left corners; the only divisions of the call. *)
-  let src0 = (src_cell / l * vside) + (src_cell mod l)
-  and dst0 = (dst_cell / l * vside) + (dst_cell mod l) in
-  let corner base k = base + (k land 1) + ((k lsr 1) * vside) in
-  let n = ref 0 in
-  let add key cand =
-    let p = ref !n in
-    while !p > 0 && t.l_keys.(!p - 1) > key do
-      t.l_keys.(!p) <- t.l_keys.(!p - 1);
-      t.l_cands.(!p) <- t.l_cands.(!p - 1);
-      decr p
-    done;
-    t.l_keys.(!p) <- key;
-    t.l_cands.(!p) <- cand;
-    incr n
-  in
-  for i = 0 to 3 do
-    let a = corner src0 i in
-    for j = 0 to 3 do
-      let b = corner dst0 j in
-      let pair = (i * 4) + j in
-      let dx = vx.(b) - vx.(a) and dy = vy.(b) - vy.(a) in
-      let len = abs dx + abs dy + 1 in
-      add len (pair * 2);
-      if dx <> 0 && dy <> 0 then add len ((pair * 2) + 1)
-    done
+  let claimed = Occupancy.claimed_map occ in
+  let vside = t.vside and l = t.vside - 1 and len = t.l_len in
+  (* The cells' top-left coordinates; the only divisions of the call. *)
+  let sx = src_cell mod l and sy = src_cell / l
+  and tx = dst_cell mod l and ty = dst_cell / l in
+  Array.fill t.l_runs 0 32 (-1);
+  let shortest = ref max_int and longest = ref 0 in
+  for pair = 0 to 15 do
+    let i = pair lsr 2 and j = pair land 3 in
+    let n =
+      abs (tx + (j land 1) - sx - (i land 1))
+      + abs (ty + (j lsr 1) - sy - (i lsr 1))
+      + 1
+    in
+    len.(pair) <- n;
+    if n < !shortest then shortest := n;
+    if n > !longest then longest := n
   done;
-  (* Geometry of candidate [c]: its endpoints, bend vertex, and the steps
-     of its first and second legs. *)
-  let geometry c =
-    let pair = c lsr 1 in
-    let a = corner src0 (pair lsr 2) and b = corner dst0 (pair land 3) in
-    let ax = vx.(a) and ay = vy.(a) and bx = vx.(b) and by = vy.(b) in
-    let sx = if bx >= ax then 1 else -1
-    and sy = if by >= ay then vside else -vside in
-    if c land 1 = 0 then (a, (ay * vside) + bx, b, sx, sy)
-    else (a, (by * vside) + ax, b, sy, sx)
+  (* The first free candidate of length [n], as pair * 2 + bend, or -1. *)
+  let rec at_length n pair =
+    if pair > 15 then -1
+    else if len.(pair) <> n then at_length n (pair + 1)
+    else begin
+      let i = pair lsr 2 and j = pair land 3 in
+      let ax = sx + (i land 1) and ay = sy + (i lsr 1)
+      and bx = tx + (j land 1) and by = ty + (j lsr 1) in
+      let a = (ay * vside) + ax and b = (by * vside) + bx in
+      let dx = bx - ax and dy = by - ay in
+      let nx = abs dx + 1 and ny = abs dy + 1 in
+      if
+        leg_free t claimed ((i * 4) + Bool.to_int (dx < 0)) a ax tx 1 nx
+        && leg_free t claimed
+             (16 + (j * 4) + 2 + Bool.to_int (dy >= 0))
+             b by sy vside ny
+      then pair * 2
+      else if
+        dx <> 0 && dy <> 0
+        && leg_free t claimed ((i * 4) + 2 + Bool.to_int (dy < 0)) a ay ty vside ny
+        && leg_free t claimed (16 + (j * 4) + Bool.to_int (dx >= 0)) b bx sx 1 nx
+      then (pair * 2) + 1
+      else at_length n (pair + 1)
+    end
   in
-  let free c =
-    let a, bend, b, s1, s2 = geometry c in
-    line_free occ a bend s1 && line_free occ bend b s2
-  in
-  let rec first k =
-    if k >= !n then -1
-    else if free t.l_cands.(k) then t.l_cands.(k)
-    else first (k + 1)
+  let rec first n =
+    if n > !longest then -1
+    else match at_length n 0 with -1 -> first (n + 1) | c -> c
   in
   let result =
-    match first 0 with
+    match first !shortest with
     | -1 -> None
     | c ->
-      let a, bend, b, s1, s2 = geometry c in
+      let pair = c lsr 1 in
+      let i = pair lsr 2 and j = pair land 3 in
+      let ax = sx + (i land 1) and ay = sy + (i lsr 1)
+      and bx = tx + (j land 1) and by = ty + (j lsr 1) in
+      let a = (ay * vside) + ax and b = (by * vside) + bx in
+      let stx = if bx >= ax then 1 else -1
+      and sty = if by >= ay then vside else -vside in
+      let bend, s1, s2 =
+        if c land 1 = 0 then ((ay * vside) + bx, stx, sty)
+        else ((by * vside) + ax, sty, stx)
+      in
       let second = if bend = b then [] else line [] (bend + s2) b s2 in
       Some (Path.of_vertices t.grid (line second a bend s1))
   in

@@ -104,7 +104,14 @@ val route_dimension_ordered :
     then in corner-pair order, x-first before y-first; built only for
     the winner). No detours — this is how the MICRO'17
     braidflash baseline routes, and why it stalls under congestion while
-    an A* searcher finds a way around. Raises like {!route}. *)
+    an A* searcher finds a way around. Raises like {!route}.
+
+    Nothing is sorted: the candidates are visited length by length from
+    the 16 corner-pair lengths. Each corner's run of free vertices toward
+    the other cell is counted at most once per call per direction, capped
+    at the longest leg it can serve, and a candidate is free iff the
+    source corner's run covers its first leg and the target corner's run
+    covers its second, so each test is O(1). *)
 
 val route_dimension_ordered_and_reserve :
   t -> Occupancy.t -> src_cell:int -> dst_cell:int -> Path.t option

@@ -21,6 +21,7 @@ type t = {
   specs : int;
   jobs_ok : int;
   jobs_failed : int;
+  errors : (int * string * string) list;
   wall : stats;
   phases : phase_row list;
   timers : timer_row list;
@@ -36,6 +37,15 @@ let stats_of = function
       p95_s = Stats.percentile 95. xs;
     }
 
+(* The failed jobs of one run as (index, circuit, engine message). *)
+let failures jobs =
+  List.filter_map
+    (fun (j : Qec_engine.Engine.job) ->
+      match j.outcome with
+      | Ok _ -> None
+      | Error e -> Some (j.index, j.spec.circuit, e.message))
+    jobs
+
 let run ?jobs ~repeat specs =
   let repeat = max 1 repeat in
   let jobs =
@@ -47,13 +57,16 @@ let run ?jobs ~repeat specs =
     List.init repeat (fun _ ->
         let c = Col.create () in
         let t0 = Unix.gettimeofday () in
-        ignore
-          (Tel.with_sink (Col.sink c) (fun () ->
-               Qec_engine.Engine.run_batch ~jobs specs));
-        (Unix.gettimeofday () -. t0, c))
+        let failed =
+          failures
+            (Tel.with_sink (Col.sink c) (fun () ->
+                 Qec_engine.Engine.run_batch ~jobs specs))
+        in
+        (Unix.gettimeofday () -. t0, c, failed))
   in
-  let walls = List.map fst measured in
-  let collectors = List.map snd measured in
+  let walls = List.map (fun (w, _, _) -> w) measured in
+  let collectors = List.map (fun (_, c, _) -> c) measured in
+  let _, _, errors = List.nth measured (repeat - 1) in
   let per_run = List.map Col.phases collectors in
   (* Union of phase names across runs, each with per-run total/self series
      (a phase absent from a run simply contributes no sample). *)
@@ -105,6 +118,7 @@ let run ?jobs ~repeat specs =
       specs = List.length specs;
       jobs_ok = Col.counter last "engine.jobs_ok";
       jobs_failed = Col.counter last "engine.jobs_failed";
+      errors;
       wall = stats_of walls;
       phases;
       timers;

@@ -25,6 +25,9 @@ type t = {
   specs : int;
   jobs_ok : int;  (** from the last run *)
   jobs_failed : int;  (** from the last run *)
+  errors : (int * string * string) list;
+      (** the last run's failed jobs as [(index, circuit, engine message)],
+          in input order *)
   wall : stats;  (** end-to-end wall time per run *)
   phases : phase_row list;  (** sorted by phase name *)
   timers : timer_row list;  (** sorted by timer name *)

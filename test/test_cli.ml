@@ -611,6 +611,20 @@ let test_profile_invalid_spec () =
       ("-d 0", "distance 0 out of range");
     ]
 
+(* A manifest job the engine rejects is a failed job, not an unusable
+   target: `profile` runs the rest, exits 1 and names the job and the
+   engine's message on stderr. *)
+let test_profile_failed_job () =
+  with_manifest {|[{"circuit": "qft9", "d": 0}, {"circuit": "qft9"}]|}
+    (fun manifest ->
+      let code, out =
+        run (Printf.sprintf "profile %s --repeat 1" (Filename.quote manifest))
+      in
+      check_int "exit 1" 1 code;
+      check_bool "counts" true (contains out "1 ok, 1 failed");
+      check_bool "names the job" true
+        (contains out "profile: job 0 (qft9): distance 0 out of range"))
+
 (* -d 0 is the engine's to reject: every compiling command exits 1 with
    its message, none with an uncaught exception from building a timing
    model first. *)
@@ -694,5 +708,7 @@ let () =
             test_profile_unknown_circuit;
           Alcotest.test_case "profile invalid spec" `Quick
             test_profile_invalid_spec;
+          Alcotest.test_case "profile failed job" `Quick
+            test_profile_failed_job;
         ] );
     ]

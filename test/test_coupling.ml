@@ -111,6 +111,152 @@ let prop_weight_symmetric =
             (List.init 8 (fun i -> i)))
         (List.init 8 (fun i -> i)))
 
+(* Differential check against a naive per-pair table built here: random
+   circuits over every multi-qubit gate kind, with repeated and reversed
+   pairs and isolated qubits. Half the cases couple qubits only along a
+   shuffled path (closed into a ring at random), so [chain_order] is
+   compared on degree-two graphs too. *)
+let random_coupling_circuit =
+  let open QCheck.Gen in
+  let* n = int_range 1 10 in
+  let two_qubit a b =
+    let* a, b = oneofl [ (a, b); (b, a) ] in
+    oneofl [ G.Cx (a, b); G.Cz (a, b); G.Cphase (a, b, 0.5); G.Swap (a, b) ]
+  in
+  let distinct k =
+    map
+      (List.filteri (fun i _ -> i < k))
+      (shuffle_l (List.init n Fun.id))
+  in
+  let any_gate =
+    let* k = int_range 1 (min n 6) in
+    let* qs = distinct k in
+    let* barrier = frequencyl [ (1, true); (5, false) ] in
+    match qs with
+    | _ when barrier -> return (G.Barrier qs)
+    | [ a; b ] -> two_qubit a b
+    | [ a; b; c ] -> return (G.Ccx (a, b, c))
+    | t :: (_ :: _ :: _ :: _ as cs) -> return (G.Mcx (cs, t))
+    | q :: _ -> oneofl [ G.H q; G.T q; G.Measure q ]
+    | [] -> return (G.Barrier [])
+  in
+  let path_gates =
+    let* perm = shuffle_l (List.init n Fun.id) in
+    let* used = int_range 0 n in
+    let* ring = bool in
+    let perm = List.filteri (fun i _ -> i < used) perm in
+    let links =
+      List.filteri (fun i _ -> i > 0) perm
+      |> List.mapi (fun i b -> (List.nth perm i, b))
+    in
+    let links =
+      match (ring, perm) with
+      | true, first :: _ :: _ :: _ -> (List.nth perm (used - 1), first) :: links
+      | _ -> links
+    in
+    let* reps = list_repeat (List.length links) (int_range 1 3) in
+    let* gates =
+      flatten_l
+        (List.concat
+           (List.map2
+              (fun (a, b) r -> List.init r (fun _ -> two_qubit a b))
+              links reps))
+    in
+    shuffle_l gates
+  in
+  let+ gates =
+    frequency [ (1, list_size (int_range 0 25) any_gate); (1, path_gates) ]
+  in
+  C.create ~num_qubits:n gates
+
+let naive_pairs c =
+  let tbl = Hashtbl.create 16 in
+  let bump a b =
+    let key = (min a b, max a b) in
+    Hashtbl.replace tbl key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+  in
+  Array.iter
+    (fun g ->
+      match g with
+      | G.Barrier _ -> ()
+      | _ ->
+        let qs = G.qubits g in
+        List.iteri
+          (fun i a -> List.iteri (fun j b -> if i < j then bump a b) qs)
+          qs)
+    (C.gates c);
+  tbl
+
+(* The chain walk of [Coupling.chain_order], over the naive neighbours. *)
+let naive_chain_order n nbrs =
+  if List.exists (fun q -> List.length (nbrs q) > 2) (List.init n Fun.id) then
+    None
+  else begin
+    let visited = Array.make n false and order = ref [] in
+    let emit q =
+      visited.(q) <- true;
+      order := q :: !order
+    in
+    let rec walk q =
+      emit q;
+      match List.find_opt (fun (nb, _) -> not visited.(nb)) (nbrs q) with
+      | Some (nb, _) -> walk nb
+      | None -> ()
+    in
+    for q = 0 to n - 1 do
+      if (not visited.(q)) && List.length (nbrs q) = 1 then walk q
+    done;
+    for q = 0 to n - 1 do
+      if (not visited.(q)) && nbrs q <> [] then walk q
+    done;
+    for q = 0 to n - 1 do
+      if not visited.(q) then emit q
+    done;
+    Some (List.rev !order)
+  end
+
+let prop_matches_naive =
+  QCheck.Test.make ~name:"coupling graph = naive per-pair table" ~count:1000
+    (QCheck.make
+       ~print:(fun c ->
+         String.concat "; " (Array.to_list (Array.map G.to_string (C.gates c))))
+       random_coupling_circuit)
+    (fun c ->
+      let n = C.num_qubits c and k = K.of_circuit c in
+      let tbl = naive_pairs c in
+      let edges =
+        Hashtbl.fold (fun (a, b) w acc -> (a, b, w) :: acc) tbl []
+        |> List.sort compare
+      in
+      let nbrs q =
+        List.filter_map
+          (fun (a, b, w) ->
+            if a = q then Some (b, w) else if b = q then Some (a, w) else None)
+          edges
+        |> List.sort compare
+      in
+      let qubits = List.init n Fun.id in
+      let pairs = n * (n - 1) / 2 in
+      K.edges k = edges
+      && List.for_all (fun q -> K.neighbors k q = nbrs q) qubits
+      && List.for_all
+           (fun a ->
+             List.for_all
+               (fun b ->
+                 K.weight k a b
+                 = Option.value ~default:0
+                     (Hashtbl.find_opt tbl (min a b, max a b)))
+               qubits)
+           qubits
+      && K.total_weight k = List.fold_left (fun s (_, _, w) -> s + w) 0 edges
+      && K.density k
+         = (if n < 2 then 0.
+            else float_of_int (List.length edges) /. float_of_int pairs)
+      && K.max_degree k
+         = List.fold_left (fun d q -> max d (List.length (nbrs q))) 0 qubits
+      && K.chain_order k = naive_chain_order n nbrs)
+
 let () =
   Alcotest.run "coupling"
     [
@@ -127,5 +273,6 @@ let () =
           Alcotest.test_case "chain order (star)" `Quick test_chain_order_star_none;
           Alcotest.test_case "chain order (isolated)" `Quick test_chain_order_isolated;
           QCheck_alcotest.to_alcotest prop_weight_symmetric;
+          QCheck_alcotest.to_alcotest prop_matches_naive;
         ] );
     ]

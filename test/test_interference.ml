@@ -194,7 +194,8 @@ let prop_matches_legacy =
            removals)
 
 (* The dense-index API over [of_boxes] (what the stack finder's peel
-   uses) tracks the legacy graph under removals. Tasks are given in
+   uses, [max_degree_index] included) tracks the legacy graph under
+   removals. Tasks are given in
    reverse id order so that a node's index is not its id. *)
 let prop_index_api_matches_legacy =
   QCheck.Test.make ~name:"of_boxes + index API = legacy graph" ~count:200
@@ -213,10 +214,25 @@ let prop_index_api_matches_legacy =
       let p = placement_at 8 flat in
       let k = List.length coords in
       let arr = Array.of_list (List.rev (tasks k)) in
-      let ig = I.of_boxes arr (Array.map (Task.bbox p) arr) in
+      let boxes = Array.map (Task.bbox p) arr in
+      let areas = Array.map Qec_lattice.Bbox.area boxes in
+      let ig = I.of_boxes arr boxes in
       let lg = I.Legacy.build p (tasks k) in
+      (* The peel's pick: of the max-degree nodes (ascending by id), the
+         first of the largest area. Node [j] is task [k - 1 - j]. *)
+      let peel_pick () =
+        match I.Legacy.max_degree_nodes lg with
+        | [] -> -1
+        | first :: _ as ts ->
+          let area (t : Task.t) = areas.(k - 1 - t.id) in
+          let best =
+            List.fold_left (fun b t -> if area t > area b then t else b) first ts
+          in
+          k - 1 - best.id
+      in
       let same () =
         I.max_degree ig = I.Legacy.max_degree lg
+        && I.max_degree_index ig areas = peel_pick ()
         && Array.for_all Fun.id
              (Array.mapi
                 (fun j (t : Task.t) ->

@@ -189,6 +189,7 @@ let test_profile_report () =
   Alcotest.(check int) "runs" 2 p.runs;
   Alcotest.(check int) "jobs_ok" 1 p.jobs_ok;
   Alcotest.(check int) "jobs_failed" 0 p.jobs_failed;
+  Alcotest.(check bool) "no errors" true (p.errors = []);
   Alcotest.(check bool) "has phases" true (p.phases <> []);
   let names = List.map (fun r -> r.phase) p.phases in
   Alcotest.(check (list string)) "phases sorted" (List.sort compare names)

@@ -624,7 +624,8 @@ let prop_ops_match_reference =
    x-first then the y-first single-bend staircase (one candidate when the
    corners share a row or column), stable-sorted by length; the first
    candidate whose vertices are all free wins. *)
-let dimension_ordered_spec occ src dst =
+let dimension_ordered_spec ?(g = grid) occ src dst =
+  let vid x y = Grid.vertex_id g ~x ~y in
   let line (x1, y1) (x2, y2) =
     if x1 = x2 then
       let s = if y2 >= y1 then 1 else -1 in
@@ -634,8 +635,8 @@ let dimension_ordered_spec occ src dst =
       List.init (abs (x2 - x1) + 1) (fun i -> vid (x1 + (i * s)) y1)
   in
   let candidates a b =
-    let (ax, ay) as pa = Grid.vertex_xy grid a
-    and (bx, by) as pb = Grid.vertex_xy grid b in
+    let (ax, ay) as pa = Grid.vertex_xy g a
+    and (bx, by) as pb = Grid.vertex_xy g b in
     if a = b then [ [ a ] ]
     else if ax = bx || ay = by then [ line pa pb ]
     else
@@ -646,8 +647,8 @@ let dimension_ordered_spec occ src dst =
     List.concat_map
       (fun a ->
         List.concat_map (candidates a)
-          (Array.to_list (Grid.cell_corners grid dst)))
-      (Array.to_list (Grid.cell_corners grid src))
+          (Array.to_list (Grid.cell_corners g dst)))
+      (Array.to_list (Grid.cell_corners g src))
   in
   List.stable_sort (fun p q -> compare (List.length p) (List.length q)) all
   |> List.find_opt (List.for_all (Occupancy.is_free occ))
@@ -668,6 +669,63 @@ let prop_dimension_ordered_spec =
         blocked;
       verts (Router.route_dimension_ordered router occ ~src_cell:src ~dst_cell:dst)
       = dimension_ordered_spec occ src dst)
+
+(* The same specification on a 12x12 lattice, biased toward the cases
+   where the router's free-run caps and step signs matter: cells on the
+   lattice's edges; target in the source's row or column, or within one
+   cell of it, so that dx or dy lies in {-1, 0, 1} for some corner pairs
+   and its sign differs between pairs; and blocking up to 80% of the
+   vertices. *)
+let big_grid = Grid.create 12
+let big_router = Router.create big_grid
+
+let biased_dimension_case =
+  let open QCheck.Gen in
+  let last = Grid.side big_grid - 1 in
+  let coord =
+    frequency [ (1, return 0); (1, return last); (3, int_bound last) ]
+  in
+  let near c = map (fun d -> max 0 (min last (c + d))) (int_range (-1) 1) in
+  let* sx = coord and* sy = coord in
+  let* tx, ty =
+    frequency
+      [
+        (2, pair coord coord);
+        (2, map (fun y -> (sx, y)) coord);
+        (2, map (fun x -> (x, sy)) coord);
+        (3, pair (near sx) (near sy));
+        (2, pair (near sx) coord);
+        (2, pair coord (near sy));
+      ]
+  in
+  let* density = oneofl [ 0.; 0.1; 0.3; 0.5; 0.8 ] in
+  let+ rolls =
+    list_repeat (Grid.num_vertices big_grid) (float_bound_exclusive 1.)
+  in
+  let blocked =
+    List.concat (List.mapi (fun v r -> if r < density then [ v ] else []) rolls)
+  in
+  ( Grid.cell_id big_grid ~x:sx ~y:sy,
+    Grid.cell_id big_grid ~x:tx ~y:ty,
+    blocked )
+
+let prop_dimension_ordered_spec_biased =
+  QCheck.Test.make
+    ~name:"dimension-ordered route = list specification (12x12, biased)"
+    ~count:1500
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int (list int))
+       biased_dimension_case)
+    (fun (src, dst, blocked) ->
+      QCheck.assume (src <> dst);
+      let occ = Occupancy.create big_grid in
+      List.iter
+        (fun v -> Occupancy.reserve_path occ (Path.of_vertices big_grid [ v ]))
+        blocked;
+      verts
+        (Router.route_dimension_ordered big_router occ ~src_cell:src
+           ~dst_cell:dst)
+      = dimension_ordered_spec ~g:big_grid occ src dst)
 
 let () =
   Alcotest.run "router"
@@ -713,5 +771,6 @@ let () =
           Alcotest.test_case "bend" `Quick test_dimension_ordered_bend;
           Alcotest.test_case "stalls where A* detours" `Quick test_dimension_ordered_stalls;
           QCheck_alcotest.to_alcotest prop_dimension_ordered_spec;
+          QCheck_alcotest.to_alcotest prop_dimension_ordered_spec_biased;
         ] );
     ]
