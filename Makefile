@@ -182,6 +182,8 @@ profile-smoke: build
 		|| { echo "profile-smoke: missing dag.build timer"; exit 1; }; \
 	grep -q '"coupling.build"' "$$out" \
 		|| { echo "profile-smoke: missing coupling.build timer"; exit 1; }; \
+	grep -q '"initial_layout.anneal"' "$$out" \
+		|| { echo "profile-smoke: missing initial_layout.anneal timer"; exit 1; }; \
 	grep -q '"traceEvents"' "$$trace" \
 		|| { echo "profile-smoke: missing traceEvents"; exit 1; }; \
 	if command -v jq >/dev/null 2>&1; then \

@@ -1,39 +1,62 @@
 module Circuit = Qec_circuit.Circuit
 module Dag = Qec_circuit.Dag
 module Coupling = Qec_circuit.Coupling
+module Gate = Qec_circuit.Gate
 module Grid = Qec_lattice.Grid
 module Placement = Qec_lattice.Placement
 module Tel = Qec_telemetry.Telemetry
 
 type method_ = Identity | Bisected | Partitioned | Annealed
 
-(* Two-qubit tasks of each ASAP layer, subsampled to at most [sample_layers]
-   (evenly spaced) to bound the census cost on deep circuits. *)
+(* Two-qubit tasks of at most [sample_layers] evenly spaced ASAP levels,
+   among the levels holding at least two: level [i * k / sample_layers]
+   of the [k] such levels, or all of them when [k <= sample_layers].
+   One pass counts the two-qubit gates at each level; tasks are built for
+   the sampled levels only, ascending by gate id. *)
 let layer_tasks ~sample_layers ?dag circuit =
   let dag =
     match dag with Some d -> d | None -> Dag.of_circuit circuit
   in
-  let layers = Dag.layers dag in
-  let task_layers =
-    Array.to_list layers
-    |> List.filter_map (fun ids ->
-           let tasks =
-             List.filter_map
-               (fun i -> Task.of_gate i (Circuit.gate circuit i))
-               ids
-           in
-           if List.length tasks >= 2 then Some tasks else None)
+  let levels = Dag.asap_levels dag in
+  let gates = Circuit.gates circuit in
+  let depth =
+    Array.fold_left (fun d l -> if l < d then d else l + 1) 0 levels
   in
-  let k = List.length task_layers in
-  if k <= sample_layers then Array.of_list task_layers
-  else begin
-    let arr = Array.of_list task_layers in
-    Array.init sample_layers (fun i -> arr.(i * k / sample_layers))
-  end
+  let count = Array.make depth 0 in
+  Array.iteri
+    (fun i g ->
+      if Gate.is_two_qubit g then
+        count.(levels.(i)) <- count.(levels.(i)) + 1)
+    gates;
+  let wide = Array.make depth 0 and k = ref 0 in
+  Array.iteri
+    (fun l c ->
+      if c >= 2 then begin
+        wide.(!k) <- l;
+        incr k
+      end)
+    count;
+  let k = !k in
+  let picked =
+    if k <= sample_layers then Array.sub wide 0 k
+    else Array.init sample_layers (fun i -> wide.(i * k / sample_layers))
+  in
+  (* slot.(l): level l's index in [picked], or -1 *)
+  let slot = Array.make depth (-1) in
+  Array.iteri (fun j l -> slot.(l) <- j) picked;
+  let out = Array.make (Array.length picked) [] in
+  for i = Array.length gates - 1 downto 0 do
+    let j = slot.(levels.(i)) in
+    if j >= 0 then
+      match Task.of_gate i gates.(i) with
+      | Some t -> out.(j) <- t :: out.(j)
+      | None -> ()
+  done;
+  Array.map Array.of_list out
 
 let census_of_layers placement layers =
   Array.fold_left
-    (fun acc tasks -> acc + Llg.count_oversize placement tasks)
+    (fun acc tasks -> acc + Llg.count_oversize_array placement tasks)
     0 layers
 
 let oversize_census circuit placement =
@@ -47,62 +70,75 @@ let anneal ~rng ~iters placement layers =
   let n = Placement.num_qubits placement in
   if n >= 2 && Array.length layers > 0 then begin
     let nl = Array.length layers in
-    let layer_count = Array.make nl 0 in
-    for i = 0 to nl - 1 do
-      layer_count.(i) <- Llg.count_oversize placement layers.(i)
+    let layer_count = Array.map (Llg.count_oversize_array placement) layers in
+    let census_layers = ref nl in
+    (* Per qubit: the layers it has a task in, ascending (an ASAP level
+       holds at most one gate per qubit), and the other operand of each
+       of its tasks. *)
+    let layers_of = Array.make n [] and partners = Array.make n [] in
+    let add li q p =
+      layers_of.(q) <- li :: layers_of.(q);
+      partners.(q) <- p :: partners.(q)
+    in
+    for li = nl - 1 downto 0 do
+      Array.iter
+        (fun (t : Task.t) ->
+          add li t.q1 t.q2;
+          add li t.q2 t.q1)
+        layers.(li)
     done;
-    let layers_of_qubit = Hashtbl.create (n * 2) in
-    Array.iteri
-      (fun li tasks ->
-        List.iter
-          (fun (t : Task.t) ->
-            Hashtbl.add layers_of_qubit t.q1 li;
-            Hashtbl.add layers_of_qubit t.q2 li)
-          tasks)
-      layers;
+    let layers_of = Array.map Array.of_list layers_of in
+    let partners = Array.map Array.of_list partners in
+    (* The layers touching [a] or [b]: a merge of their ascending arrays
+       into [touched]; returns how many. *)
+    let touched = Array.make nl 0 and after = Array.make nl 0 in
     let affected a b =
-      List.sort_uniq compare
-        (Hashtbl.find_all layers_of_qubit a @ Hashtbl.find_all layers_of_qubit b)
+      let la = layers_of.(a) and lb = layers_of.(b) in
+      let na = Array.length la and nb = Array.length lb in
+      let i = ref 0 and j = ref 0 and k = ref 0 in
+      while !i < na || !j < nb do
+        if !j >= nb || (!i < na && la.(!i) <= lb.(!j)) then begin
+          if !j < nb && lb.(!j) = la.(!i) then incr j;
+          touched.(!k) <- la.(!i);
+          incr i
+        end
+        else begin
+          touched.(!k) <- lb.(!j);
+          incr j
+        end;
+        incr k
+      done;
+      !k
     in
     (* Distance restricted to the swapped qubits' own tasks: a cheap,
-       local tie-breaker. *)
-    let tasks_of_qubit = Hashtbl.create (n * 2) in
-    Array.iter
-      (fun tasks ->
-        List.iter
-          (fun (t : Task.t) ->
-            Hashtbl.add tasks_of_qubit t.q1 t;
-            Hashtbl.add tasks_of_qubit t.q2 t)
-          tasks)
-      layers;
-    let local_distance a b =
-      List.fold_left
-        (fun acc t -> acc + Task.distance placement t)
-        0
-        (Hashtbl.find_all tasks_of_qubit a @ Hashtbl.find_all tasks_of_qubit b)
+       local tie-breaker. A task between [a] and [b] counts twice. *)
+    let xs = Placement.xs placement and ys = Placement.ys placement in
+    let own_distance q =
+      let ps = partners.(q) and d = ref 0 in
+      for k = 0 to Array.length ps - 1 do
+        let p = ps.(k) in
+        d := !d + abs (xs.(q) - xs.(p)) + abs (ys.(q) - ys.(p))
+      done;
+      !d
     in
+    let local_distance a b = own_distance a + own_distance b in
     (* Strict descent, per the paper: "keep swapping qubits until the
        number of k-LLG (k > 3) cannot be reduced anymore". A move is kept
        only if it reduces the census, or keeps it equal while shortening
        the swapped qubits' own interactions. Stop early once the census
        hits zero or proposals stop landing. *)
-    let total_census () = Array.fold_left ( + ) 0 layer_count in
+    let total = ref (Array.fold_left ( + ) 0 layer_count) in
     (* Targeted proposals: the first qubit of a swap is drawn from the
        members of current oversize groups, so most proposals can actually
-       change the census. The pool is refreshed after accepted moves. *)
+       change the census. The pool is refreshed after accepted moves; its
+       order is the table's, which the draws index into. *)
     let oversize_pool () =
       let pool = Hashtbl.create 64 in
       Array.iter
         (fun tasks ->
-          List.iter
-            (fun g ->
-              if Llg.size g > 3 then
-                List.iter
-                  (fun (t : Task.t) ->
-                    Hashtbl.replace pool t.q1 ();
-                    Hashtbl.replace pool t.q2 ())
-                  g.Llg.members)
-            (Llg.decompose placement tasks))
+          Llg.iter_oversize_members placement tasks (fun (t : Task.t) ->
+              Hashtbl.replace pool t.q1 ();
+              Hashtbl.replace pool t.q2 ()))
         layers;
       Array.of_seq (Hashtbl.to_seq_keys pool)
     in
@@ -110,7 +146,7 @@ let anneal ~rng ~iters placement layers =
     let stale = ref false in
     let rejections = ref 0 in
     let step = ref 0 in
-    while !step < iters && !rejections < 200 && total_census () > 0 do
+    while !step < iters && !rejections < 200 && !total > 0 do
       incr step;
       Tel.count "anneal.proposals";
       if !stale && !step mod 32 = 0 then begin
@@ -124,29 +160,32 @@ let anneal ~rng ~iters placement layers =
       in
       let b = Qec_util.Rng.int rng n in
       if a <> b then begin
-        let touched = affected a b in
-        if touched <> [] then begin
-          let before_census =
-            List.fold_left (fun acc li -> acc + layer_count.(li)) 0 touched
-          in
+        let nt = affected a b in
+        if nt > 0 then begin
+          let before_census = ref 0 in
+          for k = 0 to nt - 1 do
+            before_census := !before_census + layer_count.(touched.(k))
+          done;
           let before_dist = local_distance a b in
           Placement.swap_qubits placement a b;
-          let after_counts =
-            List.map
-              (fun li -> (li, Llg.count_oversize placement layers.(li)))
-              touched
-          in
-          let after_census =
-            List.fold_left (fun acc (_, c) -> acc + c) 0 after_counts
-          in
+          let after_census = ref 0 in
+          for k = 0 to nt - 1 do
+            after.(k) <-
+              Llg.count_oversize_array placement layers.(touched.(k));
+            after_census := !after_census + after.(k)
+          done;
+          census_layers := !census_layers + nt;
           let after_dist = local_distance a b in
           let accept =
-            after_census < before_census
-            || (after_census = before_census && after_dist < before_dist)
+            !after_census < !before_census
+            || (!after_census = !before_census && after_dist < before_dist)
           in
           if accept then begin
             Tel.count "anneal.accepted";
-            List.iter (fun (li, c) -> layer_count.(li) <- c) after_counts;
+            for k = 0 to nt - 1 do
+              layer_count.(touched.(k)) <- after.(k)
+            done;
+            total := !total - !before_census + !after_census;
             rejections := 0;
             stale := true
           end
@@ -162,7 +201,8 @@ let anneal ~rng ~iters placement layers =
         end
       end
     done;
-    Tel.gauge "anneal.final_census" (float_of_int (total_census ()))
+    Tel.count ~by:!census_layers "anneal.census_layers";
+    Tel.gauge "anneal.final_census" (float_of_int !total)
   end
 
 let place ?(seed = 23) ?coupling ?dag ~method_ circuit grid =
@@ -175,7 +215,8 @@ let place ?(seed = 23) ?coupling ?dag ~method_ circuit grid =
       | None -> Coupling.of_circuit circuit
     in
     Tel.with_span "embed" (fun () ->
-        Qec_partition.Embed.layout ~seed ~snake coupling grid)
+        Tel.timed "embed.layout" (fun () ->
+            Qec_partition.Embed.layout ~seed ~snake coupling grid))
   in
   match method_ with
   | Identity -> Placement.identity grid ~num_qubits:n
@@ -183,11 +224,7 @@ let place ?(seed = 23) ?coupling ?dag ~method_ circuit grid =
   | Partitioned -> embed ~snake:true
   | Annealed ->
     let placement = embed ~snake:true in
-    (* The anneal samples fewer layers than the reported census: the
-       O(front^2) group decomposition runs on every proposal. *)
-    let layers =
-      layer_tasks ~sample_layers:16 ?dag:(Option.map Lazy.force dag) circuit
-    in
+    let dag = Option.map Lazy.force dag in
     let iters =
       (* The census is O(front^2) per touched layer, so the budget
          shrinks for wide circuits to keep compile time in line with the
@@ -196,7 +233,12 @@ let place ?(seed = 23) ?coupling ?dag ~method_ circuit grid =
     in
     Tel.gauge "anneal.iters_budget" (float_of_int iters);
     (* The census-driven fine-tune is the static half of layout
-       optimization; Layout_opt.plan is the dynamic half. *)
+       optimization; Layout_opt.plan is the dynamic half. The anneal
+       samples fewer layers than the reported census: every proposal
+       recounts the layers it touches. *)
     Tel.with_span "layout_optimization" (fun () ->
-        anneal ~rng:(Qec_util.Rng.create (seed + 1)) ~iters placement layers);
+        Tel.timed "initial_layout.anneal" (fun () ->
+            let layers = layer_tasks ~sample_layers:16 ?dag circuit in
+            anneal ~rng:(Qec_util.Rng.create (seed + 1)) ~iters placement
+              layers));
     placement

@@ -11,7 +11,18 @@
     Theorem 2: so does an LLG of strictly nested gates of any size. The
     initial-placement fine-tune minimizes the number of groups that satisfy
     neither ("oversize" groups), which Table 1 shows correlates with
-    execution time. *)
+    execution time.
+
+    One partition kernel serves every entry point below. It inserts the
+    task boxes one at a time into a set of pairwise disjoint group boxes,
+    kept in per-domain scratch int arrays: a box absorbs every group its
+    growing joint box meets, until it meets none. Every merge is forced —
+    two groups whose boxes meet lie in one group of any partition with
+    pairwise disjoint joint boxes — and the groups are pairwise disjoint
+    once the last box is in, so the result is the finest such partition,
+    whatever the order of insertion. The census entry points read the
+    placement's cached qubit coordinates ({!Qec_lattice.Placement.xs})
+    and build no box, list or record. *)
 
 type group = private {
   members : Task.t list;  (** ascending by task id *)
@@ -44,3 +55,15 @@ val confinement : Qec_lattice.Bbox.t array -> Qec_lattice.Bbox.t option array
 val count_oversize : Qec_lattice.Placement.t -> Task.t list -> int
 (** Number of groups with size > 3 — the Table 1 statistic
     ("# of LLG's (size > 3)"). *)
+
+val count_oversize_array : Qec_lattice.Placement.t -> Task.t array -> int
+(** {!count_oversize} over an array of tasks: the anneal's census.
+    Allocates nothing. *)
+
+val iter_oversize_members :
+  Qec_lattice.Placement.t -> Task.t array -> (Task.t -> unit) -> unit
+(** [iter_oversize_members placement tasks f] calls [f] on every member
+    of every group of size > 3: groups in the order of their first task
+    in [tasks], each group's members in array order. That is
+    {!decompose}'s order when [tasks] ascend by id. Sorts and allocates
+    nothing; [f] must not call back into this module. *)

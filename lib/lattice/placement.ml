@@ -2,6 +2,8 @@ type t = {
   grid : Grid.t;
   qubit_cell : int array; (* qubit -> cell *)
   cell_qubit : int array; (* cell -> qubit, or -1 *)
+  xs : int array; (* qubit -> cell column *)
+  ys : int array; (* qubit -> cell row *)
 }
 
 let create grid ~num_qubits ~cells =
@@ -18,7 +20,14 @@ let create grid ~num_qubits ~cells =
         invalid_arg "Placement.create: duplicate cell assignment";
       cell_qubit.(c) <- q)
     cells;
-  { grid; qubit_cell = Array.copy cells; cell_qubit }
+  let l = Grid.side grid in
+  {
+    grid;
+    qubit_cell = Array.copy cells;
+    cell_qubit;
+    xs = Array.map (fun c -> c mod l) cells;
+    ys = Array.map (fun c -> c / l) cells;
+  }
 
 let identity grid ~num_qubits =
   create grid ~num_qubits ~cells:(Array.init num_qubits (fun q -> q))
@@ -61,6 +70,8 @@ let copy t =
     grid = t.grid;
     qubit_cell = Array.copy t.qubit_cell;
     cell_qubit = Array.copy t.cell_qubit;
+    xs = Array.copy t.xs;
+    ys = Array.copy t.ys;
   }
 
 let grid t = t.grid
@@ -76,7 +87,12 @@ let swap_qubits t a b =
   t.qubit_cell.(a) <- cb;
   t.qubit_cell.(b) <- ca;
   t.cell_qubit.(ca) <- b;
-  t.cell_qubit.(cb) <- a
+  t.cell_qubit.(cb) <- a;
+  let xa = t.xs.(a) and ya = t.ys.(a) in
+  t.xs.(a) <- t.xs.(b);
+  t.ys.(a) <- t.ys.(b);
+  t.xs.(b) <- xa;
+  t.ys.(b) <- ya
 
 let move_qubit t ~qubit ~cell =
   if t.cell_qubit.(cell) >= 0 then
@@ -84,14 +100,26 @@ let move_qubit t ~qubit ~cell =
   let old = t.qubit_cell.(qubit) in
   t.cell_qubit.(old) <- -1;
   t.qubit_cell.(qubit) <- cell;
-  t.cell_qubit.(cell) <- qubit
+  t.cell_qubit.(cell) <- qubit;
+  let x, y = Grid.cell_xy t.grid cell in
+  t.xs.(qubit) <- x;
+  t.ys.(qubit) <- y
 
-let qubit_cell_xy t q = Grid.cell_xy t.grid t.qubit_cell.(q)
+let xs t = t.xs
+let ys t = t.ys
+let qubit_cell_xy t q = (t.xs.(q), t.ys.(q))
 
 let distance t a b =
-  Grid.cell_distance t.grid t.qubit_cell.(a) t.qubit_cell.(b)
+  abs (t.xs.(a) - t.xs.(b)) + abs (t.ys.(a) - t.ys.(b))
 
-let cx_bbox t a b = Bbox.of_cells (qubit_cell_xy t a) (qubit_cell_xy t b)
+let cx_bbox t a b : Bbox.t =
+  let xa = t.xs.(a) and xb = t.xs.(b) and ya = t.ys.(a) and yb = t.ys.(b) in
+  {
+    x0 = (if xa < xb then xa else xb);
+    y0 = (if ya < yb then ya else yb);
+    x1 = (if xa < xb then xb else xa);
+    y1 = (if ya < yb then yb else ya);
+  }
 
 let to_array t = Array.copy t.qubit_cell
 

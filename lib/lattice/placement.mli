@@ -45,6 +45,18 @@ val move_qubit : t -> qubit:int -> cell:int -> unit
 val qubit_cell_xy : t -> int -> int * int
 (** Cell coordinates of a qubit's tile. *)
 
+val xs : t -> int array
+(** Each qubit's cell column, as the placement keeps it: [(xs t).(q)] is
+    the [x] of [Grid.cell_xy grid (cell_of_qubit t q)]. Not a copy, and
+    read-only for callers: {!swap_qubits} and {!move_qubit} update it in
+    place. {!qubit_cell_xy}, {!distance} and {!cx_bbox} read it, and so
+    does the LLG census loop of the core library, which reads it directly:
+    the library is compiled with [-opaque] in dune's default profile, so
+    a call per operand would run out of line, and [Grid.cell_xy] divides. *)
+
+val ys : t -> int array
+(** Each qubit's cell row, kept and shared like {!xs}. *)
+
 val distance : t -> int -> int -> int
 (** Manhattan cell distance between two qubits' tiles. *)
 

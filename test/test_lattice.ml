@@ -384,6 +384,97 @@ let test_placement_copy_equal () =
   check_bool "diverged" false (Placement.equal p q);
   check_int "original intact" 0 (Placement.cell_of_qubit p 0)
 
+(* The cached coordinates: after every swap and move, on placements built
+   by create, of_order and random, qubit_cell_xy, distance and cx_bbox
+   equal their definitions through Grid.cell_xy, and so do xs/ys.
+   Mutating a copy leaves the original's coordinates as they were. *)
+let coords_agree p =
+  let g = Placement.grid p in
+  let n = Placement.num_qubits p in
+  let cell = Placement.cell_of_qubit p in
+  let xy q = Grid.cell_xy g (cell q) in
+  let ok = ref true in
+  for a = 0 to n - 1 do
+    ok :=
+      !ok
+      && Placement.qubit_cell_xy p a = xy a
+      && ((Placement.xs p).(a), (Placement.ys p).(a)) = xy a;
+    for b = 0 to n - 1 do
+      ok :=
+        !ok
+        && Placement.distance p a b = Grid.cell_distance g (cell a) (cell b)
+        && Placement.cx_bbox p a b = Bbox.of_cells (xy a) (xy b)
+    done
+  done;
+  !ok
+
+(* Op (k, i, j): k = 0 swaps qubits i and j (mod n); k = 1 moves qubit i
+   to the j-th empty cell, when there is one. *)
+let apply_op p (k, i, j) =
+  let n = Placement.num_qubits p in
+  let cells = Grid.num_cells (Placement.grid p) in
+  if k = 0 then Placement.swap_qubits p (i mod n) (j mod n)
+  else
+    let empty =
+      List.filter
+        (fun c -> Placement.qubit_of_cell p c = None)
+        (List.init cells Fun.id)
+    in
+    if empty <> [] then
+      Placement.move_qubit p ~qubit:(i mod n)
+        ~cell:(List.nth empty (j mod List.length empty))
+
+let placement_ops_gen =
+  QCheck.Gen.(
+    let* kind = int_bound 2 in
+    let* side = int_range 1 6 in
+    let* n = int_range 1 (side * side) in
+    let* seed = int_bound 10_000 in
+    let op = triple (int_bound 1) (int_bound 99) (int_bound 99) in
+    let* ops = list_size (int_range 0 20) op in
+    let* copy_ops = list_size (int_range 1 8) op in
+    return (kind, side, n, seed, ops, copy_ops))
+
+let build_placement (kind, side, n, seed, _, _) =
+  let grid = Grid.create side in
+  let rng = Qec_util.Rng.create seed in
+  match kind with
+  | 0 ->
+    let cells =
+      Qec_util.Rng.sample_without_replacement rng n (Grid.num_cells grid)
+    in
+    Placement.create grid ~num_qubits:n ~cells:(Array.of_list cells)
+  | 1 ->
+    let order = Qec_util.Rng.sample_without_replacement rng n n in
+    Placement.of_order grid order
+  | _ -> Placement.random rng grid ~num_qubits:n
+
+let prop_placement_coords =
+  QCheck.Test.make ~name:"cached coordinates follow swaps, moves and copies"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (kind, side, n, seed, ops, copy_ops) ->
+         Printf.sprintf "kind %d side %d n %d seed %d, %d ops, %d copy ops"
+           kind side n seed (List.length ops) (List.length copy_ops))
+       placement_ops_gen)
+    (fun ((_, _, _, _, ops, copy_ops) as case) ->
+      let p = build_placement case in
+      let steps_ok =
+        coords_agree p
+        && List.for_all
+             (fun op ->
+               apply_op p op;
+               coords_agree p)
+             ops
+      in
+      let snapshot q =
+        List.init (Placement.num_qubits q) (Placement.qubit_cell_xy q)
+      in
+      let before = snapshot p in
+      let c = Placement.copy p in
+      List.iter (apply_op c) copy_ops;
+      steps_ok && coords_agree c && coords_agree p && snapshot p = before)
+
 let () =
   Alcotest.run "lattice"
     [
@@ -427,5 +518,6 @@ let () =
           Alcotest.test_case "random" `Quick test_placement_random_valid;
           Alcotest.test_case "bbox" `Quick test_placement_bbox;
           Alcotest.test_case "copy/equal" `Quick test_placement_copy_equal;
+          QCheck_alcotest.to_alcotest prop_placement_coords;
         ] );
     ]

@@ -11,6 +11,7 @@ module LO = Autobraid.Layout_opt
 module IL = Autobraid.Initial_layout
 module C = Qec_circuit.Circuit
 module G = Qec_circuit.Gate
+module Col = Qec_telemetry.Collector
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -205,6 +206,73 @@ let test_place_deterministic () =
   let p2 = IL.place ~seed:3 ~method_:IL.Annealed c g in
   check_bool "same seed, same layout" true (Placement.equal p1 p2)
 
+(* fixtures/golden_anneal.txt pins the annealed placement of the circuits
+   and fresh seeds the serve mix anneals, and the anneal's proposal
+   counts at QFT-400: a census or bookkeeping rewrite must keep every
+   accept/reject decision. Each circuit is lowered and placed on the
+   scheduler's lattice for its width, as Scheduler.prepare does. *)
+let anneal_fixture_path =
+  List.find Sys.file_exists
+    [ "../fixtures/golden_anneal.txt"; "fixtures/golden_anneal.txt" ]
+
+let anneal_circuits =
+  [ "qft50"; "qft100"; "qaoa64"; "lr32"; "im64"; "adder32"; "qpe32" ]
+let anneal_seeds = [ 11; 1001; 1002; 1003 ]
+
+let annealed ~seed name =
+  let c =
+    Qec_circuit.Decompose.to_scheduler_gates
+      (Qec_benchmarks.Registry.build name)
+  in
+  let side =
+    Qec_surface.Resources.lattice_side ~num_logical:(C.num_qubits c)
+  in
+  IL.place ~seed ~method_:IL.Annealed c (Grid.create side)
+
+let placement_md5 p =
+  Placement.to_array p |> Array.to_list |> List.map string_of_int
+  |> String.concat "," |> Digest.string |> Digest.to_hex
+
+let anneal_lines () =
+  let placements =
+    List.concat_map
+      (fun name ->
+        List.map
+          (fun seed ->
+            Printf.sprintf "placement %s %d %s" name seed
+              (placement_md5 (annealed ~seed name)))
+          anneal_seeds)
+      anneal_circuits
+  in
+  let col = Col.create () in
+  Qec_telemetry.Telemetry.with_sink (Col.sink col) (fun () ->
+      ignore (annealed ~seed:11 "qft400"));
+  let census =
+    match Col.gauge_opt col "anneal.final_census" with
+    | Some v -> int_of_float v
+    | None -> -1
+  in
+  placements
+  @ [
+      Printf.sprintf
+        "counts qft400 11 proposals %d accepted %d rejected %d final_census %d"
+        (Col.counter col "anneal.proposals")
+        (Col.counter col "anneal.accepted")
+        (Col.counter col "anneal.rejected")
+        census;
+    ]
+
+let test_anneal_golden () =
+  let fixture =
+    In_channel.with_open_text anneal_fixture_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let got = anneal_lines () in
+  if got <> fixture then
+    Alcotest.failf "annealed placements moved; this build computes:\n%s"
+      (String.concat "\n" got)
+
 let () =
   Alcotest.run "layout"
     [
@@ -230,5 +298,6 @@ let () =
           Alcotest.test_case "anneal no worse" `Quick test_annealed_no_worse_census;
           Alcotest.test_case "serial census zero" `Quick test_census_zero_for_serial;
           Alcotest.test_case "deterministic" `Quick test_place_deterministic;
+          Alcotest.test_case "golden anneal" `Quick test_anneal_golden;
         ] );
     ]

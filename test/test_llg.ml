@@ -167,12 +167,12 @@ let prop_partition =
       in
       List.sort compare ids = List.init k (fun i -> i))
 
-(* Differential: the flat fixpoint must equal the finest partition with
-   pairwise non-intersecting joint boxes, computed here the slow way
+(* Differential: the partition kernel must equal the finest partition
+   with pairwise non-intersecting joint boxes, computed here the slow way
    (merge any intersecting pair of groups until none is left), with
    members, boxes and group order unchanged. Tasks sit on distinct cells
    drawn from a shuffled 12x12 grid, up to 30 gates, so merges chain
-   through grown joint boxes over several sweeps. *)
+   through grown joint boxes. *)
 let distinct_tasks_gen =
   QCheck.Gen.(
     let* k = int_range 0 30 in
@@ -226,6 +226,138 @@ let prop_matches_reference =
       && Llg.count_oversize p ts
          = List.length (List.filter (fun g -> Llg.size g > 3) groups))
 
+(* The kernel at the scale of QFT-400's sampled layers: up to 200 tasks
+   drawn on a 20x20 grid. First come up to two nests of four concentric
+   boxes, each on a free 8x8 square whose other cells then stay free
+   (Theorem 2's case). Then two draws in three are short boxes anywhere,
+   as an annealed placement makes them. The rest are drawn against an
+   earlier task's box, the latest one half the time so that merges
+   chain: its other diagonal (a coincident box), a box one column or row
+   past its edge or one cell past its corner (touching, no shared cell),
+   a box grown from its far corner cell (one shared cell: the next link
+   of a chain), or the box one cell around it. A task whose cells are
+   taken gets three more draws, and is dropped after that. *)
+let crowded_tasks_gen : (int * int) list QCheck.Gen.t =
+ fun st ->
+  let l = 20 in
+  let used = Array.make (l * l) false in
+  let free (x, y) =
+    x >= 0 && y >= 0 && x < l && y < l && not used.((y * l) + x)
+  in
+  let take (x, y) = used.((y * l) + x) <- true in
+  let placed = ref [] and coords = ref [] in
+  let try_pair a b =
+    a <> b && free a && free b
+    && begin
+         take a;
+         take b;
+         placed := (a, b) :: !placed;
+         coords := b :: a :: !coords;
+         true
+       end
+  in
+  let int = Random.State.int st in
+  let draw () =
+    let x = int l and y = int l in
+    let short () =
+      match int 4 with
+      | 0 -> try_pair (x, y) (x + int 7 - 3, y + int 7 - 3)
+      | 1 -> try_pair (x, y) (x + 1, y + 1)
+      | 2 -> try_pair (x, y) (x, y + 1)
+      | _ -> try_pair (x, y) (x + 1, y)
+    in
+    match (!placed, int 3) with
+    | [], _ | _, (0 | 1) -> short ()
+    | latest :: _, _ -> (
+      let (ax, ay), (bx, by) =
+        if int 2 = 0 then latest
+        else List.nth !placed (int (List.length !placed))
+      in
+      let x0 = min ax bx and x1 = max ax bx in
+      let y0 = min ay by and y1 = max ay by in
+      let w = 1 + int 2 and h = 1 + int 2 in
+      match int 6 with
+      | 0 -> try_pair (ax, by) (bx, ay)
+      | 1 -> try_pair (x1 + 1, y0) (x1 + w, y1)
+      | 2 -> try_pair (x0, y1 + 1) (x1, y1 + h)
+      | 3 -> try_pair (x1 + 1, y1 + 1) (x1 + w, y1 + h)
+      | 4 -> try_pair (x1, y1 + h) (x1 + w, y1)
+      | _ -> try_pair (x0 - 1, y0 - 1) (x1 + 1, y1 + 1))
+  in
+  for _ = 1 to int 3 do
+    let x = 3 + int (l - 7) and y = 3 + int (l - 7) in
+    let square = List.init 64 (fun i -> (x - 3 + (i mod 8), y - 3 + (i / 8))) in
+    if List.for_all free square then begin
+      List.iter
+        (fun k -> ignore (try_pair (x - k, y - k) (x + 1 + k, y + 1 + k)))
+        [ 0; 1; 2; 3 ];
+      List.iter take square
+    end
+  done;
+  for _ = 1 to int 201 - List.length !placed do
+    ignore (draw () || draw () || draw () || draw ())
+  done;
+  List.rev !coords
+
+(* Theorem 1 or 2, from the member boxes alone. *)
+let guaranteed boxes =
+  List.length boxes <= 3
+  ||
+  let rec chain = function
+    | a :: (b :: _ as rest) ->
+      Qec_lattice.Bbox.strictly_nests ~outer:a ~inner:b && chain rest
+    | _ -> true
+  in
+  chain
+    (List.sort
+       (fun a b -> compare (Qec_lattice.Bbox.area b) (Qec_lattice.Bbox.area a))
+       boxes)
+
+(* On crowded layers, every entry point of the one kernel against the
+   reference: decompose's groups and boxes, both counts, each
+   confinement entry (the reference group's box when Theorem 1 or 2
+   holds, else None), and the members iter_oversize_members visits, in
+   decompose's order. *)
+let prop_crowded_matches_reference =
+  QCheck.Test.make ~name:"LLG kernel = reference on crowded 20x20 layers"
+    ~count:150
+    (QCheck.make
+       ~print:(fun cs -> Printf.sprintf "%d tasks" (List.length cs / 2))
+       crowded_tasks_gen)
+    (fun coords ->
+      let k = List.length coords / 2 in
+      let p = placement_at 20 coords in
+      let ts = tasks k in
+      let reference = reference_groups p ts in
+      let oversize =
+        List.length
+          (List.filter (fun (ids, _) -> List.length ids > 3) reference)
+      in
+      let got =
+        List.map
+          (fun g ->
+            (List.map (fun (t : Task.t) -> t.id) g.Llg.members, g.Llg.bbox))
+          (Llg.decompose p ts)
+      in
+      let boxes = Array.of_list (List.map (Task.bbox p) ts) in
+      let expected_confinement = Array.make k None in
+      List.iter
+        (fun (ids, box) ->
+          if guaranteed (List.map (fun i -> boxes.(i)) ids) then
+            List.iter (fun i -> expected_confinement.(i) <- Some box) ids)
+        reference;
+      let members = ref [] in
+      Llg.iter_oversize_members p (Array.of_list ts) (fun t ->
+          members := t.Task.id :: !members);
+      got = reference
+      && Llg.count_oversize p ts = oversize
+      && Llg.count_oversize_array p (Array.of_list ts) = oversize
+      && Llg.confinement boxes = expected_confinement
+      && List.rev !members
+         = List.concat_map
+             (fun (ids, _) -> if List.length ids > 3 then ids else [])
+             reference)
+
 let () =
   Alcotest.run "llg"
     [
@@ -243,6 +375,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_groups_non_intersecting;
           QCheck_alcotest.to_alcotest prop_partition;
           QCheck_alcotest.to_alcotest prop_matches_reference;
+          QCheck_alcotest.to_alcotest prop_crowded_matches_reference;
         ] );
       ( "nesting",
         [
