@@ -223,7 +223,7 @@ verify-smoke: build
 # table row; the greedy run it raced is the greedy_cycles stat.
 lookahead-smoke: build
 	@for c in lr16 lr24; do \
-		out=$$($(CLI) schedule $$c --backend lookahead) || exit 1; \
+		out=$$($(CLI) compile $$c --backend lookahead) || exit 1; \
 		total=$$(echo "$$out" | awk -F'|' '/total cycles/ {gsub(/ /,"",$$3); print $$3}'); \
 		greedy=$$(echo "$$out" | awk '/greedy_cycles/ {print $$2}'); \
 		[ -n "$$total" ] && [ -n "$$greedy" ] \
@@ -231,12 +231,12 @@ lookahead-smoke: build
 		[ "$$total" -le "$$greedy" ] \
 			|| { echo "lookahead-smoke: $$c lookahead $$total > braid $$greedy"; exit 1; }; \
 	done
-	@out=$$($(CLI) schedule lr24 --backend lookahead); \
+	@out=$$($(CLI) compile lr24 --backend lookahead); \
 	total=$$(echo "$$out" | awk -F'|' '/total cycles/ {gsub(/ /,"",$$3); print $$3}'); \
 	greedy=$$(echo "$$out" | awk '/greedy_cycles/ {print $$2}'); \
 	[ "$$total" -lt "$$greedy" ] \
 		|| { echo "lookahead-smoke: expected a strict win on lr24 ($$total vs $$greedy)"; exit 1; }
-	@$(CLI) schedule lr24 --backend compare | grep -q lookahead \
+	@$(CLI) compile lr24 --backend compare | grep -q lookahead \
 		|| { echo "lookahead-smoke: compare does not include lookahead"; exit 1; }
 	@echo "lookahead-smoke: OK"
 

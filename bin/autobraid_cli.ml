@@ -1,18 +1,27 @@
 (* autobraid — command-line front end.
 
    Subcommands:
-     compile    schedule a circuit and report latency/utilization
-     schedule   same, through a selectable communication backend
-                (braid / surgery / lookahead / compare; docs/backends.md)
-     backends   list registered backends and their --backend-opt schemas
+     compile    schedule one circuit on a communication backend (braid,
+                surgery, lookahead, or compare all three side by side;
+                docs/backends.md) and report latency/utilization;
+                `schedule` is a deprecated name for it
      batch      compile a JSON manifest of specs on a multicore worker
                 pool with a shared placement cache (see docs/engine.md)
+     serve      compilation daemon on a Unix-domain socket, or a client of
+                one (docs/serve.md)
+     profile    per-phase wall/self time of a circuit or manifest across
+                repeated runs (docs/observability.md)
      info       static analysis: sizes, depth, parallelism, LLG census
      lint       span-aware diagnostics (QLxxx rules, see docs/lint.md)
      verify     independent schedule certification (docs/verify.md)
+     fuzz       property-based fuzzing with shrinking (docs/testing.md)
      resources  surface-code resource estimates for a qubit count / target P_L
      emit       write a built-in benchmark as OpenQASM 2.0
      sweep      p-threshold sensitivity sweep (Fig. 18 style)
+     trace      record, certify and render a schedule trace
+     export     a run as JSON, the coupling graph as DOT, a p-sweep as CSV
+     backends   list registered backends and their --backend-opt schemas
+     list       list built-in benchmarks
 
    Circuits are named either by a built-in benchmark ("qft50", "urf2_277",
    see `autobraid list`) or by a path to a .qasm / .real file. *)
@@ -20,25 +29,33 @@
 open Cmdliner
 module Spec = Qec_engine.Spec
 module Engine = Qec_engine.Engine
+module Engine_core = Qec_engine.Engine_core
 
 (* Backends resolve by registry name everywhere (--backend, batch specs);
    register the built-ins before any command parses. *)
 let () = Engine.ensure_backends ()
 
-let engine_error_exit (e : Engine.error) =
-  if e.Engine.kind = "circuit-not-found" then 2 else 1
+(* The exit rule of every command that compiles one circuit: an unknown
+   circuit or a spec the engine rejects is unusable input and exits 2;
+   anything else that fails (a parse error, a failed run) exits 1. *)
+let exit_of_kind = function "circuit-not-found" | "invalid-spec" -> 2 | _ -> 1
 
-(* compile-style diagnostics: the bare message on stderr (parse errors are
-   file:line:col-prefixed), exit 2 for unknown circuits, 1 otherwise. *)
-let die_engine_text (e : Engine.error) =
-  prerr_endline e.Engine.message;
-  exit (engine_error_exit e)
+(* The one renderer for engine errors: the bare message on stderr (parse
+   errors are file:line:col-prefixed), then the rule above. *)
+let die_engine_text (e : Engine_core.error) =
+  prerr_endline e.message;
+  exit (exit_of_kind e.kind)
+
+let validate_or_die spec =
+  Result.iter_error
+    (fun message -> die_engine_text { kind = "invalid-spec"; message })
+    (Spec.validate spec)
 
 (* The engine's loader: a .qasm / .real path or a benchmark name. Malformed
    inputs exit with a diagnostic, never an OCaml backtrace. *)
 let load_circuit circuit =
   match
-    Engine.load_circuit { Spec.default with circuit }
+    Engine_core.load_circuit { Spec.default with circuit }
   with
   | Ok c -> c
   | Error e -> die_engine_text e
@@ -93,19 +110,16 @@ let scheduler_arg =
 
 let initial_kind =
   Arg.enum
-    [
-      ("identity", Autobraid.Initial_layout.Identity);
-      ("bisect", Autobraid.Initial_layout.Bisected);
-      ("metis", Autobraid.Initial_layout.Partitioned);
-      ("anneal", Autobraid.Initial_layout.Annealed);
-    ]
+    (List.map
+       (fun m -> (Spec.initial_to_string m, m))
+       Autobraid.Initial_layout.[ Identity; Bisected; Partitioned; Annealed ])
 
 let initial_arg =
   Arg.(
     value
     & opt initial_kind Autobraid.Initial_layout.Annealed
     & info [ "initial" ] ~docv:"METHOD"
-        ~doc:"Initial placement: identity, metis, anneal")
+        ~doc:"Initial placement: identity, bisect, metis or anneal")
 
 let optimize_arg =
   Arg.(
@@ -171,13 +185,6 @@ let output_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file (default stdout)")
 
-(* profile / verify: the backend a single-circuit TARGET runs on. *)
-let target_backend_arg =
-  Arg.(
-    value & opt string "braid"
-    & info [ "backend" ] ~docv:"BACKEND"
-        ~doc:"Communication backend for a single-circuit TARGET")
-
 let jobs_arg =
   Arg.(
     value
@@ -185,17 +192,22 @@ let jobs_arg =
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:"Worker domains (default: available cores)")
 
-(* ---------------- per-backend options (--backend-opt) ---------------- *)
-
-let parse_backend_opts specs raw =
-  List.map
-    (fun arg ->
-      match Autobraid.Comm_backend.Options.parse_kv specs arg with
-      | Ok kv -> kv
-      | Error msg ->
-        Printf.eprintf "--backend-opt: %s\n" msg;
-        exit 2)
-    raw
+(* The engine checks the name (Spec.validate), so an unknown backend gets
+   the engine's message and exit 2 like any other rejected spec. *)
+let backend_arg =
+  Arg.(
+    value & opt string "braid"
+    & info [ "backend" ] ~docv:"BACKEND"
+        ~doc:
+          (Printf.sprintf
+             "Communication backend (registered: %s); compile also takes \
+              compare (run braid, surgery and lookahead, print a \
+              side-by-side table)"
+             (String.concat ", "
+                (List.map
+                   (fun (e : Autobraid.Comm_backend.entry) ->
+                     Printf.sprintf "%s (%s)" e.name e.description)
+                   (Autobraid.Comm_backend.all ())))))
 
 let backend_opt_arg =
   Arg.(
@@ -297,35 +309,80 @@ let with_telemetry { metrics; telemetry_out; trace_out } f =
     result
   end
 
-(* ---------------- the request path ---------------- *)
+(* ---------------- the request ---------------- *)
 
 (* Every command that compiles builds a Spec and runs it through
-   Engine.run_spec; the knobs a manifest can set and the knobs a command
-   line can set are therefore one set. *)
+   Engine.run_spec. A single-circuit command (compile, verify, profile,
+   serve --connect) reads its request from [request_args]: one flag per
+   Spec field a manifest can set, so the knobs a manifest can set and the
+   knobs these command lines can set are one set. *)
+type request = {
+  base : Spec.t;  (* every field but the circuit and backend_options *)
+  backend_opts : string list;  (* raw --backend-opt pairs *)
+}
 
-(* A single-circuit request is [{ Spec.default with ... }] naming the
-   knobs a command has flags for. This adds the two a record update cannot
-   spell directly: the certificate output, and --backend-opt pairs parsed
-   against the schema Spec picks for the finished request. *)
-let finish_spec ?(certify = false) ?(backend_opts = []) (s : Spec.t) =
-  {
-    s with
-    outputs = { s.outputs with certificate = certify };
-    backend_options = parse_backend_opts (Spec.options_schema s) backend_opts;
-  }
+let request_args =
+  Term.(
+    const
+      (fun backend d seed threshold_p scheduler initial backend_opts optimize
+           best_p certificate ->
+        {
+          base =
+            {
+              Spec.default with
+              backend;
+              d;
+              seed;
+              threshold_p;
+              scheduler;
+              initial;
+              optimize;
+              best_p;
+              outputs = { Spec.default.outputs with certificate };
+            };
+          backend_opts;
+        })
+    $ backend_arg $ distance_arg $ seed_arg $ threshold_arg $ scheduler_arg
+    $ initial_arg $ backend_opt_arg $ optimize_arg $ best_p_arg
+    $ certify_arg)
+
+(* The one spec builder: names the circuit, adds the requested outputs,
+   and appends --backend-opt pairs parsed against the schema Spec picks
+   for the finished request. A backend the engine does not know has no
+   schema, so its pairs report the engine's message, not a bad key. *)
+let spec_of ?(backend_opts = []) ?(trace = false) ?(certify = false) ~circuit
+    (s : Spec.t) =
+  let s =
+    {
+      s with
+      circuit;
+      outputs =
+        {
+          s.outputs with
+          trace = s.outputs.trace || trace;
+          certificate = s.outputs.certificate || certify;
+        };
+    }
+  in
+  let parse arg =
+    match Autobraid.Comm_backend.Options.parse_kv (Spec.options_schema s) arg with
+    | Ok kv -> kv
+    | Error msg ->
+      validate_or_die s;
+      Printf.eprintf "--backend-opt: %s\n" msg;
+      exit 2
+  in
+  { s with backend_options = s.backend_options @ List.map parse backend_opts }
+
+let request_spec ?certify { base; backend_opts } circuit =
+  spec_of ?certify ~backend_opts ~circuit base
 
 let run_or_die spec =
   match Engine.run_spec spec with Ok p -> p | Error e -> die_engine_text e
 
-(* A run's payload with its trace (trace, export -f json). *)
-let traced_run (spec : Spec.t) =
-  let p = run_or_die { spec with outputs = { spec.outputs with trace = true } } in
-  (p, Option.get p.Engine.trace)
-
 (* The best-p threshold curve (sweep, export -f csv). *)
 let best_p_curve ~d circuit =
-  Option.get
-    (run_or_die { Spec.default with circuit; d; best_p = true }).Engine.curve
+  Option.get (run_or_die (spec_of ~circuit { Spec.default with d; best_p = true })).curve
 
 let is_manifest target =
   Sys.file_exists target && Filename.check_suffix target ".json"
@@ -357,8 +414,8 @@ let print_certificate_summary cert =
 
 (* Render a payload's certificate (when one was requested) and return
    whether it failed — callers turn that into exit 1. *)
-let print_certificate (payload : Engine.payload) =
-  match payload.Engine.certificate with
+let print_certificate (payload : Engine_core.payload) =
+  match payload.certificate with
   | None -> false
   | Some cert ->
     print_newline ();
@@ -405,68 +462,14 @@ let print_result timing (r : Autobraid.Scheduler.result) =
           exposure));
   Qec_util.Tableprint.print t
 
-(* `compile` and `schedule` are thin wrappers over the same Spec ->
-   Engine.run_spec path: their byte-identity on the braid backend is
-   structural, not promised by keeping two argument lists in sync. *)
-
-(* schedule-style diagnostics: the same structured JSONL error record a
-   batch would emit for this job, on stderr. *)
-let die_engine_jsonl spec (e : Engine.error) =
-  let job =
-    {
-      Engine.index = 0;
-      spec;
-      elapsed_s = 0.;
-      cache = Engine.Uncached;
-      outcome = Error e;
-    }
-  in
-  prerr_endline (Qec_report.Json.to_string (Engine.job_to_json job));
-  exit (engine_error_exit e)
-
-let print_peephole (payload : Engine.payload) =
-  match payload.Engine.peephole with
+let print_peephole (payload : Engine_core.payload) =
+  match payload.peephole with
   | None -> ()
   | Some (stats, before, after) ->
     Printf.printf
       "peephole: cancelled %d pairs, merged %d rotations (%d -> %d gates)\n"
       stats.Qec_circuit.Optimize.cancelled_pairs
       stats.Qec_circuit.Optimize.merged_rotations before after
-
-let compile_cmd =
-  let run spec d seed p scheduler initial backend_opts best_p optimize certify
-      tel =
-    let code =
-      with_telemetry tel @@ fun () ->
-      let payload =
-        run_or_die
-          (finish_spec ~certify ~backend_opts
-             {
-               Spec.default with
-               circuit = spec;
-               scheduler;
-               d;
-               seed;
-               threshold_p = p;
-               initial;
-               optimize;
-               best_p;
-             })
-      in
-      print_peephole payload;
-      print_result (Qec_surface.Timing.make ~d ()) payload.Engine.result;
-      if print_certificate payload then 1 else 0
-    in
-    if code <> 0 then exit code
-  in
-  Cmd.v
-    (Cmd.info "compile" ~doc:"Schedule a circuit's braiding paths")
-    Term.(
-      const run $ circuit_arg $ distance_arg $ seed_arg $ threshold_arg
-      $ scheduler_arg $ initial_arg $ backend_opt_arg $ best_p_arg
-      $ optimize_arg $ certify_arg $ telemetry_args)
-
-(* ---------------- schedule (pluggable backend) ---------------- *)
 
 let print_backend_stats = function
   | [] -> ()
@@ -520,84 +523,57 @@ let print_comparison timing
           /. float_of_int (max 1 r.Autobraid.Scheduler.total_cycles)))
       rest
 
-let schedule_cmd =
-  let run spec backend d seed p initial backend_opts certify tel =
+(* One compile, or --backend compare: braid, surgery and lookahead run
+   with the same request and print side by side. *)
+let compile_term =
+  let run circuit ({ base; backend_opts } as request) tel =
     let code =
       with_telemetry tel @@ fun () ->
-      if backend = "compare" && backend_opts <> [] then begin
-        (* Each backend has its own schema; one key=value list cannot
-           target three of them at once. *)
-        prerr_endline "--backend-opt does not apply to --backend compare";
-        exit 2
-      end;
-      let run_one name =
-        let s =
-          finish_spec ~certify ~backend_opts
-            {
-              Spec.default with
-              circuit = spec;
-              backend = name;
-              d;
-              seed;
-              threshold_p = p;
-              initial;
-            }
-        in
-        match Engine.run_spec s with
-        | Error e -> die_engine_jsonl s e
-        | Ok payload -> payload
-      in
-      match backend with
+      let timing () = Qec_surface.Timing.make ~d:base.d () in
+      match base.backend with
       | "compare" ->
-        let payloads = List.map run_one [ "braid"; "surgery"; "lookahead" ] in
-        print_comparison (Qec_surface.Timing.make ~d ())
+        if backend_opts <> [] then begin
+          (* Each backend has its own schema; one key=value list cannot
+             target three of them at once. *)
+          prerr_endline "--backend-opt does not apply to --backend compare";
+          exit 2
+        end;
+        let payloads =
+          List.map
+            (fun backend -> run_or_die (spec_of ~circuit { base with backend }))
+            [ "braid"; "surgery"; "lookahead" ]
+        in
+        print_peephole (List.hd payloads);
+        print_comparison (timing ())
           (List.map
-             (fun (p : Engine.payload) ->
-               (p.Engine.backend, p.Engine.result))
+             (fun (p : Engine_core.payload) -> (p.backend, p.result))
              payloads);
         let failures = List.map print_certificate payloads in
         if List.exists Fun.id failures then 1 else 0
-      | name ->
-        let payload = run_one name in
-        print_result (Qec_surface.Timing.make ~d ()) payload.Engine.result;
-        print_backend_stats payload.Engine.stats;
+      | _ ->
+        let payload = run_or_die (request_spec request circuit) in
+        print_peephole payload;
+        print_result (timing ()) payload.result;
+        print_backend_stats payload.stats;
         if print_certificate payload then 1 else 0
     in
     if code <> 0 then exit code
   in
-  let backend_arg =
-    (* Valid names come from the Comm_backend registry, not a hand-rolled
-       match; `compare` stays a schedule-level mode on top. *)
-    let parse s =
-      if s = "compare" || Autobraid.Comm_backend.of_name s <> None then Ok s
-      else
-        Error
-          (`Msg
-            (Printf.sprintf "unknown backend %S (expected %s or compare)" s
-               (String.concat ", " (Autobraid.Comm_backend.names ()))))
-    in
-    let backend_conv = Arg.conv (parse, Format.pp_print_string) in
-    Arg.(
-      value & opt backend_conv "braid"
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:
-            (Printf.sprintf
-               "Communication backend (registered: %s), or compare (run \
-                braid, surgery and lookahead, print a side-by-side table)"
-               (String.concat ", "
-                  (List.map
-                     (fun (e : Autobraid.Comm_backend.entry) ->
-                       Printf.sprintf "%s (%s)" e.Autobraid.Comm_backend.name
-                         e.Autobraid.Comm_backend.description)
-                     (Autobraid.Comm_backend.all ())))))
-  in
+  Term.(const run $ circuit_arg $ request_args $ telemetry_args)
+
+let compile_doc =
+  "Schedule a circuit on a communication backend and report its latency, \
+   utilization and reliability. Exit 0 on success, 1 when the run or its \
+   certificate fails, 2 on an unknown circuit or a request the engine \
+   rejects."
+
+let compile_cmd = Cmd.v (Cmd.info "compile" ~doc:compile_doc) compile_term
+
+let schedule_cmd =
   Cmd.v
-    (Cmd.info "schedule"
-       ~doc:"Schedule a circuit through a pluggable communication backend")
-    Term.(
-      const run $ circuit_arg $ backend_arg $ distance_arg $ seed_arg
-      $ threshold_arg $ initial_arg $ backend_opt_arg $ certify_arg
-      $ telemetry_args)
+    (Cmd.info "schedule" ~deprecated:"deprecated, use `autobraid compile` instead"
+       ~doc:compile_doc)
+    compile_term
 
 (* ---------------- batch ---------------- *)
 
@@ -612,30 +588,13 @@ let batch_cmd =
        --trace-out / --telemetry-out flush. *)
     let code =
       with_telemetry tel @@ fun () ->
-    let specs = read_manifest manifest in
+    (* --backend-opt pairs are appended after each job's own options, so
+       the command line wins; every job's backend must accept every given
+       key. *)
     let specs =
-      if certify then
-        List.map
-          (fun (s : Spec.t) ->
-            { s with outputs = { s.outputs with certificate = true } })
-          specs
-      else specs
-    in
-    let specs =
-      (* Appended after each job's own options, so the command line wins;
-         every job's backend must accept every given key. *)
-      match backend_opts with
-      | [] -> specs
-      | raw ->
-        List.map
-          (fun (s : Spec.t) ->
-            {
-              s with
-              Spec.backend_options =
-                s.Spec.backend_options
-                @ parse_backend_opts (Spec.options_schema s) raw;
-            })
-          specs
+      List.map
+        (fun (s : Spec.t) -> spec_of ~certify ~backend_opts ~circuit:s.circuit s)
+        (read_manifest manifest)
     in
     let cache =
       match Qec_engine.Placement_cache.create ?dir:cache_dir () with
@@ -647,14 +606,14 @@ let batch_cmd =
     let t0 = Unix.gettimeofday () in
     let results = Engine.run_batch ?jobs ~cache specs in
     let elapsed = Unix.gettimeofday () -. t0 in
-    let jsonl = Engine.jobs_to_jsonl ~timings results in
+    let jsonl = Engine_core.jobs_to_jsonl ~timings results in
     print_or_write out jsonl;
-    let failed = Engine.errors results in
+    let failed = Engine_core.errors results in
     let uncertified =
       List.filter
-        (fun (j : Engine.job) ->
-          match j.Engine.outcome with
-          | Ok { Engine.certificate = Some c; _ } ->
+        (fun (j : Engine_core.job) ->
+          match j.outcome with
+          | Ok { certificate = Some c; _ } ->
             not (Qec_verify.Certifier.ok c)
           | _ -> false)
         results
@@ -734,22 +693,18 @@ let batch_cmd =
 (* ---------------- profile ---------------- *)
 
 let profile_cmd =
-  let run target backend d seed repeat jobs json trace_out =
+  let run target request repeat jobs json trace_out =
     (* TARGET is a batch manifest when it is a JSON file, else a single
-       circuit spec built from the compile-style flags. *)
+       circuit spec built from the request flags. *)
     let specs =
       if is_manifest target then read_manifest target
       else begin
-        (* An unknown or malformed circuit, or a spec the engine rejects
-           (an unknown backend, -d 0), is an unusable target, not a job
+        (* A spec the engine rejects (an unknown backend, -d 0) or an
+           unknown or malformed circuit is an unusable target, not a job
            that fails on every repeat. *)
-        let s = { Spec.default with circuit = target; backend; d; seed } in
-        Result.iter_error die_engine_text (Engine.load_circuit s);
-        Result.iter_error
-          (fun msg ->
-            prerr_endline msg;
-            exit 2)
-          (Spec.validate s);
+        let s = request_spec request target in
+        validate_or_die s;
+        Result.iter_error die_engine_text (Engine_core.load_circuit s);
         [ s ]
       end
     in
@@ -800,10 +755,11 @@ let profile_cmd =
          "Run a spec or batch manifest N times and report per-phase \
           wall/self time (min/median/p95 across runs), with optional \
           Perfetto trace export of the last run. Exit 1 when any job \
-          failed, 2 on an unusable target, 0 otherwise.")
+          failed, 2 on an unusable target (an unreadable manifest, an \
+          unknown circuit or a request the engine rejects), 0 otherwise.")
     Term.(
-      const run $ target_arg $ target_backend_arg $ distance_arg $ seed_arg
-      $ repeat_arg $ jobs_arg $ json_arg $ trace_out_arg)
+      const run $ target_arg $ request_args $ repeat_arg $ jobs_arg
+      $ json_arg $ trace_out_arg)
 
 (* ---------------- info ---------------- *)
 
@@ -916,58 +872,45 @@ let sweep_cmd =
 (* ---------------- export ---------------- *)
 
 let export_cmd =
-  let run spec d fmt backend out =
+  let run circuit d fmt backend out =
     guarded @@ fun () ->
     (* built once the run has passed the engine's checks, -d included *)
     let timing () = Qec_surface.Timing.make ~d () in
     let payload =
       match fmt with
-      | `Json -> (
-        match backend with
-        | None ->
-          let { Engine.result; _ }, trace = traced_run { Spec.default with circuit = spec; d }
-          in
-          Qec_report.Json.to_string ~indent:true
-            (Qec_report.Json.Obj
-               [
-                 ("result", Qec_report.Export.result_to_json result);
-                 ("trace", Qec_report.Export.trace_to_json ~max_rounds:50 trace);
-                 ( "reliability",
-                   Qec_report.Export.exposure_to_json ~d
-                     (Autobraid.Reliability.exposure_of_result (timing ())
-                        result) );
-               ])
-        | Some which ->
-          (* Per-backend export: run under a collector so the payload
-             carries the backend's own telemetry alongside its outcome. *)
-          let collector = Qec_telemetry.Collector.create () in
-          let { Engine.backend; result; stats; _ }, trace =
-            Qec_telemetry.Telemetry.with_sink
-              (Qec_telemetry.Collector.sink collector)
-            @@ fun () -> traced_run { Spec.default with circuit = spec; backend = which; d }
-          in
-          let outcome = { Autobraid.Comm_backend.backend; result; trace; stats } in
-          let fields =
-            match
-              Qec_report.Export.backend_outcome_to_json ~max_rounds:50
-                (timing ()) outcome
-            with
-            | Qec_report.Json.Obj fields -> fields
-            | _ -> assert false
-          in
-          Qec_report.Json.to_string ~indent:true
-            (Qec_report.Json.Obj
-               (fields
-               @ [ ("telemetry", Qec_report.Export.telemetry_to_json collector) ]
-               )))
+      | `Json ->
+        (* Run under a collector so the payload carries the backend's own
+           telemetry alongside its outcome. *)
+        let collector = Qec_telemetry.Collector.create () in
+        let { Engine_core.backend; result; stats; trace; _ } =
+          Qec_telemetry.Telemetry.with_sink
+            (Qec_telemetry.Collector.sink collector)
+          @@ fun () ->
+          run_or_die (spec_of ~trace:true ~circuit { Spec.default with backend; d })
+        in
+        let outcome =
+          { Autobraid.Comm_backend.backend; result; trace = Option.get trace; stats }
+        in
+        let fields =
+          match
+            Qec_report.Export.backend_outcome_to_json ~max_rounds:50
+              (timing ()) outcome
+          with
+          | Qec_report.Json.Obj fields -> fields
+          | _ -> assert false
+        in
+        Qec_report.Json.to_string ~indent:true
+          (Qec_report.Json.Obj
+             (fields
+             @ [ ("telemetry", Qec_report.Export.telemetry_to_json collector) ]))
       | `Coupling_dot ->
         let lowered =
-          Qec_circuit.Decompose.to_scheduler_gates (load_circuit spec)
+          Qec_circuit.Decompose.to_scheduler_gates (load_circuit circuit)
         in
         Qec_report.Export.coupling_to_dot
           (Qec_circuit.Coupling.of_circuit lowered)
       | `Csv ->
-        let curve = best_p_curve ~d spec in
+        let curve = best_p_curve ~d circuit in
         Qec_report.Export.p_curve_to_csv (timing ()) curve
     in
     print_or_write out payload
@@ -977,25 +920,9 @@ let export_cmd =
       value
       & opt (enum [ ("json", `Json); ("dot", `Coupling_dot); ("csv", `Csv) ]) `Json
       & info [ "f"; "format" ] ~docv:"FMT"
-          ~doc:"json (result+trace+reliability), dot (coupling graph), csv \
-                (p-sweep)")
-  in
-  let backend_arg =
-    let parse s =
-      if Autobraid.Comm_backend.of_name s <> None then Ok s
-      else
-        Error
-          (`Msg
-            (Printf.sprintf "unknown backend %S (registered: %s)" s
-               (String.concat ", " (Autobraid.Comm_backend.names ()))))
-    in
-    Arg.(
-      value
-      & opt (some (conv (parse, Format.pp_print_string))) None
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"With -f json: export one communication backend's outcome \
-                (backend name, result, backend_stats, trace, exposure, \
-                telemetry) instead of the legacy result+trace payload")
+          ~doc:"json (one backend's run: backend name, result, \
+                backend_stats, trace, exposure, telemetry; --backend picks \
+                the backend), dot (coupling graph), csv (p-sweep)")
   in
   Cmd.v
     (Cmd.info "export" ~doc:"Export results, traces and graphs (json/dot/csv)")
@@ -1066,10 +993,11 @@ let backends_cmd =
 let trace_cmd =
   let run spec d max_rounds svg_prefix =
     guarded @@ fun () ->
-    let { Engine.result; certificate; _ }, trace =
-      traced_run
-        (finish_spec ~certify:true { Spec.default with circuit = spec; d })
+    let { Engine_core.result; certificate; trace; _ } =
+      run_or_die
+        (spec_of ~trace:true ~certify:true ~circuit:spec { Spec.default with d })
     in
+    let trace = Option.get trace in
     (match (Option.get certificate).Qec_verify.Certifier.witnesses with
     | [] -> print_endline "trace: VALID"
     | w :: _ ->
@@ -1130,10 +1058,10 @@ let lint_cmd =
     in
     let diags =
       if schedule && Qec_lint.Lint.error_count diags = 0 then
-        let { Engine.certificate; _ } =
+        let { Engine_core.certificate; _ } =
           run_or_die
-            (finish_spec ~certify:true
-               { Spec.default with circuit = spec; d; seed; threshold_p = p })
+            (spec_of ~certify:true ~circuit:spec
+               { Spec.default with d; seed; threshold_p = p })
         in
         diags
         @ Qec_lint.Schedule_lint.check_certificate ~file:spec
@@ -1189,13 +1117,14 @@ let lint_cmd =
 (* ---------------- verify ---------------- *)
 
 (* Exit-code contract mirrors lint: 0 when every schedule certifies clean,
-   1 when any invariant fails (or a job errors out), 2 on unusable input
-   (unknown circuit, unreadable or malformed manifest). Certification
+   1 when any invariant fails (or a run fails), 2 on unusable input (an
+   unknown circuit, a request the engine rejects, an unreadable or
+   malformed manifest). Certification
    always replays a fresh run from the spec — the exported trace JSON has
    no deserializer, so the trace is regenerated, which the placement seed
    makes deterministic. *)
 let verify_cmd =
-  let run target backend d seed p initial json =
+  let run target request json =
     let specs =
       if is_manifest target then begin
         (* best_p sweeps never record a trace, so there is nothing
@@ -1214,30 +1143,17 @@ let verify_cmd =
           exit 2
         end;
         List.map
-          (fun (s : Spec.t) ->
-            { s with outputs = { s.outputs with certificate = true } })
+          (fun (s : Spec.t) -> spec_of ~certify:true ~circuit:s.circuit s)
           certifiable
       end
-      else
-        [
-          finish_spec ~certify:true
-            {
-              Spec.default with
-              circuit = target;
-              backend;
-              d;
-              seed;
-              threshold_p = p;
-              initial;
-            };
-        ]
+      else [ request_spec ~certify:true request target ]
     in
     let certs =
       List.map
         (fun s ->
           match run_or_die s with
-          | { Engine.certificate = Some cert; _ } -> cert
-          | { Engine.certificate = None; _ } ->
+          | { Engine_core.certificate = Some cert; _ } -> cert
+          | { certificate = None; _ } ->
             (* unreachable: the spec demands a certificate and validation
                rejects untraced runs, but never die silently if it drifts *)
             prerr_endline "internal: run produced no certificate";
@@ -1276,10 +1192,10 @@ let verify_cmd =
           disjointness, dependency order, exactly-once execution, swap and \
           split-pipelining legality, cycle accounting) and report an \
           autobraid-cert/v1 certificate (docs/verify.md). Exit 0 when all \
-          certify clean, 1 on any failed invariant, 2 on unusable input.")
-    Term.(
-      const run $ target_arg $ target_backend_arg $ distance_arg $ seed_arg
-      $ threshold_arg $ initial_arg $ json_arg)
+          certify clean, 1 on any failed invariant or run, 2 on unusable \
+          input (an unknown circuit, a request the engine rejects, an \
+          unreadable manifest).")
+    Term.(const run $ target_arg $ request_args $ json_arg)
 
 (* ---------------- fuzz ---------------- *)
 
@@ -1468,15 +1384,17 @@ let fuzz_cmd =
 
 (* Exit-code contract (docs/serve.md): daemon mode exits 0 after a clean
    drain. Client mode exits 0 on success, 1 when the server answered with
-   an error record (or a batch had failures), 2 on connection / protocol /
-   usage trouble. *)
+   an error record, a failed job or a failed certificate (or a batch had
+   failures), 2 on connection / protocol / usage trouble; a compiled
+   CIRCUIT follows the single-circuit rule, so an unknown circuit or a
+   request the engine rejects exits 2. *)
 let serve_cmd =
   let module P = Qec_serve.Protocol in
   let module C = Qec_serve.Client in
   let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt in
   let print_json j = print_endline (Qec_report.Json.to_string j) in
   let run socket connect jobs max_pending timeout cache_dir trace_out ping
-      stats shutdown manifest circuit d seed p backend initial certify =
+      stats shutdown manifest circuit request =
     match (socket, connect) with
     | None, None | Some _, Some _ ->
       die "serve: pass exactly one of --socket PATH (daemon) or --connect \
@@ -1563,27 +1481,23 @@ let serve_cmd =
           Printf.eprintf "serve: %d ok, %d failed\n" ok_n failed_n;
           finish (if failed_n > 0 || List.length jobs <> List.length specs then 1 else 0))
       | false, false, false, None, Some name -> (
-        let spec =
-          finish_spec ~certify
-            {
-              Spec.default with
-              circuit = name;
-              backend;
-              d;
-              seed;
-              threshold_p = p;
-              initial;
-            }
-        in
+        (* The daemon resolves the circuit; the spec is checked here. *)
+        let spec = request_spec request name in
+        validate_or_die spec;
         match expect "compile" (C.compile client spec) with
         | P.Result { job; _ } ->
           print_endline (C.job_line job);
-          let failed =
-            match Qec_report.Json.member "error" job with
-            | Some _ -> true
-            | None -> false
+          let module J = Qec_report.Json in
+          let code =
+            match (J.member "error" job, J.member "certificate" job) with
+            | Some err, _ -> (
+              match J.member "kind" err with
+              | Some (J.String kind) -> exit_of_kind kind
+              | _ -> 1)
+            | None, Some cert when J.member "ok" cert <> Some (J.Bool true) -> 1
+            | None, _ -> 0
           in
-          finish (if failed then 1 else 0)
+          finish code
         | P.Error_resp { kind; message; _ } ->
           Printf.eprintf "serve: %s: %s\n" kind message;
           finish 1
@@ -1673,12 +1587,6 @@ let serve_cmd =
           ~doc:"Client: compile one circuit (benchmark name or file path \
                 as resolved by the server) and print its job record")
   in
-  let serve_backend_arg =
-    Arg.(
-      value & opt string "braid"
-      & info [ "backend" ] ~docv:"BACKEND"
-          ~doc:"Client compile: communication backend name")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1691,9 +1599,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ connect_arg $ jobs_arg $ max_pending_arg
       $ timeout_arg $ cache_dir_arg $ serve_trace_arg $ ping_arg $ stats_arg
-      $ shutdown_arg $ serve_manifest_arg $ serve_circuit_arg $ distance_arg
-      $ seed_arg $ threshold_arg $ serve_backend_arg $ initial_arg
-      $ certify_arg)
+      $ shutdown_arg $ serve_manifest_arg $ serve_circuit_arg $ request_args)
 
 (* ---------------- list ---------------- *)
 

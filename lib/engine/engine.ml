@@ -1,10 +1,9 @@
 (* The IO shell over Engine_core: backend registration, telemetry spans,
    and the domain-pool batch orchestration. The single-spec execution path
    and all JSONL rendering live in Engine_core, which is pure and
-   re-entrant — this module re-exports it so existing callers keep their
-   [Engine.*] names. *)
+   re-entrant. *)
 
-include Engine_core
+open Engine_core
 module Tel = Qec_telemetry.Telemetry
 
 let ensure_backends () =

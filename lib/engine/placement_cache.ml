@@ -1,6 +1,5 @@
 module Circuit = Qec_circuit.Circuit
 module Gate = Qec_circuit.Gate
-module IL = Autobraid.Initial_layout
 module Grid = Qec_lattice.Grid
 module Placement = Qec_lattice.Placement
 
@@ -67,11 +66,7 @@ let key ~circuit ~method_ ~seed =
   Buffer.add_string buf format_version;
   Buffer.add_char buf '\n';
   Printf.bprintf buf "method=%s seed=%d qubits=%d\n"
-    (match method_ with
-    | IL.Identity -> "identity"
-    | IL.Bisected -> "bisect"
-    | IL.Partitioned -> "metis"
-    | IL.Annealed -> "anneal")
+    (Spec.initial_to_string method_)
     seed (Circuit.num_qubits circuit);
   (* The gate stream without angles: placement (partitioning, snake
      embedding, LLG-census annealing) sees interaction structure and

@@ -40,7 +40,7 @@ let stats_of = function
 (* The failed jobs of one run as (index, circuit, engine message). *)
 let failures jobs =
   List.filter_map
-    (fun (j : Qec_engine.Engine.job) ->
+    (fun (j : Qec_engine.Engine_core.job) ->
       match j.outcome with
       | Ok _ -> None
       | Error e -> Some (j.index, j.spec.circuit, e.message))

@@ -8,6 +8,7 @@ module St = Qec_surface.Surgery_timing
 module SS = Qec_surgery.Surgery_scheduler
 module Spec = Qec_engine.Spec
 module Engine = Qec_engine.Engine
+module Engine_core = Qec_engine.Engine_core
 module PC = Qec_engine.Placement_cache
 module Json = Qec_report.Json
 module Export = Qec_report.Export
@@ -436,13 +437,13 @@ let spec_for path =
 
 (* Deterministic rendering of a run's observable output: the result record
    (compile time zeroed, as the batch engine does) plus the full trace. *)
-let render_payload (p : Engine.payload) =
-  let result = { p.Engine.result with S.compile_time_s = 0. } in
+let render_payload (p : Engine_core.payload) =
+  let result = { p.Engine_core.result with S.compile_time_s = 0. } in
   let fields =
-    [ ("backend", Json.String p.Engine.backend);
+    [ ("backend", Json.String p.Engine_core.backend);
       ("result", Export.result_to_json result) ]
     @
-    match p.Engine.trace with
+    match p.Engine_core.trace with
     | Some trace -> [ ("trace", Export.trace_to_json trace) ]
     | None -> []
   in
@@ -452,8 +453,8 @@ let run_spec_exn ?cache spec =
   match Engine.run_spec ?cache spec with
   | Ok payload -> payload
   | Error e ->
-    failwith (Printf.sprintf "run_spec failed (%s): %s" e.Engine.kind
-                e.Engine.message)
+    failwith (Printf.sprintf "run_spec failed (%s): %s" e.Engine_core.kind
+                e.Engine_core.message)
 
 let engine_spec_identity =
   {
@@ -473,7 +474,7 @@ let engine_spec_identity =
                render_payload
                  {
                    payload with
-                   Engine.backend = "braid";
+                   Engine_core.backend = "braid";
                    result;
                    trace = Some trace;
                  }
@@ -543,12 +544,12 @@ let engine_batch_identity =
              in
              let sequential = Engine.run_batch ~jobs:1 specs in
              let parallel = Engine.run_batch ~jobs:3 specs in
-             let js = Engine.jobs_to_jsonl sequential
-             and jp = Engine.jobs_to_jsonl parallel in
-             match Engine.errors sequential with
+             let js = Engine_core.jobs_to_jsonl sequential
+             and jp = Engine_core.jobs_to_jsonl parallel in
+             match Engine_core.errors sequential with
              | (i, e) :: _ ->
-               failf "batch job %d failed (%s): %s" i e.Engine.kind
-                 e.Engine.message
+               failf "batch job %d failed (%s): %s" i e.Engine_core.kind
+                 e.Engine_core.message
              | [] ->
                if String.equal js jp then Pass
                else Fail "batch JSONL differs between jobs=1 and jobs=3"));

@@ -122,11 +122,10 @@ type t = {
 (* The daemon does not record into the telemetry session: pool workers
    never leave their scope, so they would never merge, and an installed
    session would switch on every hot-path probe of every request. It keeps
-   its own tally, readable by a [stats] request at any moment. A
-   long-lived daemon must not grow without bound, so each series keeps its
-   most recent [window] samples: percentiles follow current behaviour
-   while count/sum/min/max stay exact. *)
-let window = 16384
+   its own tally, readable by a [stats] request at any moment. Like every
+   tally, each series keeps its newest [Tel.Tally.window] samples, so a
+   long-lived daemon does not grow without bound: percentiles follow
+   current behaviour while count/sum/min/max stay exact. *)
 
 let with_tally t f = Mutex.protect t.tally_lock (fun () -> f t.tally)
 let count t name = with_tally t (fun m -> Tel.Tally.count m name)
@@ -439,7 +438,7 @@ let run config =
       nonempty = Condition.create ();
       pending = 0;
       draining = Atomic.make false;
-      tally = Tel.Tally.create ~window ();
+      tally = Tel.Tally.create ();
       tally_lock = Mutex.create ();
       started_at = Unix.gettimeofday ();
       cache;

@@ -55,7 +55,6 @@ module Tally = struct
   }
 
   type t = {
-    window : int;  (* [max_int]: keep every sample *)
     rank : int;
     counters : (string, int ref) Hashtbl.t;
     gauges : (string, gauge) Hashtbl.t;
@@ -63,10 +62,10 @@ module Tally = struct
     timers : (string, timer) Hashtbl.t;
   }
 
-  let create ?(window = max_int) ?(rank = 0) () =
-    if window < 1 then invalid_arg "Tally.create: window < 1";
+  let window = 16384
+
+  let create ?(rank = 0) () =
     {
-      window;
       rank;
       counters = Hashtbl.create 64;
       gauges = Hashtbl.create 16;
@@ -107,14 +106,14 @@ module Tally = struct
       s
 
   (* Double [kept] up to the window, then overwrite the oldest sample. *)
-  let keep t s v =
+  let keep s v =
     let len = Array.length s.kept in
-    if s.pushed = len && len < t.window then begin
-      let grown = Array.make (min t.window (max 16 (2 * len))) 0. in
+    if s.pushed = len && len < window then begin
+      let grown = Array.make (min window (max 16 (2 * len))) 0. in
       Array.blit s.kept 0 grown 0 len;
       s.kept <- grown
     end;
-    s.kept.(s.pushed mod t.window) <- v;
+    s.kept.(s.pushed mod window) <- v;
     s.pushed <- s.pushed + 1
 
   let observe s ~n ~sum ~lo ~hi =
@@ -127,7 +126,7 @@ module Tally = struct
   let sample t name v =
     let s = series t name in
     observe s ~n:1 ~sum:v ~lo:v ~hi:v;
-    keep t s v
+    keep s v
 
   let add_timer t name ~calls ~seconds =
     match Hashtbl.find_opt t.timers name with
@@ -160,7 +159,7 @@ module Tally = struct
         let d = series into name in
         let m = s.moments in
         observe d ~n:s.n ~sum:m.sum ~lo:m.lo ~hi:m.hi;
-        Array.iter (keep into d) (oldest_first s))
+        Array.iter (keep d) (oldest_first s))
       src.series;
     Hashtbl.iter
       (fun name tm -> add_timer into name ~calls:tm.calls ~seconds:tm.seconds)

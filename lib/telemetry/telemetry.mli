@@ -54,11 +54,14 @@ type sink = { emit : record -> unit; close : unit -> unit }
 module Tally : sig
   type t
 
-  val create : ?window:int -> ?rank:int -> unit -> t
-  (** [window] (default unbounded) caps how many recent samples each
-      series keeps for its percentiles; count/sum/min/max stay exact
-      regardless. [rank] (default 0) tags this tally's gauges for
-      {!merge}. Raises [Invalid_argument] if [window < 1]. *)
+  val window : int
+  (** 16,384: how many of its newest samples each series keeps for its
+      percentiles, in every tally (session and serve daemon alike), so a
+      long run or a long-lived daemon holds bounded memory;
+      count/sum/min/max stay exact over every sample. *)
+
+  val create : ?rank:int -> unit -> t
+  (** [rank] (default 0) tags this tally's gauges for {!merge}. *)
 
   val count : ?by:int -> t -> string -> unit
   (** Add [by] (default 1) to the named counter. *)

@@ -27,6 +27,20 @@ let run args =
   Sys.remove out;
   (code, text)
 
+(* Run the CLI with args; return (exit_code, stdout, stderr). *)
+let run_split args =
+  let out = Filename.temp_file "autobraid_cli" ".out" in
+  let err = Filename.temp_file "autobraid_cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli) args
+         (Filename.quote out) (Filename.quote err))
+  in
+  let texts = (read_file out, read_file err) in
+  Sys.remove out;
+  Sys.remove err;
+  (code, fst texts, snd texts)
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -55,7 +69,7 @@ let test_compile_baseline_and_sp () =
   check_int "sp ok" 0 code;
   (* rejected as the same manifest job is, not silently dropped *)
   let code, out = run "compile qft9 -s sp --best-p" in
-  check_int "sp --best-p exit 1" 1 code;
+  check_int "sp --best-p exit 2" 2 code;
   check_bool "sp --best-p message" true
     (contains out "best_p requires the braid backend with the full scheduler")
 
@@ -227,28 +241,8 @@ let test_malformed_input_handling () =
   check_int "missing file exits 2" 2 code;
   check_bool "unknown circuit text" true (contains out "unknown circuit")
 
-let test_schedule_braid_byte_identical () =
-  (* `schedule --backend braid` is the compile path behind the backend
-     abstraction: output must match `compile` byte for byte (modulo the
-     measured compile-time row, which is wall-clock noise). *)
-  List.iter
-    (fun spec ->
-      let c1, out1 = run (Printf.sprintf "compile %s" spec) in
-      let c2, out2 = run (Printf.sprintf "schedule %s --backend braid" spec) in
-      check_int "compile exit 0" 0 c1;
-      check_int "schedule exit 0" 0 c2;
-      let strip s =
-        String.split_on_char '\n' s
-        |> List.filter (fun l -> not (contains l "compile time"))
-        |> String.concat "\n"
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "identical output on %s" spec)
-        (strip out1) (strip out2))
-    [ "qft9"; "bv12"; "qaoa12" ]
-
-let test_schedule_surgery () =
-  let code, out = run "schedule qft9 --backend surgery" in
+let test_compile_backend_surgery () =
+  let code, out = run "compile qft9 --backend surgery" in
   check_int "exit 0" 0 code;
   check_bool "result table" true (contains out "total cycles");
   check_bool "surgery stats" true (contains out "pipelined_splits");
@@ -257,15 +251,20 @@ let test_schedule_surgery () =
     List.find Sys.file_exists
       [ "../fixtures/longrange8.qasm"; "fixtures/longrange8.qasm" ]
   in
-  let code, _ = run (Printf.sprintf "schedule %s --backend surgery" fixture) in
+  let code, _ = run (Printf.sprintf "compile %s --backend surgery" fixture) in
   check_int "qasm file exit 0" 0 code
 
-let test_schedule_compare () =
-  let code, out = run "schedule lr16 --backend compare" in
+let test_compile_backend_compare () =
+  let code, out = run "compile lr16 --backend compare" in
   check_int "exit 0" 0 code;
   check_bool "braid column" true (contains out "braid");
   check_bool "surgery column" true (contains out "surgery");
-  check_bool "speedup line" true (contains out "speedup")
+  check_bool "speedup line" true (contains out "speedup");
+  (* one key=value list cannot target three schemas at once *)
+  let code, out = run "compile lr16 --backend compare --backend-opt window=2" in
+  check_int "compare --backend-opt exit 2" 2 code;
+  check_bool "compare --backend-opt message" true
+    (contains out "--backend-opt does not apply to --backend compare")
 
 let test_export_backend () =
   let code, out = run "export bv12 -f json --backend surgery" in
@@ -442,18 +441,12 @@ let test_baseline_jobs_certify () =
       check_int "batch --certify exit 0" 0 code;
       check_bool "certificate block" true (contains text "autobraid-cert/v1"))
 
-let test_schedule_unknown_backend () =
-  let code, out = run "schedule qft9 --backend warp" in
-  check_bool "rejected" true (code <> 0);
-  (* the registry drives the error message: known names are listed *)
+let test_unknown_backend () =
+  let code, out = run "compile qft9 --backend warp" in
+  check_int "exit 2" 2 code;
+  (* the registry drives the engine's message: known names are listed *)
   check_bool "lists braid" true (contains out "braid");
   check_bool "lists surgery" true (contains out "surgery")
-
-let test_schedule_missing_file_jsonl () =
-  let code, out = run "schedule /nonexistent/x.qasm --backend surgery" in
-  check_int "exit 2" 2 code;
-  check_bool "structured record" true (contains out "\"status\":\"error\"");
-  check_bool "kind" true (contains out "\"kind\":\"circuit-not-found\"")
 
 let test_error_handling () =
   let code, out = run "compile definitely_not_a_circuit" in
@@ -625,26 +618,135 @@ let test_profile_failed_job () =
       check_bool "names the job" true
         (contains out "profile: job 0 (qft9): distance 0 out of range"))
 
-(* -d 0 is the engine's to reject: every compiling command exits 1 with
+(* -d 0 is the engine's to reject: every compiling command exits 2 with
    its message, none with an uncaught exception from building a timing
    model first. *)
 let test_distance_zero () =
   List.iter
     (fun cmd ->
       let code, out = run (cmd ^ " -d 0") in
-      check_int (cmd ^ " exit 1") 1 code;
+      check_int (cmd ^ " exit 2") 2 code;
       check_bool (cmd ^ " message") true
         (contains out "distance 0 out of range");
       check_bool (cmd ^ " no exception") false (contains out "exception"))
     [
       "compile qft9";
-      "schedule qft9";
-      "schedule qft9 --backend compare";
+      "compile qft9 --backend surgery";
+      "compile qft9 --backend compare";
+      "verify qft9";
       "sweep qft9";
       "export qft9 -f json";
       "export qft9 -f csv";
       "trace qft9";
     ]
+
+(* ------------------------------------------------------------------ *)
+(* One request vocabulary                                               *)
+
+(* Run [f] against a serve daemon on a fresh socket, then shut it down. *)
+let with_daemon f =
+  let sock =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "abcli%d.sock" (Unix.getpid ()))
+  in
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process cli
+      [| cli; "serve"; "--socket"; sock; "--jobs"; "1" |]
+      null null null
+  in
+  Unix.close null;
+  let rec wait_bound n =
+    if (not (Sys.file_exists sock)) && n > 0 then begin
+      Unix.sleepf 0.05;
+      wait_bound (n - 1)
+    end
+  in
+  wait_bound 200;
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (run ("serve --shutdown --connect " ^ Filename.quote sock));
+      ignore (Unix.waitpid [] pid))
+    (fun () -> f sock)
+
+(* The [spec] member of a job record line. *)
+let spec_of_line line =
+  match Qec_report.Json.of_string line with
+  | Ok j -> (
+    match Qec_report.Json.member "spec" j with
+    | Some spec -> Qec_report.Json.to_string spec
+    | None -> Alcotest.failf "job record without a spec: %s" line)
+  | Error msg -> Alcotest.failf "job record is not JSON (%s): %s" msg line
+
+(* Each row's flags, and the one-job manifest that says the same. *)
+let valid_requests =
+  [
+    ("", {|{"circuit": "qft9"}|});
+    ( "--backend surgery --seed 5 -d 5 --backend-opt ripup=false",
+      {|{"circuit": "qft9", "backend": "surgery", "seed": 5, "d": 5,
+         "backend_options": {"ripup": false}}|} );
+    ("-s baseline", {|{"circuit": "qft9", "scheduler": "baseline"}|});
+    ( "-s sp -p 0.5 --initial metis -O --certify",
+      {|{"circuit": "qft9", "scheduler": "sp", "threshold_p": 0.5,
+         "initial": "metis", "optimize": true,
+         "outputs": ["certificate"]}|} );
+  ]
+
+let invalid_requests =
+  [
+    ("--backend warp", {|unknown backend "warp"|});
+    ("-d 0", "distance 0 out of range");
+    ("-p 1.5", "threshold_p 1.5 out of [0, 1)");
+  ]
+
+(* compile, verify, profile and a serve client take the same request
+   flags; the client's job record echoes the spec batch reads from the
+   equivalent manifest; and a request the engine rejects exits 2 with
+   the engine's message on every command. *)
+let test_request_vocabulary () =
+  with_daemon @@ fun sock ->
+  let commands =
+    [
+      "compile qft9";
+      "verify qft9";
+      "profile qft9 --repeat 1";
+      "serve qft9 --connect " ^ Filename.quote sock;
+    ]
+  in
+  List.iter
+    (fun (flags, job) ->
+      List.iter
+        (fun cmd ->
+          let code, out = run (cmd ^ " " ^ flags) in
+          if code <> 0 then
+            Alcotest.failf "%s %s: exit %d\n%s" cmd flags code out)
+        commands;
+      let code, served, _ =
+        run_split
+          (Printf.sprintf "serve qft9 --connect %s %s" (Filename.quote sock)
+             flags)
+      in
+      check_int ("serve " ^ flags) 0 code;
+      with_manifest ("[" ^ job ^ "]") (fun manifest ->
+          let code, batched, _ =
+            run_split ("batch " ^ Filename.quote manifest)
+          in
+          check_int ("batch for " ^ flags) 0 code;
+          Alcotest.(check string)
+            ("spec of " ^ flags)
+            (spec_of_line (String.trim batched))
+            (spec_of_line (String.trim served))))
+    valid_requests;
+  List.iter
+    (fun (flags, message) ->
+      List.iter
+        (fun cmd ->
+          let code, out = run (cmd ^ " " ^ flags) in
+          check_int (cmd ^ " " ^ flags ^ " exit 2") 2 code;
+          check_bool (cmd ^ " " ^ flags ^ " message") true (contains out message))
+        commands)
+    invalid_requests
 
 let () =
   Alcotest.run "cli"
@@ -663,16 +765,14 @@ let () =
           Alcotest.test_case "sweep" `Quick test_sweep;
           Alcotest.test_case "trace" `Quick test_trace;
           Alcotest.test_case "export formats" `Quick test_export_formats;
-          Alcotest.test_case "schedule braid identical" `Quick
-            test_schedule_braid_byte_identical;
-          Alcotest.test_case "schedule surgery" `Quick test_schedule_surgery;
-          Alcotest.test_case "schedule compare" `Quick test_schedule_compare;
+          Alcotest.test_case "compile backend surgery" `Quick
+            test_compile_backend_surgery;
+          Alcotest.test_case "compile backend compare" `Quick
+            test_compile_backend_compare;
           Alcotest.test_case "export backend" `Quick test_export_backend;
           Alcotest.test_case "resources" `Quick test_resources;
           Alcotest.test_case "errors" `Quick test_error_handling;
-          Alcotest.test_case "unknown backend" `Quick test_schedule_unknown_backend;
-          Alcotest.test_case "schedule missing file jsonl" `Quick
-            test_schedule_missing_file_jsonl;
+          Alcotest.test_case "unknown backend" `Quick test_unknown_backend;
           Alcotest.test_case "distance 0" `Quick test_distance_zero;
         ] );
       ( "batch",
@@ -710,5 +810,7 @@ let () =
             test_profile_invalid_spec;
           Alcotest.test_case "profile failed job" `Quick
             test_profile_failed_job;
+          Alcotest.test_case "request vocabulary" `Quick
+            test_request_vocabulary;
         ] );
     ]

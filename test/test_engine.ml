@@ -4,6 +4,7 @@
 
 module Spec = Qec_engine.Spec
 module Engine = Qec_engine.Engine
+module Engine_core = Qec_engine.Engine_core
 module Cache = Qec_engine.Placement_cache
 module Json = Qec_report.Json
 module CB = Autobraid.Comm_backend
@@ -417,8 +418,8 @@ let test_options_parse_kv () =
 let test_legacy_shim_equivalence () =
   let cycles s =
     match Engine.run_spec s with
-    | Ok p -> p.Engine.result.Autobraid.Scheduler.total_cycles
-    | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
+    | Ok p -> p.Engine_core.result.Autobraid.Scheduler.total_cycles
+    | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine_core.message
   in
   let base = { Spec.default with circuit = "qaoa12" } in
   let legacy_sp = cycles { base with scheduler = Spec.Sp } in
@@ -570,6 +571,21 @@ let test_cache_key_sensitivity () =
   check_string "angle-blind" (k (rz 0.1)) (k (rz 0.9));
   check_bool "qubit count changes key" true
     (k (rz 0.1) <> k (rz ~num_qubits:2 0.1))
+
+(* The key's digests, pinned per placement method on one fixed circuit:
+   a warm --cache-dir written by an earlier build must keep hitting. *)
+let test_cache_key_digests () =
+  let c = B.Registry.build "qft9" in
+  List.iter
+    (fun (method_, digest) ->
+      check_string (Spec.initial_to_string method_) digest
+        (Cache.key ~circuit:c ~method_ ~seed:11))
+    [
+      (IL.Identity, "7997d54ff1385bb46ff1455c3179166a");
+      (IL.Bisected, "1c3c3ebf07ec9191a0255b9899ba3592");
+      (IL.Partitioned, "9b3d046e33532b3a28d4cb80d39355cb");
+      (IL.Annealed, "805c67cb176e195a2e41275198d665b0");
+    ]
 
 let test_cache_lookup_and_store () =
   let c = B.Registry.build "qft9" in
@@ -783,24 +799,24 @@ let spec ?(backend = "braid") ?(scheduler = Spec.Full) circuit =
 
 let test_run_spec_ok () =
   match Engine.run_spec (spec "qft9") with
-  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
+  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine_core.message
   | Ok p ->
-    check_string "backend" "braid" p.Engine.backend;
+    check_string "backend" "braid" p.Engine_core.backend;
     check_bool "cycles > 0" true
-      (p.Engine.result.Autobraid.Scheduler.total_cycles > 0);
-    check_bool "trace present" true (p.Engine.trace <> None)
+      (p.Engine_core.result.Autobraid.Scheduler.total_cycles > 0);
+    check_bool "trace present" true (p.Engine_core.trace <> None)
 
 let test_run_spec_matches_direct_scheduler () =
   (* the Spec path is a repackaging of Scheduler.run, not a reimplementation *)
   let timing = Qec_surface.Timing.make ~d:Qec_surface.Timing.default_d () in
   let direct = Autobraid.Scheduler.run timing (B.Registry.build "qft9") in
   match Engine.run_spec (spec "qft9") with
-  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
+  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine_core.message
   | Ok p ->
     check_int "same cycles" direct.Autobraid.Scheduler.total_cycles
-      p.Engine.result.Autobraid.Scheduler.total_cycles;
+      p.Engine_core.result.Autobraid.Scheduler.total_cycles;
     check_int "same rounds" direct.Autobraid.Scheduler.rounds
-      p.Engine.result.Autobraid.Scheduler.rounds
+      p.Engine_core.result.Autobraid.Scheduler.rounds
 
 let test_run_spec_baseline_certified () =
   let s =
@@ -811,18 +827,18 @@ let test_run_spec_baseline_certified () =
   in
   check_bool "validates" true (Spec.validate s = Ok ());
   match Engine.run_spec s with
-  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine.message
+  | Error e -> Alcotest.failf "run_spec failed: %s" e.Engine_core.message
   | Ok p -> (
-    check_string "backend" "gp-baseline" p.Engine.backend;
-    check_bool "trace recorded" true (p.Engine.trace <> None);
+    check_string "backend" "gp-baseline" p.Engine_core.backend;
+    check_bool "trace recorded" true (p.Engine_core.trace <> None);
     let untraced =
       Gp_baseline.run (Qec_surface.Timing.make ~d:s.Spec.d ())
         (B.Registry.build "qft16")
     in
     check_int "same cycles as untraced"
       untraced.Autobraid.Scheduler.total_cycles
-      p.Engine.result.Autobraid.Scheduler.total_cycles;
-    match p.Engine.certificate with
+      p.Engine_core.result.Autobraid.Scheduler.total_cycles;
+    match p.Engine_core.certificate with
     | Some cert ->
       check_bool (Qec_verify.Certifier.to_summary cert) true
         (Qec_verify.Certifier.ok cert)
@@ -831,7 +847,7 @@ let test_run_spec_baseline_certified () =
 let test_run_spec_errors () =
   let kind s =
     match Engine.run_spec s with
-    | Error e -> e.Engine.kind
+    | Error e -> e.Engine_core.kind
     | Ok _ -> "ok"
   in
   check_string "missing circuit" "circuit-not-found" (kind (spec "no_such"));
@@ -854,9 +870,9 @@ let test_lexer_error_is_parse_error () =
   match Engine.run_spec (spec file) with
   | Ok _ -> Alcotest.fail "stray @ compiled"
   | Error e ->
-    check_string "kind" "parse" e.Engine.kind;
+    check_string "kind" "parse" e.Engine_core.kind;
     check_string "message" (file ^ ":5:10: unexpected character '@'")
-      e.Engine.message
+      e.Engine_core.message
 
 let batch_specs =
   [
@@ -871,18 +887,18 @@ let test_run_batch_order_and_errors () =
   let jobs = Engine.run_batch ~jobs:3 batch_specs in
   check_int "all jobs" (List.length batch_specs) (List.length jobs);
   List.iteri
-    (fun i j -> check_int "input order" i j.Engine.index)
+    (fun i j -> check_int "input order" i j.Engine_core.index)
     jobs;
-  match Engine.errors jobs with
+  match Engine_core.errors jobs with
   | [ (2, e) ] ->
-    check_string "kind" "circuit-not-found" e.Engine.kind;
-    check_bool "message" true (contains e.Engine.message "no_such_circuit")
+    check_string "kind" "circuit-not-found" e.Engine_core.kind;
+    check_bool "message" true (contains e.Engine_core.message "no_such_circuit")
   | other -> Alcotest.failf "expected exactly one error, got %d" (List.length other)
 
 let test_run_batch_jsonl_deterministic_across_jobs () =
   let render jobs_n =
     let cache = create () in
-    Engine.jobs_to_jsonl (Engine.run_batch ~jobs:jobs_n ~cache batch_specs)
+    Engine_core.jobs_to_jsonl (Engine.run_batch ~jobs:jobs_n ~cache batch_specs)
   in
   let one = render 1 in
   check_string "jobs 1 = jobs 4" one (render 4);
@@ -910,12 +926,12 @@ let test_run_batch_cache_verdicts () =
   let cache = create () in
   let jobs = Engine.run_batch ~jobs:2 ~cache specs in
   let labelled status =
-    List.length (List.filter (fun j -> j.Engine.cache = status) jobs)
+    List.length (List.filter (fun j -> j.Engine_core.cache = status) jobs)
   in
   let k = Cache.counters cache in
-  check_int "misses" k.Cache.misses (labelled Engine.Miss);
-  check_int "memory hits" k.Cache.memory_hits (labelled Engine.Memory_hit);
-  check_int "disk hits" k.Cache.disk_hits (labelled Engine.Disk_hit);
+  check_int "misses" k.Cache.misses (labelled Engine_core.Miss);
+  check_int "memory hits" k.Cache.memory_hits (labelled Engine_core.Memory_hit);
+  check_int "disk hits" k.Cache.disk_hits (labelled Engine_core.Disk_hit);
   check_int "every job looked up" (List.length specs)
     (k.Cache.misses + k.Cache.memory_hits + k.Cache.disk_hits)
 
@@ -938,18 +954,18 @@ let test_run_batch_cache_determinism () =
   check_bool "warm run hit memory" true
     ((Cache.counters cold_cache).Cache.memory_hits > 0);
   check_bool "disk run hit disk" true
-    (List.exists (fun j -> j.Engine.cache = Engine.Disk_hit) disk);
+    (List.exists (fun j -> j.Engine_core.cache = Engine_core.Disk_hit) disk);
   List.iter
     (fun other ->
-      check_string "identical records" (Engine.jobs_to_jsonl cold)
-        (Engine.jobs_to_jsonl other))
+      check_string "identical records" (Engine_core.jobs_to_jsonl cold)
+        (Engine_core.jobs_to_jsonl other))
     [ warm; disk; uncached ];
   (* traces too, not just the summary rows *)
   List.iter2
     (fun a b ->
-      match (a.Engine.outcome, b.Engine.outcome) with
+      match (a.Engine_core.outcome, b.Engine_core.outcome) with
       | Ok pa, Ok pb ->
-        check_bool "same trace" true (pa.Engine.trace = pb.Engine.trace)
+        check_bool "same trace" true (pa.Engine_core.trace = pb.Engine_core.trace)
       | _ -> Alcotest.fail "job failed")
     cold disk
 
@@ -981,7 +997,7 @@ let test_run_batch_repeated_keys () =
     let before = Cache.counters cache in
     let jobs = Engine.run_batch ~jobs:1 ~cache specs in
     let after = Cache.counters cache in
-    (Engine.jobs_to_jsonl jobs, after.Cache.misses - before.Cache.misses)
+    (Engine_core.jobs_to_jsonl jobs, after.Cache.misses - before.Cache.misses)
   in
   let cache = create ~dir () in
   let cold, cold_misses = pass cache in
@@ -1004,13 +1020,13 @@ let test_best_p_bypasses_cache () =
   let cache = create () in
   let cached = Engine.run_batch ~jobs:1 ~cache specs in
   List.iter
-    (fun j -> check_bool "uncached" true (j.Engine.cache = Engine.Uncached))
+    (fun j -> check_bool "uncached" true (j.Engine_core.cache = Engine_core.Uncached))
     cached;
   let k = Cache.counters cache in
   check_int "no lookups" 0 (k.Cache.misses + k.Cache.memory_hits + k.Cache.disk_hits);
   check_string "same record bytes"
-    (Engine.jobs_to_jsonl (Engine.run_batch ~jobs:1 specs))
-    (Engine.jobs_to_jsonl cached)
+    (Engine_core.jobs_to_jsonl (Engine.run_batch ~jobs:1 specs))
+    (Engine_core.jobs_to_jsonl cached)
 
 let test_job_json_shape () =
   let jobs =
@@ -1018,7 +1034,7 @@ let test_job_json_shape () =
       [ { (spec "qft9") with Spec.id = Some "job-a" }; spec "no_such" ]
   in
   let lines =
-    String.split_on_char '\n' (String.trim (Engine.jobs_to_jsonl jobs))
+    String.split_on_char '\n' (String.trim (Engine_core.jobs_to_jsonl jobs))
   in
   check_int "two lines" 2 (List.length lines);
   let ok_line = List.nth lines 0 and err_line = List.nth lines 1 in
@@ -1035,7 +1051,7 @@ let test_job_json_shape () =
     (fun l -> check_bool "line parses" true (Result.is_ok (Json.of_string l)))
     lines;
   (* with timings, the cache status appears *)
-  let timed = Engine.jobs_to_jsonl ~timings:true jobs in
+  let timed = Engine_core.jobs_to_jsonl ~timings:true jobs in
   check_bool "timings add elapsed" true (contains timed {|"elapsed_s"|});
   check_bool "timings add cache" true (contains timed {|"cache":"uncached"|})
 
@@ -1072,6 +1088,7 @@ let () =
       ( "placement_cache",
         [
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
+          Alcotest.test_case "key digests" `Quick test_cache_key_digests;
           Alcotest.test_case "lookup and store" `Quick
             test_cache_lookup_and_store;
           Alcotest.test_case "disk round-trip" `Quick test_cache_disk_roundtrip;

@@ -75,7 +75,7 @@ let result_digest ~circuit kind =
   let record result stats curve =
     J.Obj
       ([
-         ("result", Qec_engine.Engine.result_json result);
+         ("result", Qec_engine.Engine_core.result_json result);
          ("stats", J.Obj (List.map (fun (k, v) -> (k, J.Float v)) stats));
        ]
       @
@@ -87,7 +87,7 @@ let result_digest ~circuit kind =
             J.List
               (List.map
                  (fun (p, r) ->
-                   J.List [ J.Float p; Qec_engine.Engine.result_json r ])
+                   J.List [ J.Float p; Qec_engine.Engine_core.result_json r ])
                  c) );
         ])
   in

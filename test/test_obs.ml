@@ -239,7 +239,7 @@ let test_job_json_timer () =
   let jobs = Qec_engine.Engine.run_batch ~jobs:1 [ spec ] in
   let c = Col.create () in
   Tel.with_sink (Col.sink c) (fun () ->
-      ignore (Qec_engine.Engine.jobs_to_jsonl jobs));
+      ignore (Qec_engine.Engine_core.jobs_to_jsonl jobs));
   match List.find_opt (fun (n, _, _) -> n = "export.job_json") (Col.timers c) with
   | Some (_, calls, _) -> Alcotest.(check int) "one call per job" 1 calls
   | None -> Alcotest.fail "no export.job_json timer"

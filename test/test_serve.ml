@@ -11,6 +11,7 @@ module Server = Qec_serve.Server
 module Tally = Qec_telemetry.Telemetry.Tally
 module Spec = Qec_engine.Spec
 module Engine = Qec_engine.Engine
+module Engine_core = Qec_engine.Engine_core
 module Json = Qec_report.Json
 
 let () = Engine.ensure_backends ()
@@ -75,11 +76,11 @@ let test_decode_errors () =
 let test_response_roundtrip () =
   let job =
     {
-      Engine.index = 4;
+      Engine_core.index = 4;
       spec = spec "qft9";
       elapsed_s = 0.;
-      cache = Engine.Uncached;
-      outcome = Error { Engine.kind = "internal"; message = "boom" };
+      cache = Engine_core.Uncached;
+      outcome = Error { Engine_core.kind = "internal"; message = "boom" };
     }
   in
   (match P.response_of_line (P.encode (P.result_record ~request:(Some "a") job)) with
@@ -113,8 +114,8 @@ let test_response_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                              *)
 
-(* A tally windowed like the daemon's, rendered as its [stats] member. *)
-let windowed () = Tally.create ~window:16384 ()
+(* A tally like the daemon's, rendered as its [stats] member. *)
+let windowed () = Tally.create ()
 let stats_json m =
   Json.Obj (Qec_report.Export.metrics_members (Tally.records m))
 
@@ -149,12 +150,12 @@ let test_metrics () =
    1.0s is displaced by a full window of 3.0s, the median is 3.0. *)
 let test_metrics_percentiles_follow_recent () =
   let m = windowed () in
-  for _ = 1 to 16384 do Tally.sample m "s" 1.0 done;
-  for _ = 1 to 16384 do Tally.sample m "s" 3.0 done;
+  for _ = 1 to Tally.window do Tally.sample m "s" 1.0 done;
+  for _ = 1 to Tally.window do Tally.sample m "s" 3.0 done;
   match Json.member "histograms" (stats_json m) with
   | Some (Json.List [ h ]) ->
     check_bool "count stays exact" true
-      (Json.member "count" h = Some (Json.Int 32768));
+      (Json.member "count" h = Some (Json.Int (2 * Tally.window)));
     check_bool "min stays exact" true
       (Json.member "min" h = Some (Json.Float 1.0));
     check_bool "p50 tracks recent samples" true
@@ -206,12 +207,12 @@ let connect socket = get_ok "connect" (C.connect socket)
    the byte-identity oracle for serve responses. *)
 let one_shot_line s =
   Json.to_string
-    (Engine.job_to_json
+    (Engine_core.job_to_json
        {
-         Engine.index = 0;
+         Engine_core.index = 0;
          spec = s;
          elapsed_s = 0.;
-         cache = Engine.Uncached;
+         cache = Engine_core.Uncached;
          outcome = Engine.run_spec s;
        })
 
@@ -310,7 +311,7 @@ let test_batch_streaming () =
     String.concat "" (List.map (fun j -> C.job_line j ^ "\n") sorted)
   in
   check_string "batch stream reassembles to run_batch JSONL"
-    (Engine.jobs_to_jsonl ~timings:false (Engine.run_batch ~jobs:1 specs))
+    (Engine_core.jobs_to_jsonl ~timings:false (Engine.run_batch ~jobs:1 specs))
     serve_jsonl;
   C.close c
 

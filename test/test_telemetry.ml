@@ -311,27 +311,41 @@ let test_tally_merge_and_window () =
       ]);
   T.reset root;
   check_int "reset" 0 (List.length (T.records root));
-  let windowed = T.create ~window:3 () in
-  List.iter (T.sample windowed "s") [ 1.; 2.; 3.; 4.; 5. ];
+  (* 100 samples past the window: 1, 2, ..., window + 100 *)
+  let w = T.window and past = 100 in
+  let worker = T.create ~rank:1 () in
+  for i = 1 to w + past do
+    T.sample worker "s" (float_of_int i)
+  done;
   let hist t =
     match T.records t with
     | [ Tel.Histogram h ] -> h
     | _ -> Alcotest.fail "expected one histogram"
   in
-  let h = hist windowed in
-  check_int "count exact" 5 h.Tel.count;
+  (* nearest rank over the newest window, past + 1 .. past + w *)
+  let p50 = float_of_int (past + (w / 2))
+  and p95 = float_of_int (past + int_of_float (Float.ceil (0.95 *. float_of_int w))) in
+  let n = w + past in
+  let h = hist worker in
+  check_int "window" 16384 w;
+  check_int "count exact" n h.Tel.count;
+  check_float "sum exact" (float_of_int (n * (n + 1) / 2)) h.Tel.sum;
   check_float "min exact" 1. h.Tel.min_v;
-  check_float "p50 over the window" 4. h.Tel.p50;
-  let into = T.create ~window:3 () in
-  T.sample into "s" 10.;
-  T.merge ~into windowed;
+  check_float "max exact" (float_of_int n) h.Tel.max_v;
+  check_float "p50 over the newest window" p50 h.Tel.p50;
+  check_float "p95 over the newest window" p95 h.Tel.p95;
+  (* a worker merge appends the worker's kept samples after the root's
+     own, so the root's older sample leaves the window *)
+  let into = T.create () in
+  T.sample into "s" 0.;
+  T.merge ~into worker;
   let h = hist into in
-  check_int "merged count exact" 6 h.Tel.count;
-  check_float "merged max exact" 10. h.Tel.max_v;
-  check_float "merged p50 over the window" 4. h.Tel.p50;
-  Alcotest.check_raises "empty window"
-    (Invalid_argument "Tally.create: window < 1") (fun () ->
-      ignore (T.create ~window:0 ()))
+  check_int "merged count exact" (n + 1) h.Tel.count;
+  check_float "merged sum exact" (float_of_int (n * (n + 1) / 2)) h.Tel.sum;
+  check_float "merged min exact" 0. h.Tel.min_v;
+  check_float "merged max exact" (float_of_int n) h.Tel.max_v;
+  check_float "merged p50 over the newest window" p50 h.Tel.p50;
+  check_float "merged p95 over the newest window" p95 h.Tel.p95
 
 (* Aggregate telemetry of a map_jobs run is identical for any worker
    count >= 2 under a constant clock (jobs=1 short-circuits to List.map
