@@ -196,7 +196,8 @@ profile-smoke: build
 # Certification smoke: every committed fixture and a mid-size benchmark
 # must certify clean through both communication backends (and qft9 through
 # lookahead), and the exit policy must match lint's (0 clean / 1 failed
-# invariant / 2 bad input).
+# invariant / 2 bad input). A manifest with one rejected job must name
+# it, certify the other jobs and exit 2.
 verify-smoke: build
 	@for f in fixtures/*.qasm; do \
 		echo "verify $$f"; \
@@ -213,6 +214,15 @@ verify-smoke: build
 	$(CLI) verify fixtures/batch_manifest.json || exit 1
 	@$(CLI) verify no-such-circuit >/dev/null 2>&1; \
 	[ $$? -eq 2 ] || { echo "verify-smoke: bad input should exit 2"; exit 1; }
+	@echo "verify fixtures/verify_mixed_manifest.json (job 1 rejected)"; \
+	out=$$(mktemp); err=$$(mktemp); \
+	$(CLI) verify fixtures/verify_mixed_manifest.json >"$$out" 2>"$$err"; code=$$?; \
+	ok=1; \
+	[ $$code -eq 2 ] || { echo "verify-smoke: mixed manifest exited $$code, not 2"; ok=0; }; \
+	grep -q 'verify: job 1 (qft9): ' "$$err" || { echo "verify-smoke: rejected job 1 not named"; ok=0; }; \
+	grep -q '^qft9: certified' "$$out" && grep -q '^bv12: certified' "$$out" \
+		|| { echo "verify-smoke: jobs 0 and 2 not certified"; ok=0; }; \
+	rm -f "$$out" "$$err"; [ $$ok -eq 1 ]
 	@$(CLI) verify qft9 --json | grep -q '"schema": "autobraid-cert/v1"' \
 		|| { echo "verify-smoke: missing certificate schema tag"; exit 1; }
 	@echo "verify-smoke: OK"

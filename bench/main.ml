@@ -474,9 +474,7 @@ let planar ~full:_ =
         ("braiding, GP baseline", GP.run timing33 c, braid_qubits);
         ("braiding, autobraid", auto, braid_qubits);
         ( "planar, greedy order",
-          Tp.run
-            ~options:{ Tp.default_options with ordering = Tp.Greedy_shortest }
-            timing33 c,
+          Tp.run ~ordering:Tp.Greedy_shortest timing33 c,
           planar_qubits );
         ("planar, stack order", tele_stack, planar_qubits);
       ]

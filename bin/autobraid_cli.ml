@@ -1119,22 +1119,26 @@ let lint_cmd =
 (* Exit-code contract mirrors lint: 0 when every schedule certifies clean,
    1 when any invariant fails (or a run fails), 2 on unusable input (an
    unknown circuit, a request the engine rejects, an unreadable or
-   malformed manifest). Certification
-   always replays a fresh run from the spec — the exported trace JSON has
-   no deserializer, so the trace is regenerated, which the placement seed
-   makes deterministic. *)
+   malformed manifest). A manifest's rejected or failed job is named on
+   stderr and the rest are still certified; the exit code is the largest
+   any job earned. Certification always replays a fresh run from the
+   spec — the exported trace JSON has no deserializer, so the trace is
+   regenerated, which the placement seed makes deterministic. *)
 let verify_cmd =
   let run target request json =
-    let specs =
-      if is_manifest target then begin
+    let manifest = is_manifest target in
+    (* (manifest index, spec) of every job to certify *)
+    let jobs =
+      if manifest then begin
         (* best_p sweeps never record a trace, so there is nothing
            independent to certify — skip them with a note rather than
            fail a manifest that batch itself accepts. *)
         let untraced, certifiable =
-          List.partition (fun (s : Spec.t) -> s.best_p) (read_manifest target)
+          List.mapi (fun i s -> (i, s)) (read_manifest target)
+          |> List.partition (fun (_, (s : Spec.t)) -> s.best_p)
         in
         List.iter
-          (fun (s : Spec.t) ->
+          (fun (_, (s : Spec.t)) ->
             Printf.eprintf "skipping %s: best_p runs record no trace to certify\n"
               s.circuit)
           untraced;
@@ -1143,30 +1147,50 @@ let verify_cmd =
           exit 2
         end;
         List.map
-          (fun (s : Spec.t) -> spec_of ~certify:true ~circuit:s.circuit s)
+          (fun (i, (s : Spec.t)) ->
+            (i, spec_of ~certify:true ~circuit:s.circuit s))
           certifiable
       end
-      else [ request_spec ~certify:true request target ]
+      else [ (0, request_spec ~certify:true request target) ]
     in
-    let certs =
+    let outcomes =
       List.map
-        (fun s ->
-          match run_or_die s with
-          | { Engine_core.certificate = Some cert; _ } -> cert
-          | { certificate = None; _ } ->
+        (fun (i, (s : Spec.t)) ->
+          match Engine.run_spec s with
+          | Ok { Engine_core.certificate = Some cert; _ } -> (i, s, Ok cert)
+          | Ok { certificate = None; _ } ->
             (* unreachable: the spec demands a certificate and validation
-               rejects untraced runs, but never die silently if it drifts *)
-            prerr_endline "internal: run produced no certificate";
-            exit 1)
-        specs
+               rejects untraced runs, but never pass silently if it drifts *)
+            ( i,
+              s,
+              Error
+                { Engine_core.kind = "internal";
+                  message = "internal: run produced no certificate" } )
+          | Error e ->
+            (* a single circuit fails as every single-circuit command does *)
+            if not manifest then die_engine_text e;
+            (i, s, Error e))
+        jobs
     in
+    let certs = List.filter_map (fun (_, _, r) -> Result.to_option r) outcomes in
     if json then
       print_endline
         (Qec_report.Json.to_string ~indent:true
            (Qec_report.Json.List
               (List.map Qec_report.Export.certificate_to_json certs)))
     else List.iter print_certificate_summary certs;
-    exit (if List.for_all Qec_verify.Certifier.ok certs then 0 else 1)
+    let code =
+      List.fold_left
+        (fun code (i, (s : Spec.t), r) ->
+          match r with
+          | Ok _ -> code
+          | Error (e : Engine_core.error) ->
+            Printf.eprintf "verify: job %d (%s): %s\n" i s.circuit e.message;
+            max code (exit_of_kind e.kind))
+        (if List.for_all Qec_verify.Certifier.ok certs then 0 else 1)
+        outcomes
+    in
+    exit code
   in
   let target_arg =
     Arg.(

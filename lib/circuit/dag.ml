@@ -34,23 +34,34 @@ let num_gates t = Array.length t.preds
 let preds t i = t.preds.(i)
 let succs t i = t.succs.(i)
 
+(* max (acc, a.(p) + bump) over the predecessor list, with integer
+   comparisons (the polymorphic [max] calls into the runtime). *)
+let rec max_pred a bump acc = function
+  | [] -> acc
+  | p :: ps ->
+    let v = a.(p) + bump in
+    max_pred a bump (if v > acc then v else acc) ps
+
 let asap_levels t =
   let n = num_gates t in
   let level = Array.make n 0 in
   for i = 0 to n - 1 do
-    level.(i) <-
-      List.fold_left (fun acc p -> max acc (level.(p) + 1)) 0 t.preds.(i)
+    level.(i) <- max_pred level 1 0 t.preds.(i)
   done;
   level
 
-let depth t =
-  let levels = asap_levels t in
-  Array.fold_left (fun acc l -> max acc (l + 1)) 0 levels
+let depth_of levels =
+  let d = ref 0 in
+  for i = 0 to Array.length levels - 1 do
+    if levels.(i) >= !d then d := levels.(i) + 1
+  done;
+  !d
+
+let depth t = depth_of (asap_levels t)
 
 let layers t =
   let levels = asap_levels t in
-  let d = Array.fold_left (fun acc l -> max acc (l + 1)) 0 levels in
-  let out = Array.make d [] in
+  let out = Array.make (depth_of levels) [] in
   for i = num_gates t - 1 downto 0 do
     out.(levels.(i)) <- i :: out.(levels.(i))
   done;
@@ -61,10 +72,8 @@ let critical_path ~cost t =
   let finish = Array.make n 0 in
   let total = ref 0 in
   for i = 0 to n - 1 do
-    let start =
-      List.fold_left (fun acc p -> max acc finish.(p)) 0 t.preds.(i)
-    in
-    finish.(i) <- start + cost (Circuit.gate t.circuit i);
+    finish.(i) <-
+      max_pred finish 0 0 t.preds.(i) + cost (Circuit.gate t.circuit i);
     if finish.(i) > !total then total := finish.(i)
   done;
   !total

@@ -49,24 +49,28 @@ module Options = struct
 
   let defaults specs = List.map (fun s -> (s.key, s.default)) specs
 
+  (* The declaration of [key], or the one "unknown option" error. *)
+  let find specs key =
+    match List.find_opt (fun s -> s.key = key) specs with
+    | Some spec -> Ok spec
+    | None ->
+      Error
+        (Printf.sprintf "unknown option %S (available: %s)" key
+           (match specs with
+           | [] -> "none"
+           | _ -> String.concat ", " (List.map (fun s -> s.key) specs)))
+
   let apply specs base pairs =
     List.fold_left
       (fun acc (k, v) ->
         Result.bind acc (fun acc ->
-            match List.find_opt (fun s -> s.key = k) specs with
-            | None ->
-              Error
-                (Printf.sprintf "unknown option %S (available: %s)" k
-                   (match specs with
-                   | [] -> "none"
-                   | _ -> String.concat ", " (List.map (fun s -> s.key) specs)))
-            | Some spec ->
+            Result.bind (find specs k) (fun spec ->
               Result.map
                 (fun v ->
                   List.map
                     (fun (k', v') -> if k' = k then (k', v) else (k', v'))
                     acc)
-                (check_value spec v)))
+                (check_value spec v))))
       (Ok base) pairs
 
   let decode specs pairs = apply specs (defaults specs) pairs
@@ -78,14 +82,7 @@ module Options = struct
     | Some i -> (
       let key = String.sub arg 0 i in
       let raw = String.sub arg (i + 1) (String.length arg - i - 1) in
-      match List.find_opt (fun s -> s.key = key) specs with
-      | None ->
-        Error
-          (Printf.sprintf "unknown option %S (available: %s)" key
-             (match specs with
-             | [] -> "none"
-             | _ -> String.concat ", " (List.map (fun s -> s.key) specs)))
-      | Some spec -> (
+      Result.bind (find specs key) @@ fun spec ->
         let bad () =
           Error
             (Printf.sprintf "option %S: %S is not a %s" key raw
@@ -105,7 +102,7 @@ module Options = struct
           | Some f -> Ok (key, Float f)
           | None -> bad ())
         | TEnum _ ->
-          Result.map (fun v -> (key, v)) (check_value spec (String raw))))
+          Result.map (fun v -> (key, v)) (check_value spec (String raw)))
 
   let to_flags specs =
     List.map
@@ -187,6 +184,14 @@ let all () =
 
 let names () = List.map (fun e -> e.name) (all ())
 
+let scheduler_options cfg =
+  {
+    Scheduler.default_options with
+    initial = cfg.initial;
+    seed = cfg.seed;
+    placement_override = cfg.placement;
+  }
+
 let braid_options =
   let open Options in
   [
@@ -223,16 +228,9 @@ let () =
       in
       let options =
         {
-          Scheduler.variant;
+          (scheduler_options cfg) with
+          variant;
           threshold_p = Options.get_float opts "threshold_p";
-          initial = cfg.initial;
-          swap_strategy = None;
-          retry = true;
-          confine_llg = true;
-          compaction = false;
-          lookahead = false;
-          seed = cfg.seed;
-          placement_override = cfg.placement;
         }
       in
       {

@@ -115,7 +115,8 @@ end
     batch engine's [Spec.backend] field) resolve them uniformly instead of
     hand-matching names to constructors. ["braid"] self-registers here;
     other libraries register at module-init time
-    ({!Qec_surgery.Backend.register}, [Qec_lookahead.Backend.register]). *)
+    ([Qec_surgery.Surgery_scheduler.register],
+    [Qec_lookahead.Lookahead_scheduler.register]). *)
 
 type config = {
   initial : Initial_layout.method_;
@@ -131,6 +132,11 @@ type config = {
 val default_config : config
 (** {!Scheduler.default_options}' initial / seed, no placement
     override. *)
+
+val scheduler_options : config -> Scheduler.options
+(** {!Scheduler.default_options} with [config]'s initial method, seed and
+    placement override — the driver options every registry backend
+    starts from before applying its own knobs. *)
 
 type ctor = config -> Options.t -> t
 (** The options record is complete and type-checked against the entry's

@@ -7,8 +7,8 @@ open Engine_core
 module Tel = Qec_telemetry.Telemetry
 
 let ensure_backends () =
-  Qec_surgery.Backend.register ();
-  Qec_lookahead.Backend.register ()
+  Qec_surgery.Surgery_scheduler.register ();
+  Qec_lookahead.Lookahead_scheduler.register ()
 
 let run_spec ?cache spec =
   ensure_backends ();

@@ -10,9 +10,10 @@
 
 val ensure_backends : unit -> unit
 (** Register the built-in backends (braid registers with
-    {!Autobraid.Comm_backend} on linking; surgery via
-    {!Qec_surgery.Backend.register}). Idempotent; call before resolving
-    backend names. *)
+    {!Autobraid.Comm_backend} on linking; surgery and lookahead via
+    {!Qec_surgery.Surgery_scheduler.register} and
+    {!Qec_lookahead.Lookahead_scheduler.register}). Idempotent; call
+    before resolving backend names. *)
 
 val run_spec :
   ?cache:Placement_cache.t -> Spec.t -> (Engine_core.payload, Engine_core.error) result

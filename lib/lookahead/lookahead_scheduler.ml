@@ -7,23 +7,37 @@ module Compaction = Autobraid.Compaction
 module Task = Autobraid.Task
 module Dataflow = Qec_verify.Dataflow
 module Tel = Qec_telemetry.Telemetry
+module Comm_backend = Autobraid.Comm_backend
 
-type options = {
-  window : int;
-  slack_weight : float;
-  initial : Autobraid.Initial_layout.method_;
-  seed : int;
-  placement_override : Qec_lattice.Placement.t option;
-}
+let options_spec =
+  let open Comm_backend.Options in
+  [
+    {
+      key = "window";
+      kind = TInt;
+      default = Int 4;
+      doc =
+        "successor levels the round priority looks past the DAG front; 0 = \
+         pure greedy";
+    };
+    {
+      key = "slack_weight";
+      kind = TFloat;
+      default = Float 1.0;
+      doc = "weight of the critical-path term in the round score";
+    };
+  ]
 
-let default_options =
-  {
-    window = 4;
-    slack_weight = 1.0;
-    initial = Scheduler.default_options.Scheduler.initial;
-    seed = Scheduler.default_options.Scheduler.seed;
-    placement_override = None;
-  }
+let validate options =
+  let open Comm_backend.Options in
+  let window = get_int options "window" in
+  let slack_weight = get_float options "slack_weight" in
+  if window < 0 then Error (Printf.sprintf "window %d must be >= 0" window)
+  else if slack_weight < 0. then
+    Error
+      (Printf.sprintf "slack_weight %s must be >= 0"
+         (Qec_util.Floatfmt.repr slack_weight))
+  else Ok ()
 
 type stats = {
   window : int;
@@ -62,28 +76,19 @@ let windowed_tail ~dag ~window circuit =
   done;
   cur
 
-(* Scheduler-equivalent braid options: what the braid backend runs with
-   when handed the same config — the greedy baseline and the driver
-   options of the lookahead run must agree on everything but routing. *)
-let scheduler_options (o : options) =
-  {
-    Scheduler.default_options with
-    Scheduler.initial = o.initial;
-    seed = o.seed;
-    placement_override = o.placement_override;
-  }
-
 (* The greedy run and the portfolio run, both on one preparation; the
-   cheaper schedule wins. *)
-let portfolio options timing circuit =
-  let sched_options = scheduler_options options in
+   cheaper schedule wins. The driver options are what the braid backend
+   runs with when handed the same config, so the two runs agree on
+   everything but routing. *)
+let portfolio config ~window ~slack_weight timing circuit =
+  let sched_options = Comm_backend.scheduler_options config in
   (* Both runs drive one preparation: one lowering, placement and DAG. *)
   let prep = Scheduler.prepare sched_options circuit in
   let drive policy =
     Scheduler.drive_traced policy ~options:sched_options timing prep
   in
   let greedy_result, greedy_trace = drive (Scheduler.braid_policy timing) in
-  if options.window = 0 then
+  if window = 0 then
     (* Pure greedy by definition: the route hook would reproduce the
        stack-finder round verbatim, so skip the second run entirely. *)
     ( greedy_result,
@@ -100,7 +105,7 @@ let portfolio options timing circuit =
     (* Priorities are computed on the prepared lowering, so the task ids
        seen by the route hook index these arrays. *)
     let lowered = Scheduler.lowered prep and dag = Scheduler.dag prep in
-    let wtail = windowed_tail ~dag ~window:options.window lowered in
+    let wtail = windowed_tail ~dag ~window lowered in
     let sa = Dataflow.slack_analysis ~dag lowered in
     let crit = Dataflow.critical_length sa in
     let criticality id =
@@ -111,7 +116,7 @@ let portfolio options timing circuit =
     let crit_sum (routed : (Task.t * Qec_lattice.Path.t) list) =
       List.fold_left
         (fun acc ((t : Task.t), _) ->
-          acc +. (options.slack_weight *. criticality t.Task.id))
+          acc +. (slack_weight *. criticality t.Task.id))
         0. routed
     in
     let priority_rounds = ref 0 in
@@ -184,7 +189,7 @@ let portfolio options timing circuit =
     ( result,
       trace,
       {
-        window = options.window;
+        window;
         chose_lookahead;
         lookahead_cycles = look_result.Scheduler.total_cycles;
         greedy_cycles = greedy_result.Scheduler.total_cycles;
@@ -193,15 +198,42 @@ let portfolio options timing circuit =
       } )
   end
 
-let run_traced ?(options = default_options) timing circuit =
-  if options.window < 0 then
-    invalid_arg "Lookahead_scheduler.run: window < 0";
-  if options.slack_weight < 0. then
-    invalid_arg "Lookahead_scheduler.run: slack_weight < 0";
+let run_traced ?(config = Comm_backend.default_config)
+    ?(options = Comm_backend.Options.defaults options_spec) timing circuit =
+  Result.iter_error invalid_arg (validate options);
+  let window = Comm_backend.Options.get_int options "window"
+  and slack_weight = Comm_backend.Options.get_float options "slack_weight" in
   Tel.with_span "lookahead.run" @@ fun () ->
   let result, (trace, stats) =
     Scheduler.clocked @@ fun () ->
-    let result, trace, stats = portfolio options timing circuit in
+    let result, trace, stats =
+      portfolio config ~window ~slack_weight timing circuit
+    in
     (result, (trace, stats))
   in
   (result, trace, stats)
+
+let register () =
+  Comm_backend.register ~name:"lookahead"
+    ~description:
+      "windowed critical-path lookahead over braiding (never worse than \
+       greedy)"
+    ~options:options_spec ~validate
+    (fun config options ->
+      {
+        Comm_backend.run =
+          (fun timing circuit ->
+            let result, trace, stats =
+              run_traced ~config ~options timing circuit
+            in
+            {
+              Comm_backend.backend = "lookahead";
+              result;
+              trace;
+              stats = stats_to_assoc stats;
+            });
+      })
+
+(* Self-register when linked and referenced; name-only resolvers call
+   [register] explicitly — see Qec_engine.Engine. *)
+let () = register ()

@@ -38,20 +38,17 @@
     With [window = 0] the route hook is not installed at all and the run
     {e is} the greedy braid schedule. *)
 
-type options = {
-  window : int;
-      (** how many successor levels the priority looks past the front;
-          0 = pure greedy (identical to the braid backend) *)
-  slack_weight : float;
-      (** weight of the criticality term in the round score; 0 values
-          every routed gate equally *)
-  initial : Autobraid.Initial_layout.method_;
-  seed : int;
-  placement_override : Qec_lattice.Placement.t option;
-}
+val options_spec : Autobraid.Comm_backend.Options.spec list
+(** The lookahead knobs, the one place their defaults are written
+    ([autobraid backends] lists them): [window] (int) is how many
+    successor levels the priority looks past the front, 0 being pure
+    greedy (identical to the braid backend); [slack_weight] (float)
+    weighs the criticality term in the round score, 0 valuing every
+    routed gate equally. *)
 
-val default_options : options
-(** [window = 4], [slack_weight = 1.0], braid's initial/seed defaults. *)
+val validate : Autobraid.Comm_backend.Options.t -> (unit, string) result
+(** The one range check: [window >= 0] and [slack_weight >= 0]. The
+    registry entry's [validate], also applied by {!run_traced}. *)
 
 type stats = {
   window : int;
@@ -83,10 +80,23 @@ val windowed_tail :
     ids must lower first. [dag] is the circuit's DAG. *)
 
 val run_traced :
-  ?options:options ->
+  ?config:Autobraid.Comm_backend.config ->
+  ?options:Autobraid.Comm_backend.Options.t ->
   Qec_surface.Timing.t ->
   Qec_circuit.Circuit.t ->
   Autobraid.Scheduler.result * Autobraid.Trace.t * stats
-(** Deterministic for fixed options; never more total cycles than
-    {!Autobraid.Scheduler.run_traced} with the same initial / seed /
-    placement (enforced by keeping the cheaper of the two runs). *)
+(** [config] defaults to {!Autobraid.Comm_backend.default_config} and
+    [options] (decoded against {!options_spec}) to the declared defaults.
+    Raises [Invalid_argument] with {!validate}'s message when the options
+    are out of range. Deterministic for fixed arguments; never more total
+    cycles than {!Autobraid.Scheduler.run_traced} with
+    [Comm_backend.scheduler_options config] (enforced by keeping the
+    cheaper of the two runs). *)
+
+val register : unit -> unit
+(** Enter ["lookahead"] into {!Autobraid.Comm_backend}'s registry, with
+    {!options_spec}, {!validate} and a ctor that is
+    [run_traced ~config ~options] with [stats] flattened by
+    {!stats_to_assoc}. Idempotent. Runs automatically when this module is
+    linked and referenced; call it explicitly from code that only
+    resolves backends by name, so linking is guaranteed. *)

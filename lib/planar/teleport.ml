@@ -3,21 +3,6 @@ module Scheduler = Autobraid.Scheduler
 
 type ordering = Greedy_shortest | Stack
 
-type options = {
-  ordering : ordering;
-  initial : Autobraid.Initial_layout.method_;
-  overhead_factor : float;
-  seed : int;
-}
-
-let default_options =
-  {
-    ordering = Stack;
-    initial = Autobraid.Initial_layout.Partitioned;
-    overhead_factor = 1.5;
-    seed = 11;
-  }
-
 let physical_qubits ?(overhead_factor = 1.5) ~num_logical ~d () =
   int_of_float
     (ceil
@@ -38,9 +23,9 @@ let distance_for_budget ?(overhead_factor = 1.5) ~num_logical ~budget () =
    for d cycles instead of a braid's 2d, and a purely local round is d
    anyway. So the model is the scheduler's round loop with static
    placement and teleport gate costs, re-costed afterwards. *)
-let run ?(options = default_options) timing circuit : Scheduler.result =
+let run ?(ordering = Stack) timing circuit : Scheduler.result =
   let route =
-    match options.ordering with
+    match ordering with
     | Stack -> None
     | Greedy_shortest -> Some (Gp_baseline.route Gp_baseline.Astar)
   in
@@ -53,8 +38,8 @@ let run ?(options = default_options) timing circuit : Scheduler.result =
       Scheduler.default_options with
       variant = Scheduler.Sp;
       confine_llg = false;
-      initial = options.initial;
-      seed = options.seed;
+      initial = Autobraid.Initial_layout.Partitioned;
+      seed = 11;
     }
   in
   let r, () =

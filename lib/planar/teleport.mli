@@ -31,25 +31,17 @@ type ordering =
   | Greedy_shortest  (** MICRO'17-style order, shortest channels first *)
   | Stack  (** AutoBraid's stack-based order, for a like-for-like fight *)
 
-type options = {
-  ordering : ordering;
-  initial : Autobraid.Initial_layout.method_;
-  overhead_factor : float;  (** physical-qubit ratio vs double-defect *)
-  seed : int;
-}
-
-val default_options : options
-(** [Stack] ordering, [Partitioned] placement, overhead 1.5, seed 11. *)
-
 val run :
-  ?options:options ->
+  ?ordering:ordering ->
   Qec_surface.Timing.t ->
   Qec_circuit.Circuit.t ->
   Autobraid.Scheduler.result
-(** Schedule under the teleportation model. The shared result record's
-    [swap_*] fields are always 0; a round with at least one teleported CX
-    costs [d] cycles (not [2d]); [critical_path_cycles] uses the same
-    teleport costs, so "vs CP" ratios stay comparable. *)
+(** Schedule under the teleportation model, from a [Partitioned]
+    placement at seed 11; [ordering] defaults to [Stack]. The shared
+    result record's [swap_*] fields are always 0; a round with at least
+    one teleported CX costs [d] cycles (not [2d]);
+    [critical_path_cycles] uses the same teleport costs, so "vs CP"
+    ratios stay comparable. *)
 
 val physical_qubits :
   ?overhead_factor:float -> num_logical:int -> d:int -> unit -> int

@@ -107,9 +107,12 @@ let surgery_pipeline_bounds =
       Circuit
         (guard (fun c ->
              let result, trace, _ = SS.run_traced timing c in
-             let no_pipeline =
-               SS.run
-                 ~options:{ SS.default_options with pipeline_splits = false }
+             let no_pipeline, _, _ =
+               SS.run_traced
+                 ~options:
+                   (Result.get_ok
+                      (CB.Options.decode SS.options_spec
+                         [ ("pipeline_splits", CB.Options.Bool false) ]))
                  timing c
              in
              (* Replay the pipelined trace pretending every split

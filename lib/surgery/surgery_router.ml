@@ -17,7 +17,7 @@ type round_result = {
    within a round, so length alone orders candidates. *)
 let tile_time_of_path p = Path.length p
 
-let route_round ?(retry = true) ?(ripup = true) router occ placement tasks =
+let route_round ~retry ~ripup router occ placement tasks =
   match tasks with
   | [] ->
     { routed = []; failed = []; ratio = 1.0; ripup_attempts = 0;

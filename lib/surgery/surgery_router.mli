@@ -26,14 +26,14 @@ type round_result = {
 }
 
 val route_round :
-  ?retry:bool ->
-  ?ripup:bool ->
+  retry:bool ->
+  ripup:bool ->
   Qec_lattice.Router.t ->
   Qec_lattice.Occupancy.t ->
   Qec_lattice.Placement.t ->
   Autobraid.Task.t list ->
   round_result
-(** Route the concurrent merges of one round. [retry] (default true) is
-    the stack finder's failed-first re-route; [ripup] (default true) the
-    volume-aware eviction pass. The occupancy may already contain foreign
+(** Route the concurrent merges of one round. [retry] is the stack
+    finder's failed-first re-route; [ripup] the volume-aware eviction
+    pass (the surgery backend's options of those names). The occupancy may already contain foreign
     reservations (treated as obstacles, never released). *)

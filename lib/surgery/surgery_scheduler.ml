@@ -5,27 +5,33 @@ module St = Qec_surface.Surgery_timing
 module Task = Autobraid.Task
 module Trace = Autobraid.Trace
 module Scheduler = Autobraid.Scheduler
-module Initial_layout = Autobraid.Initial_layout
+module Comm_backend = Autobraid.Comm_backend
 module Tel = Qec_telemetry.Telemetry
 
-type options = {
-  initial : Initial_layout.method_;
-  retry : bool;
-  ripup : bool;
-  pipeline_splits : bool;
-  seed : int;
-  placement_override : Qec_lattice.Placement.t option;
-}
-
-let default_options =
-  {
-    initial = Initial_layout.Annealed;
-    retry = true;
-    ripup = true;
-    pipeline_splits = true;
-    seed = 11;
-    placement_override = None;
-  }
+let options_spec =
+  let open Comm_backend.Options in
+  [
+    {
+      key = "retry";
+      kind = TBool;
+      default = Bool true;
+      doc = "failed-first retry pass when ordering merges within a round";
+    };
+    {
+      key = "ripup";
+      kind = TBool;
+      default = Bool true;
+      doc = "rip up committed corridors to rescue blocked merges";
+    };
+    {
+      key = "pipeline_splits";
+      kind = TBool;
+      default = Bool true;
+      doc =
+        "overlap the split phase with the next round's merges when it is \
+         never worse";
+    };
+  ]
 
 type stats = {
   merge_rounds : int;
@@ -120,12 +126,11 @@ type pass = {
   ripup_rescues : int;
 }
 
-let schedule ~defer options sched_options timing prep =
+let schedule ~defer ~retry ~ripup ~pipeline_splits sched_options timing prep =
   let ripup_attempts = ref 0 and ripup_rescues = ref 0 in
   let route ~round:_ ~router ~occ ~placement tasks =
     let rr =
-      Surgery_router.route_round ~retry:options.retry ~ripup:options.ripup
-        router occ placement tasks
+      Surgery_router.route_round ~retry ~ripup router occ placement tasks
     in
     ripup_attempts := !ripup_attempts + rr.Surgery_router.ripup_attempts;
     ripup_rescues := !ripup_rescues + rr.Surgery_router.ripup_rescues;
@@ -154,7 +159,7 @@ let schedule ~defer options sched_options timing prep =
     Scheduler.drive_traced policy ~options:sched_options timing prep
   in
   let trace, pipelined =
-    if not options.pipeline_splits then (trace, 0)
+    if not pipeline_splits then (trace, 0)
     else begin
       let rounds = Array.of_list trace.Trace.rounds in
       let pipelined = mark_overlaps trace.Trace.circuit rounds in
@@ -201,18 +206,17 @@ let stats_of timing ({ result; trace; _ } as pass) =
 
 (* Surgery reaches any two patches directly: the static-placement
    variant, never a SWAP layer. *)
-let best_pass options timing circuit =
+let best_pass config options timing circuit =
   let sched_options =
-    {
-      Scheduler.default_options with
-      variant = Scheduler.Sp;
-      initial = options.initial;
-      seed = options.seed;
-      placement_override = options.placement_override;
-    }
+    { (Comm_backend.scheduler_options config) with variant = Scheduler.Sp }
   in
   let prep = Scheduler.prepare sched_options circuit in
-  let schedule ~defer = schedule ~defer options sched_options timing prep in
+  let get = Comm_backend.Options.get_bool options in
+  let pipeline_splits = get "pipeline_splits" in
+  let schedule ~defer =
+    schedule ~defer ~retry:(get "retry") ~ripup:(get "ripup") ~pipeline_splits
+      sched_options timing prep
+  in
   (* Deferring ready gates off the previous round's merge qubits buys a
      split overlap, but it is a greedy bet: the deferred gates can push
      the whole schedule a round longer than they saved (found by fuzzing
@@ -220,7 +224,7 @@ let best_pass options timing circuit =
      the deferred and the undeferred schedule on one preparation, apply
      the same overlap accounting to each, and keep the cheaper (the
      deferred one on ties, preserving historical schedules). *)
-  if not options.pipeline_splits then schedule ~defer:false
+  if not pipeline_splits then schedule ~defer:false
   else begin
     let deferred = schedule ~defer:true in
     let plain = schedule ~defer:false in
@@ -228,16 +232,37 @@ let best_pass options timing circuit =
     else deferred
   end
 
-let run_traced ?(options = default_options) timing circuit =
+let run_traced ?(config = Comm_backend.default_config)
+    ?(options = Comm_backend.Options.defaults options_spec) timing circuit =
   Tel.with_span "surgery.run" @@ fun () ->
   let result, pass =
     Scheduler.clocked (fun () ->
-        let pass = best_pass options timing circuit in
+        let pass = best_pass config options timing circuit in
         (pass.result, pass))
   in
   Tel.count ~by:pass.pipelined "surgery.pipelined_splits";
   (result, pass.trace, stats_of timing pass)
 
-let run ?options timing circuit =
-  let result, _, _ = run_traced ?options timing circuit in
-  result
+let register () =
+  Comm_backend.register ~name:"surgery"
+    ~description:"lattice surgery (merge-split CX over ancilla corridors)"
+    ~options:options_spec
+    (fun config options ->
+      {
+        Comm_backend.run =
+          (fun timing circuit ->
+            let result, trace, stats =
+              run_traced ~config ~options timing circuit
+            in
+            {
+              Comm_backend.backend = "surgery";
+              result;
+              trace;
+              stats = stats_to_assoc stats;
+            });
+      })
+
+(* Self-register when this module is linked; callers that resolve
+   backends purely by name (and therefore never reference this module)
+   must call [register] explicitly — see Qec_engine.Engine. *)
+let () = register ()

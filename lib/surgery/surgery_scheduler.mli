@@ -22,19 +22,12 @@
     ([Trace.cycles]), so every claimed cycle is backed by a round the
     validator can check. *)
 
-type options = {
-  initial : Autobraid.Initial_layout.method_;  (** initial placement *)
-  retry : bool;  (** failed-first re-route inside the stack finder *)
-  ripup : bool;  (** volume-aware eviction of the costliest merge *)
-  pipeline_splits : bool;
-      (** overlap splits with data-independent successor rounds *)
-  seed : int;
-  placement_override : Qec_lattice.Placement.t option;
-}
-
-val default_options : options
-(** [Annealed] placement, retry, rip-up and pipelining on, seed 11 —
-    mirrors {!Autobraid.Scheduler.default_options} where applicable. *)
+val options_spec : Autobraid.Comm_backend.Options.spec list
+(** The surgery knobs, the one place their defaults are written
+    ([autobraid backends] lists them): [retry] (failed-first re-route
+    inside the stack finder), [ripup] (volume-aware eviction of the
+    costliest merge) and [pipeline_splits] (overlap splits with
+    data-independent successor rounds). *)
 
 type stats = {
   merge_rounds : int;
@@ -54,22 +47,26 @@ val stats_to_assoc : stats -> (string * float) list
     and JSON export. *)
 
 val run_traced :
-  ?options:options ->
+  ?config:Autobraid.Comm_backend.config ->
+  ?options:Autobraid.Comm_backend.Options.t ->
   Qec_surface.Timing.t ->
   Qec_circuit.Circuit.t ->
   Autobraid.Scheduler.result * Autobraid.Trace.t * stats
-(** Schedule the circuit with lattice surgery. The result reuses the
-    braiding result record: [braid_rounds] holds merge rounds and
-    [swap_layers]/[swaps_inserted] are 0 by construction.
-    [critical_path_cycles] uses the surgery gate costs
-    ({!Qec_surface.Surgery_timing.gate_cycles}). [stats] are read off
-    the kept trace's merge rounds, plus the rip-up totals of the pass
-    that produced it. Raises [Invalid_argument] on a mismatched
-    [placement_override]. *)
+(** Schedule the circuit with lattice surgery. [config] (initial
+    placement, seed, placement override) defaults to
+    {!Autobraid.Comm_backend.default_config}; [options] is a record
+    decoded against {!options_spec} and defaults to its declared
+    defaults. The result reuses the braiding result record:
+    [braid_rounds] holds merge rounds and [swap_layers]/[swaps_inserted]
+    are 0 by construction. [critical_path_cycles] uses the surgery gate
+    costs ({!Qec_surface.Surgery_timing.gate_cycles}). [stats] are read
+    off the kept trace's merge rounds, plus the rip-up totals of the pass
+    that produced it. Raises [Invalid_argument] on a mismatched placement
+    override. *)
 
-val run :
-  ?options:options ->
-  Qec_surface.Timing.t ->
-  Qec_circuit.Circuit.t ->
-  Autobraid.Scheduler.result
-(** [run_traced] without keeping the trace or stats. *)
+val register : unit -> unit
+(** Enter ["surgery"] into {!Autobraid.Comm_backend}'s registry: its
+    ctor is [run_traced ~config ~options], with [stats] flattened by
+    {!stats_to_assoc}. Idempotent. Runs automatically when this module is
+    linked and referenced; call it explicitly from code that only
+    resolves backends by name, so linking is guaranteed. *)

@@ -15,7 +15,7 @@ module Dataflow = Qec_verify.Dataflow
 module B = Qec_benchmarks
 
 (* The backend below is built by name, so link lookahead's entry. *)
-let () = Qec_lookahead.Backend.register ()
+let () = L.register ()
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -80,7 +80,9 @@ let test_window_zero_is_greedy () =
   List.iter
     (fun name ->
       let c = B.Registry.build name in
-      let opts = { L.default_options with L.window = 0 } in
+      let opts =
+        Result.get_ok (CB.Options.decode L.options_spec [ ("window", CB.Options.Int 0) ])
+      in
       let result, trace, stats = L.run_traced ~options:opts timing c in
       let g_result, g_trace = S.run_traced timing c in
       check_int (name ^ " cycles") g_result.S.total_cycles
@@ -163,6 +165,24 @@ let test_compile_time_is_the_call () =
   check_bool "inside the call" true (result.S.compile_time_s <= wall);
   check_bool "the whole call" true (result.S.compile_time_s >= 0.9 *. wall)
 
+(* run_traced applies the registry entry's range check, with its
+   message. *)
+let test_run_rejects_out_of_range () =
+  let c = B.Registry.build "qft9" in
+  List.iter
+    (fun (pair, message) ->
+      let options = Result.get_ok (CB.Options.decode L.options_spec [ pair ]) in
+      Alcotest.check_raises message (Invalid_argument message) (fun () ->
+          ignore (L.run_traced ~options timing c));
+      Alcotest.(check (result unit string))
+        ("entry " ^ message) (Error message)
+        ((Option.get (CB.of_name "lookahead")).CB.validate options))
+    [
+      (("window", CB.Options.Int (-1)), "window -1 must be >= 0");
+      ( ("slack_weight", CB.Options.Float (-0.5)),
+        "slack_weight -0.5 must be >= 0" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* backend packaging                                                    *)
 
@@ -212,5 +232,9 @@ let () =
       ( "compile time",
         [ Alcotest.test_case "whole call" `Quick test_compile_time_is_the_call ] );
       ( "backend",
-        [ Alcotest.test_case "outcome shape" `Quick test_backend_outcome ] );
+        [
+          Alcotest.test_case "outcome shape" `Quick test_backend_outcome;
+          Alcotest.test_case "run rejects out-of-range options" `Quick
+            test_run_rejects_out_of_range;
+        ] );
     ]

@@ -39,9 +39,7 @@ let test_planar_faster_than_braiding_rounds () =
 let test_stack_no_worse_than_greedy () =
   let stack = P.run timing (B.Qft.circuit 36) in
   let greedy =
-    P.run
-      ~options:{ P.default_options with ordering = P.Greedy_shortest }
-      timing (B.Qft.circuit 36)
+    P.run ~ordering:P.Greedy_shortest timing (B.Qft.circuit 36)
   in
   check_bool "stack <= greedy" true
     (stack.S.total_cycles <= greedy.S.total_cycles)
@@ -81,12 +79,11 @@ let test_deterministic () =
    model replaced. *)
 let test_known_answer_cycles () =
   let timing = T.make ~d:5 () in
-  let greedy = { P.default_options with ordering = P.Greedy_shortest } in
-  let cycles ?options name =
-    (P.run ?options timing (B.Registry.build name)).S.total_cycles
+  let cycles ?ordering name =
+    (P.run ?ordering timing (B.Registry.build name)).S.total_cycles
   in
   check_int "qft50 stack" 1_120 (cycles "qft50");
-  check_int "qft50 greedy" 1_145 (cycles ~options:greedy "qft50");
+  check_int "qft50 greedy" 1_145 (cycles ~ordering:P.Greedy_shortest "qft50");
   check_int "urf2_277 stack" 56_350 (cycles "urf2_277")
 
 let () =

@@ -13,7 +13,7 @@ module G = Qec_circuit.Gate
 module B = Qec_benchmarks
 
 (* The backends below are built by name, so link surgery's entry. *)
-let () = Qec_surgery.Backend.register ()
+let () = Surgery.register ()
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -120,7 +120,11 @@ let test_pipelining_toggle () =
   let on = Surgery.run_traced timing c in
   let off =
     Surgery.run_traced
-      ~options:{ Surgery.default_options with pipeline_splits = false } timing c
+      ~options:
+        (Result.get_ok
+           (CB.Options.decode Surgery.options_spec
+              [ ("pipeline_splits", CB.Options.Bool false) ]))
+      timing c
   in
   let _, trace_off, stats_off = off in
   check_int "no overlapped rounds when disabled" 0
@@ -139,11 +143,17 @@ let test_determinism () =
   check_int "same cycles" r1.S.total_cycles r2.S.total_cycles;
   check_int "same rounds" (Trace.num_rounds t1) (Trace.num_rounds t2)
 
-let test_run_matches_run_traced () =
+(* The registry entry is run_traced itself: same record, trace and
+   flattened stats. *)
+let test_registry_ctor_matches_run_traced () =
   let c = B.Qft.circuit 9 in
-  let plain = Surgery.run timing c in
-  let traced, _, _ = Surgery.run_traced timing c in
-  check_int "identical schedules" plain.S.total_cycles traced.S.total_cycles
+  let o = (CB.by_name "surgery").CB.run timing c in
+  let result, trace, stats = Surgery.run_traced timing c in
+  check_int "identical schedules" result.S.total_cycles
+    o.CB.result.S.total_cycles;
+  check_bool "identical traces" true (trace = o.CB.trace);
+  check_bool "flattened stats" true
+    (Surgery.stats_to_assoc stats = o.CB.stats)
 
 let test_braid_backend_matches_scheduler () =
   let c = B.Qft.circuit 9 in
@@ -314,8 +324,8 @@ let () =
           Alcotest.test_case "result consistency" `Quick test_result_consistency;
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
           Alcotest.test_case "deterministic" `Quick test_determinism;
-          Alcotest.test_case "run agrees with run_traced" `Quick
-            test_run_matches_run_traced;
+          Alcotest.test_case "registry ctor agrees with run_traced" `Quick
+            test_registry_ctor_matches_run_traced;
           QCheck_alcotest.to_alcotest prop_surgery_traces_validate;
         ] );
       ( "backend",
